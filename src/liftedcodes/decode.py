@@ -17,77 +17,11 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from liftedcodes import linalg
 from liftedcodes.codes import Word, encode, make_code
-from liftedcodes.gf import GF, FiniteField
+from liftedcodes.gf import GF, FiniteField, poly_divmod, poly_eval
 from liftedcodes.geometry import enumerate_points, random_embedding_through, \
     standard_line_embedding, theta
-
-
-# ---------------------------------------------------------------------------
-# Polynomial utilities on little-endian index-coefficient lists
-# ---------------------------------------------------------------------------
-
-def poly_eval(F, coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def poly_divmod(F, a, b):
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [0] * max(0, len(a) - len(b) + 1)
-    inv_lead = F.inv(b[-1])
-    while a and len(a) >= len(b):
-        c = F.mul(a[-1], inv_lead)
-        shift = len(a) - len(b)
-        quot[shift] = c
-        for j in range(len(b)):
-            a[shift + j] = F.sub(a[shift + j], F.mul(c, b[j]))
-        _poly_trim(a)
-    return quot, a
-
-
-def _solve(F, rows, rhs):
-    """One solution of a small dense linear system, or None."""
-    m = len(rows)
-    if m == 0:
-        return []
-    n = len(rows[0])
-    A = [list(r) + [v] for r, v in zip(rows, rhs)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = F.inv(A[r][c])
-        A[r] = [F.mul(inv, x) for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(A[i], A[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if A[i][n] != 0:
-            return None  # inconsistent
-    x = [0] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = A[i][n]
-    return x
 
 
 def _berlekamp_welch(F, pairs, deg_bound, radius):
@@ -116,9 +50,10 @@ def _berlekamp_welch(F, pairs, deg_bound, radius):
             epow = F.mul(epow, x)
         rows.append(row)
         rhs.append(F.mul(y, epow))  # y * x^radius
-    sol = _solve(F, rows, rhs)
+    sol = linalg.solve_particular(F, rows, rhs)
     if sol is None:
         return None
+    sol = sol.tolist()
     Q = sol[:nq]
     E = sol[nq:] + [1]
     g, rem = poly_divmod(F, Q, E)

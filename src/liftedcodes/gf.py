@@ -20,8 +20,11 @@ GF(q^m) -> GF(q)^m exposed as :class:`ExtensionIso`.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product, zip_longest
 
 import numpy as np
+
+from liftedcodes import linalg
 
 # Published primitive polynomials, little-endian coefficient lists (monic).
 # Keyed by (p, t); degree-1 entries encode x - g with g the smallest
@@ -78,66 +81,85 @@ def prime_factors(n):
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers over GF(p) (coefficients = plain ints mod p)
+# Polynomials over a field F: little-endian lists of F's element indices
 # ---------------------------------------------------------------------------
 
-def _poly_trim(a):
+def poly_trim(a):
+    """Drop trailing zero coefficients of the list a in place; returns a."""
     while a and a[-1] == 0:
-        a = a[:-1]
+        a.pop()
     return a
 
 
-def _poly_mulmod_p(a, b, mod, p):
-    """(a * b) mod `mod` over GF(p); all little-endian coefficient lists."""
+def poly_eval(F, coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
+def poly_divmod(F, a, b):
+    """(quotient, remainder) of a by a nonzero b; the remainder is trimmed."""
+    a = poly_trim(list(a))
+    b = poly_trim(list(b))
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    quot = [0] * max(0, len(a) - len(b) + 1)
+    inv_lead = F.inv(b[-1])
+    while len(a) >= len(b):
+        c = F.mul(a[-1], inv_lead)
+        shift = len(a) - len(b)
+        quot[shift] = c
+        for j, bj in enumerate(b):
+            a[shift + j] = F.sub(a[shift + j], F.mul(c, bj))
+        poly_trim(a)
+    return quot, a
+
+
+def poly_mulmod(F, a, b, mod):
+    """a * b modulo the monic `mod`, padded to deg(mod) coefficients."""
     t = len(mod) - 1
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         if ai == 0:
             continue
         for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    # reduce modulo the monic modulus
+            if bj:
+                out[i + j] = F.add(out[i + j], F.mul(ai, bj))
     for i in range(len(out) - 1, t - 1, -1):
         c = out[i]
-        if c == 0:
-            continue
-        out[i] = 0
-        for j in range(t):
-            out[i - t + j] = (out[i - t + j] - c * mod[j]) % p
+        if c:
+            for j in range(t):
+                out[i - t + j] = F.sub(out[i - t + j], F.mul(c, mod[j]))
     out = out[:t]
     return out + [0] * (t - len(out))
 
 
-def _poly_divides_p(d, a, p):
-    """True if polynomial d divides a over GF(p). d monic, little-endian."""
-    a = list(_poly_trim(list(a)))
-    dd = _poly_trim(list(d))
-    td = len(dd) - 1
-    while len(a) - 1 >= td and a:
-        c = a[-1]
-        shift = len(a) - 1 - td
-        for j in range(len(dd)):
-            a[shift + j] = (a[shift + j] - c * dd[j]) % p
-        a = list(_poly_trim(a))
-    return not a
+def poly_powmod(F, a, n, mod):
+    """a^n modulo the monic `mod`, padded to deg(mod) coefficients."""
+    t = len(mod) - 1
+    r = [1] + [0] * (t - 1)
+    b = list(a) + [0] * (t - len(a))
+    while n:
+        if n & 1:
+            r = poly_mulmod(F, r, b, mod)
+        b = poly_mulmod(F, b, b, mod)
+        n >>= 1
+    return r
 
 
-def _is_irreducible_p(poly, p):
-    """Trial factorization over GF(p): no monic divisor of degree 1..t//2."""
-    t = len(poly) - 1
-    if t == 1:
-        return True
-    for deg in range(1, t // 2 + 1):
-        for idx in range(p ** deg):
-            cand = []
-            v = idx
-            for _ in range(deg):
-                cand.append(v % p)
-                v //= p
-            cand.append(1)
-            if _poly_divides_p(cand, poly, p):
-                return False
-    return True
+def monic_polys(F, deg):
+    """Every monic polynomial of degree deg over F, in index order: the
+    coefficients below the leading one read as base-q digits of 0, 1, ..."""
+    for digits in product(range(F.order), repeat=deg):
+        yield list(reversed(digits)) + [1]
+
+
+def is_irreducible(F, poly):
+    """Trial division: no monic divisor of degree 1..deg/2 over F."""
+    half = (len(poly) - 1) // 2
+    return all(poly_divmod(F, poly, d)[1]
+               for deg in range(1, half + 1) for d in monic_polys(F, deg))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +335,12 @@ class _FieldBase:
         if not (text.startswith("[") and text.endswith("]")):
             raise ValueError(f"bad element literal: {text!r}")
         parts = [s for s in text[1:-1].split(",") if s.strip() != ""]
-        return self.from_coeffs([int(s) for s in parts])
+        coeffs = [int(s) for s in parts]
+        el = self.from_coeffs(coeffs)
+        # a digit out of range would otherwise be silently reduced
+        if any(c != d for c, d in zip_longest(coeffs, el.coeffs, fillvalue=0)):
+            raise ValueError(f"coefficient out of range in element literal {text!r}")
+        return el
 
     def random_index(self, rng):
         return int(rng.integers(self.order))
@@ -345,21 +372,24 @@ class FiniteField(_FieldBase):
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != t + 1 or modulus[-1] != 1:
             raise ValueError(f"modulus must be monic of degree {t}")
-        if not _is_irreducible_p(modulus, p):
-            raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
-        self.modulus = modulus
-
         q = self.order
-        # multiplication table via polynomial arithmetic mod the modulus
-        mt = [[0] * q for _ in range(q)]
+        self.dtype = np.dtype(np.uint8 if q <= 256 else np.uint16)
         coeffs = [self.index_to_coeffs(i) for i in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                c = _poly_mulmod_p(list(coeffs[a]), list(coeffs[b]), list(modulus), p)
-                idx = self.coeffs_to_index(c)
-                mt[a][b] = idx
-                mt[b][a] = idx
-        self._mul = mt
+        if t == 1:
+            self._mul = [[a * b % p for b in range(p)] for a in range(p)]
+        else:
+            # multiplication table via polynomial arithmetic mod the modulus
+            prime = GF(p)
+            if not is_irreducible(prime, modulus):
+                raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
+            mt = [[0] * q for _ in range(q)]
+            for a in range(q):
+                for b in range(a, q):
+                    idx = self.coeffs_to_index(poly_mulmod(prime, coeffs[a], coeffs[b], modulus))
+                    mt[a][b] = idx
+                    mt[b][a] = idx
+            self._mul = mt
+        self.modulus = modulus
 
         if p == 2:
             self._add = None  # index XOR
@@ -385,17 +415,12 @@ class FiniteField(_FieldBase):
 
     @staticmethod
     def _search_modulus(p, t):
-        # deterministic fallback: first monic irreducible in index order
-        for idx in range(p ** t):
-            cand = []
-            v = idx
-            for _ in range(t):
-                cand.append(v % p)
-                v //= p
-            cand.append(1)
-            if _is_irreducible_p(cand, p):
-                return tuple(cand)
-        raise RuntimeError("no irreducible polynomial found")  # unreachable
+        # deterministic fallback: first monic irreducible in index order;
+        # for t = 1 that is x, as every degree-1 polynomial is irreducible
+        if t == 1:
+            return (0, 1)
+        prime = GF(p)
+        return tuple(next(c for c in monic_polys(prime, t) if is_irreducible(prime, c)))
 
     # -- index-level arithmetic ------------------------------------------
 
@@ -460,22 +485,22 @@ class FiniteField(_FieldBase):
     def _np(self, name):
         if name in self._np_cache:
             return self._np_cache[name]
-        q = self.order
+        q, dt = self.order, self.dtype
         if name == "mul":
-            arr = np.array(self._mul, dtype=np.uint8)
+            arr = np.array(self._mul, dtype=dt)
         elif name == "add":
-            arr = (np.arange(q, dtype=np.uint8)[:, None] ^ np.arange(q, dtype=np.uint8)[None, :]
-                   if self.p == 2 else np.array(self._add, dtype=np.uint8))
+            arr = (np.arange(q, dtype=dt)[:, None] ^ np.arange(q, dtype=dt)[None, :]
+                   if self.p == 2 else np.array(self._add, dtype=dt))
         elif name == "sub":
-            arr = (self._np("add") if self.p == 2 else np.array(self._sub, dtype=np.uint8))
+            arr = (self._np("add") if self.p == 2 else np.array(self._sub, dtype=dt))
         elif name == "inv":
-            arr = np.array(self._inv, dtype=np.uint8)
+            arr = np.array(self._inv, dtype=dt)
         elif name == "log":
             arr = np.array(self._log, dtype=np.int32)
         elif name == "exp":
-            arr = np.array(self._exp, dtype=np.uint8)
+            arr = np.array(self._exp, dtype=dt)
         elif name == "digits":
-            arr = np.array([self.index_to_coeffs(i) for i in range(q)], dtype=np.uint8)
+            arr = np.array([self.index_to_coeffs(i) for i in range(q)], dtype=dt)
         else:
             raise KeyError(name)
         self._np_cache[name] = arr
@@ -559,104 +584,28 @@ class ExtensionField(_FieldBase):
         self.modulus = tuple(modulus)
         if len(self.modulus) != m + 1 or self.modulus[-1] != 1:
             raise ValueError(f"modulus must be monic of degree {m}")
-        if not self._is_irreducible(self.modulus):
+        if not is_irreducible(base, self.modulus):
             raise ValueError("extension modulus is reducible over the base field")
         self.omega_index = self._find_omega()
         self._build_logs()
 
     # modulus coefficients are base-field indices
-    def _poly_mulmod(self, a, b, mod):
-        base = self.base
-        m = len(mod) - 1
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = base.add(out[i + j], base.mul(ai, bj))
-        for i in range(len(out) - 1, m - 1, -1):
-            c = out[i]
-            if c == 0:
-                continue
-            out[i] = 0
-            for j in range(m):
-                out[i - m + j] = base.sub(out[i - m + j], base.mul(c, mod[j]))
-        out = out[:m]
-        return out + [0] * (m - len(out))
-
-    def _poly_divides(self, d, a):
-        base = self.base
-        a = list(a)
-        while a and a[-1] == 0:
-            a.pop()
-        dd = list(d)
-        while dd and dd[-1] == 0:
-            dd.pop()
-        td = len(dd) - 1
-        lead_inv = base.inv(dd[-1])
-        while a and len(a) - 1 >= td:
-            c = base.mul(a[-1], lead_inv)
-            shift = len(a) - 1 - td
-            for j in range(len(dd)):
-                a[shift + j] = base.sub(a[shift + j], base.mul(c, dd[j]))
-            while a and a[-1] == 0:
-                a.pop()
-        return not a
-
-    def _is_irreducible(self, poly):
-        if self.m == 1:
-            return True
-        qb = self.base.order
-        for deg in range(1, self.m // 2 + 1):
-            for idx in range(qb ** deg):
-                cand = []
-                v = idx
-                for _ in range(deg):
-                    cand.append(v % qb)
-                    v //= qb
-                cand.append(1)
-                if self._poly_divides(cand, poly):
-                    return False
-        return True
-
     def _search_primitive_modulus(self):
-        qb = self.base.order
         m = self.m
         n = self.order - 1
         facs = prime_factors(n) if n > 1 else []
-        for idx in range(qb ** m):
-            cand = []
-            v = idx
-            for _ in range(m):
-                cand.append(v % qb)
-                v //= qb
-            cand.append(1)
-            if not self._is_irreducible(cand):
+        for cand in monic_polys(self.base, m):
+            if not is_irreducible(self.base, cand):
                 continue
             # primitivity of the root z: order exactly q^m - 1
-            mod = tuple(cand)
-            z = [self.base.neg(cand[0])] if m == 1 else [0, 1] + [0] * (m - 2)
-            if self._root_order_full(z, mod, facs, n):
-                return mod
+            z = [self.base.neg(cand[0])] if m == 1 else [0, 1]
+            if self._root_order_full(z, cand, facs, n):
+                return tuple(cand)
         raise RuntimeError("no primitive modulus found")  # unreachable
 
     def _root_order_full(self, z, mod, facs, n):
-        for ell in facs:
-            if self._poly_pow(z, n // ell, mod) == [1] + [0] * (self.m - 1):
-                return False
-        return True
-
-    def _poly_pow(self, a, n, mod):
-        m = self.m
-        r = [1] + [0] * (m - 1)
-        b = list(a) + [0] * (m - len(a))
-        while n:
-            if n & 1:
-                r = self._poly_mulmod(r, b, mod)
-            b = self._poly_mulmod(b, b, mod)
-            n >>= 1
-        return r
+        one = [1] + [0] * (self.m - 1)
+        return all(poly_powmod(self.base, z, n // ell, mod) != one for ell in facs)
 
     # -- index-level arithmetic ------------------------------------------
 
@@ -698,9 +647,8 @@ class ExtensionField(_FieldBase):
         if hasattr(self, "_log"):
             n = self.order - 1
             return self._exp[(self._log[a] + self._log[b]) % n]
-        ca = self._poly_mulmod(list(self.index_to_coeffs(a)),
-                               list(self.index_to_coeffs(b)), self.modulus)
-        return self.coeffs_to_index(ca)
+        return self.coeffs_to_index(poly_mulmod(self.base, self.index_to_coeffs(a),
+                                                self.index_to_coeffs(b), self.modulus))
 
     def inv(self, a):
         if a == 0:
@@ -716,13 +664,11 @@ class ExtensionField(_FieldBase):
         n = self.order - 1
         facs = prime_factors(n)
         z = self.base.order  # index of the polynomial-basis root
-        za = [0, 1] + [0] * (self.m - 2)
-        if self._root_order_full(za, self.modulus, facs, n):
+        if self._root_order_full([0, 1], self.modulus, facs, n):
             return z
         # fallback search (non-primitive user modulus)
         for a in range(1, self.order):
-            ca = list(self.index_to_coeffs(a))
-            if self._root_order_full(ca, self.modulus, facs, n):
+            if self._root_order_full(self.index_to_coeffs(a), self.modulus, facs, n):
                 return a
         raise RuntimeError("no primitive element found")  # unreachable
 
@@ -767,10 +713,14 @@ class ExtensionIso:
             cols.append(self.ext.index_to_coeffs(w))
             w = self.ext.mul(w, self.omega_index)
         B = [[cols[j][i] for j in range(m)] for i in range(m)]
-        self._B_inv = _invert_base_matrix(base, B)
         self.post_map = post_map
+        # forward: digits -> post_map . B^-1 . digits; inverse undoes both
+        self._to_coords = linalg.inverse(base, B)
+        self._from_coords = linalg.as_matrix(B, base.dtype)
         if post_map is not None:
-            _invert_base_matrix(base, post_map)  # raises if singular
+            self._to_coords = linalg.gf_matmul(base, post_map, self._to_coords)
+            self._from_coords = linalg.gf_matmul(
+                base, self._from_coords, linalg.inverse(base, post_map))
 
     @property
     def omega(self):
@@ -780,22 +730,12 @@ class ExtensionIso:
         """phi(x): coordinates of an extension element over the base field."""
         idx = x.index if isinstance(x, FieldElement) else x
         digits = self.ext.index_to_coeffs(idx)
-        coords = _base_matvec(self.base, self._B_inv, digits)
-        if self.post_map is not None:
-            coords = _base_matvec(self.base, self.post_map, coords)
-        return tuple(coords)
+        return tuple(linalg.gf_matvec(self.base, self._to_coords, digits).tolist())
 
     def inverse(self, coords):
-        if self.post_map is not None:
-            inv_post = _invert_base_matrix(self.base, self.post_map)
-            coords = _base_matvec(self.base, inv_post, coords)
-        # x = sum coords_j * Omega^j
-        acc = 0
-        w = 1
-        for c in coords:
-            acc = self.ext.add(acc, self.ext.mul(c, w))
-            w = self.ext.mul(w, self.omega_index)
-        return acc
+        # x = sum coords_j * Omega^j, read off in the polynomial basis
+        digits = linalg.gf_matvec(self.base, self._from_coords, coords)
+        return self.ext.coeffs_to_index(digits.tolist())
 
     @staticmethod
     def random(base, m, rng):
@@ -805,7 +745,7 @@ class ExtensionIso:
         while True:
             M = [[int(rng.integers(base.order)) for _ in range(m)] for _ in range(m)]
             try:
-                _invert_base_matrix(base, M)
+                linalg.inverse(base, M)
                 break
             except ValueError:
                 continue
@@ -815,34 +755,3 @@ class ExtensionIso:
 def ext_iso(F, m):
     """The canonical coordinate isomorphism GF(q^m) -> GF(q)^m."""
     return ExtensionIso(F, m)
-
-
-def _invert_base_matrix(base, M):
-    """Invert a small square matrix of base-field indices; ValueError if singular."""
-    m = len(M)
-    A = [list(row) + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(M)]
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        A[r], A[piv] = A[piv], A[r]
-        inv = base.inv(A[r][c])
-        A[r] = [base.mul(inv, x) for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [base.sub(x, base.mul(f, y)) for x, y in zip(A[i], A[r])]
-        r += 1
-    return [row[m:] for row in A]
-
-
-def _base_matvec(base, M, v):
-    out = []
-    for row in M:
-        acc = 0
-        for a, x in zip(row, v):
-            if a and x:
-                acc = base.add(acc, base.mul(a, x))
-        out.append(acc)
-    return out

@@ -1,10 +1,12 @@
 """Dense linear algebra over small finite fields.
 
-Matrices are numpy uint8 arrays of canonical element indices of one
-FiniteField.  Characteristic-2 fields add by XOR of indices, which keeps
-row elimination at memory bandwidth; odd characteristic goes through the
-field's add/sub tables.  Everything here is plain Gaussian elimination --
-adequate at desk scale and deliberately free of structure shortcuts.
+Matrices are numpy arrays of canonical element indices of one FiniteField,
+in the field's element dtype ``F.dtype``.  Characteristic-2 fields add by
+XOR of indices, which keeps row elimination at memory bandwidth; odd
+characteristic goes through the field's add/sub tables.  ``rref`` is the one
+Gaussian elimination; rank, null space, inverse and solving are read off
+it.  It is adequate at desk scale and deliberately free of structure
+shortcuts.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def as_matrix(rows):
-    A = np.asarray(rows, dtype=np.uint8)
+def as_matrix(rows, dtype=np.uint8):
+    A = np.asarray(rows, dtype=dtype)
     if A.ndim == 1:
         A = A.reshape(1, -1)
     return A
@@ -23,12 +25,6 @@ def gf_add(F, A, B):
     if F.p == 2:
         return A ^ B
     return F.np_add[A, B]
-
-
-def gf_sub(F, A, B):
-    if F.p == 2:
-        return A ^ B
-    return F.np_sub[A, B]
 
 
 def gf_scale(F, c, A):
@@ -42,21 +38,21 @@ def gf_sum(F, A, axis):
     digits = F.np_digits[A].astype(np.int64)  # (..., t)
     s = digits.sum(axis=axis) % F.p
     powers = F.p ** np.arange(F.t, dtype=np.int64)
-    return (s * powers).sum(axis=-1).astype(np.uint8)
+    return (s * powers).sum(axis=-1).astype(F.dtype)
 
 
 def gf_matvec(F, A, v):
     """A @ v over the field; A is (r, n), v length n."""
-    A = as_matrix(A)
-    v = np.asarray(v, dtype=np.uint8)
+    A = as_matrix(A, F.dtype)
+    v = np.asarray(v, dtype=F.dtype)
     prods = F.np_mul[A, v[None, :]]
     return gf_sum(F, prods, axis=1)
 
 
 def gf_matmul(F, A, B):
-    A = as_matrix(A)
-    B = as_matrix(B)
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.uint8)
+    A = as_matrix(A, F.dtype)
+    B = as_matrix(B, F.dtype)
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=F.dtype)
     for i in range(A.shape[1]):
         col = A[:, i]
         if not col.any():
@@ -67,7 +63,7 @@ def gf_matmul(F, A, B):
 
 def rref(F, A):
     """Reduced row echelon form; returns (R, pivot_columns)."""
-    A = as_matrix(rows=A).copy()
+    A = as_matrix(A, F.dtype).copy()
     nrows, ncols = A.shape
     mul = F.np_mul
     pivots = []
@@ -75,19 +71,19 @@ def rref(F, A):
     for c in range(ncols):
         if r >= nrows:
             break
-        col = A[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = A[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
             A[[r, piv]] = A[[piv, r]]
-        if A[r, c] != 1:
-            A[r] = mul[F.inv(int(A[r, c]))][A[r]]
+        lead = int(A[r, c])
+        if lead != 1:
+            A[r] = mul[F.inv(lead)][A[r]]
         # eliminate every other row in one gathered update
         colv = A[:, c].copy()
         colv[r] = 0
-        rows = np.nonzero(colv)[0]
+        rows = colv.nonzero()[0]
         if rows.size:
             scaled_all = mul[:, A[r]]  # (q, ncols): factor -> factor * pivot row
             updates = scaled_all[colv[rows]]
@@ -101,7 +97,7 @@ def rref(F, A):
 
 
 def rank(F, A):
-    A = as_matrix(A)
+    A = as_matrix(A, F.dtype)
     if A.size == 0:
         return 0
     return rref(F, A)[0].shape[0]
@@ -109,36 +105,39 @@ def rank(F, A):
 
 def nullspace(F, A):
     """Rows form a basis of {x : A x = 0}."""
-    A = as_matrix(A)
+    A = as_matrix(A, F.dtype)
     n = A.shape[1]
     R, pivots = rref(F, A)
-    free = [c for c in range(n) if c not in set(pivots)]
-    basis = np.zeros((len(free), n), dtype=np.uint8)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1
-        for ri, pc in enumerate(pivots):
-            basis[bi, pc] = F.neg(int(R[ri, fc]))
+    free = np.setdiff1d(np.arange(n), pivots)
+    basis = np.zeros((len(free), n), dtype=F.dtype)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = F.np_sub[0][R[:, free].T]  # x_pivot = -R[:, free] x_free
     return basis
 
 
-def in_rowspace(F, A, w):
-    A = as_matrix(A)
-    w = np.asarray(w, dtype=np.uint8).reshape(1, -1)
-    r = rank(F, A)
-    return rank(F, np.vstack([A, w])) == r
+def inverse(F, M):
+    """M^-1 for a square matrix M; ValueError if M is singular."""
+    M = as_matrix(M, F.dtype)
+    n = M.shape[0]
+    if M.shape != (n, n):
+        raise ValueError("only square matrices have an inverse")
+    R, pivots = rref(F, np.hstack([M, np.eye(n, dtype=F.dtype)]))
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return R[:, n:]
 
 
 def rowspace_contains(F, A, B):
     """True iff every row of B lies in the row space of A."""
-    A = as_matrix(A)
-    B = as_matrix(B)
+    A = as_matrix(A, F.dtype)
+    B = as_matrix(B, F.dtype)
     r = rank(F, A)
     return rank(F, np.vstack([A, B])) == r
 
 
 def rowspace_equal(F, A, B):
-    A = as_matrix(A)
-    B = as_matrix(B)
+    A = as_matrix(A, F.dtype)
+    B = as_matrix(B, F.dtype)
     if A.shape[1] != B.shape[1]:
         return False
     ra, rb = rank(F, A), rank(F, B)
@@ -147,17 +146,12 @@ def rowspace_equal(F, A, B):
     return rank(F, np.vstack([A, B])) == ra
 
 
-def left_nullspace(F, A):
-    """Rows x with x A = 0."""
-    return nullspace(F, as_matrix(A).T)
-
-
 def span_all(F, G):
     """Every word in the row space, one per message, message digits varying
     fastest in the last row.  Size grows as q^rows: small inputs only."""
-    G = as_matrix(G)
+    G = as_matrix(G, F.dtype)
     q = F.order
-    out = np.zeros((1, G.shape[1]), dtype=np.uint8)
+    out = np.zeros((1, G.shape[1]), dtype=F.dtype)
     for row in G:
         blocks = [gf_add(F, out, gf_scale(F, c, row)[None, :]) for c in range(q)]
         out = np.concatenate(blocks, axis=0)
@@ -166,14 +160,12 @@ def span_all(F, G):
 
 def solve_particular(F, A, b):
     """One solution x of A x = b, or None if inconsistent."""
-    A = as_matrix(A)
-    b = np.asarray(b, dtype=np.uint8).reshape(-1, 1)
-    aug = np.hstack([A, b])
-    R, pivots = rref(F, aug)
+    A = as_matrix(A, F.dtype)
+    b = np.asarray(b, dtype=F.dtype).reshape(-1, 1)
+    R, pivots = rref(F, np.hstack([A, b]))
     n = A.shape[1]
     if n in pivots:
         return None  # pivot in the constant column
-    x = np.zeros(n, dtype=np.uint8)
-    for ri, pc in enumerate(pivots):
-        x[pc] = R[ri, n]
+    x = np.zeros(n, dtype=F.dtype)
+    x[pivots] = R[:, n]
     return x

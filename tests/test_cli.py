@@ -137,6 +137,22 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_out_of_range_element_in_word_file_exits_2(tmp_path, capsys):
+    msg = tmp_path / "msg.txt"
+    msg.write_text("\n".join(["[1,0]"] * 11) + "\n")
+    word_file = tmp_path / "word.txt"
+    run_cli(capsys, "encode", "--kind", "PLift", "--q", "4", "--m", "2",
+            "--k", "3", "--msg-file", str(msg), "--out", str(word_file))
+    lines = word_file.read_text().splitlines()
+    lines[1] = "[3,0]"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(capsys, "corrupt", "--in", str(bad), "--delta", "0.05",
+                           "--seed", "1")
+    assert code == 2
+    assert "[3,0]" in err and "Traceback" not in err
+
+
 def test_selftest_command(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0

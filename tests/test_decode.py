@@ -150,6 +150,22 @@ def test_roundtrip_with_errors_and_erasures_up_to_capacity():
             assert prs_decode(y, k, F) == cw, (q, k, s, nerr)
 
 
+def test_planted_codeword_over_gf257():
+    # element indices above 255: the decoder's elimination must not wrap
+    F = GF(257)
+    k, s, nerr = 5, 30, 12
+    rng = np.random.default_rng(257)
+    g = [int(c) for c in rng.integers(257, size=k + 1)]
+    cw = prs_codeword(F, g, k)
+    read = sorted(int(i) for i in rng.choice(258, size=s, replace=False))
+    y = [None] * 258
+    for i in read:
+        y[i] = cw[i]
+    for i in rng.choice(read, size=nerr, replace=False):
+        y[int(i)] = F.add(y[int(i)], int(rng.integers(1, 257)))
+    assert prs_decode(y, k, F) == cw
+
+
 def test_decode_failure_is_distinct_from_wrong_answer():
     # a word far from every codeword must yield None, never a guess
     F = GF(4)

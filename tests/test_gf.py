@@ -10,6 +10,9 @@ from liftedcodes.gf import (
     FiniteField,
     ext_iso,
     field_new,
+    is_irreducible,
+    monic_polys,
+    poly_divmod,
     IRREDUCIBLE_POLYS,
 )
 
@@ -123,6 +126,14 @@ def test_element_text_roundtrip():
         assert F9.parse_element(str(el)) == el
 
 
+def test_element_literal_out_of_range_rejected():
+    F = GF(4)
+    for text in ("[7]", "[2,0]", "[1,-1]", "[1,0,2]"):
+        with pytest.raises(ValueError):
+            F.parse_element(text)
+    assert F.parse_element("[1,0,0]") == F.one
+
+
 def test_cross_field_operands_rejected():
     a = GF(4).omega
     b = GF(8).omega
@@ -194,6 +205,7 @@ def test_ext_iso_random_draw_is_isomorphism():
         a, b = int(rng.integers(E.order)), int(rng.integers(E.order))
         fa, fb = iso.forward(a), iso.forward(b)
         assert iso.forward(E.add(a, b)) == tuple(F.add(x, y) for x, y in zip(fa, fb))
+        assert iso.inverse(iso.forward(a)) == a
 
 
 def test_extension_field_frobenius():
@@ -202,3 +214,69 @@ def test_extension_field_frobenius():
     E = iso.ext
     for a in range(E.order):
         assert E.pow(a, E.order) == a
+
+
+# ---------------------------------------------------------------------------
+# Polynomial helpers
+# ---------------------------------------------------------------------------
+
+def _poly_mul(F, a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return out
+
+
+def _poly_add(F, a, b):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    out = [F.add(x, y) for x, y in zip(a, b)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+@pytest.mark.parametrize("q", [8, 9])
+def test_poly_divmod_identity(q):
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    for _ in range(100):
+        a = [int(c) for c in rng.integers(q, size=int(rng.integers(0, 9)))]
+        b = [int(c) for c in rng.integers(q, size=int(rng.integers(1, 6)))]
+        b[-1] = int(rng.integers(1, q))
+        quot, rem = poly_divmod(F, a, b)
+        assert len(rem) < len(b)
+        assert (rem[-1] if rem else 1) != 0
+        trimmed = list(a)
+        while trimmed and trimmed[-1] == 0:
+            trimmed.pop()
+        assert _poly_add(F, _poly_mul(F, quot, b) if quot else [], rem) == trimmed
+
+
+def _necklace(q, n):
+    # Gauss: number of monic irreducibles of degree n over GF(q)
+    def mobius(d):
+        out, k = 1, 2
+        while d > 1:
+            if d % k == 0:
+                d //= k
+                if d % k == 0:
+                    return 0
+                out = -out
+            k += 1
+        return out
+    return sum(mobius(d) * q ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_irreducible_counts_match_necklace_formula(q):
+    F = GF(q)
+    for n in range(1, 5):
+        count = sum(1 for f in monic_polys(F, n) if is_irreducible(F, f))
+        assert count == _necklace(q, n), (q, n)
+
+
+def test_monic_polys_in_index_order():
+    F = GF(3)
+    assert list(monic_polys(F, 2))[:4] == [[0, 0, 1], [1, 0, 1], [2, 0, 1], [0, 1, 1]]
