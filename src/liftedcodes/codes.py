@@ -341,8 +341,18 @@ def word_to_text(C, word):
 
 def word_from_text(text):
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    desc = json.loads(lines[0])
+    desc = json.loads(lines[0]) if lines else None
+    if not isinstance(desc, dict):
+        raise ValueError("word file must start with a JSON header object")
+    missing = [key for key in ("kind", "q", "m", "k", "v", "dim", "length")
+               if key not in desc]
+    if missing:
+        raise ValueError(f"word file header lacks {', '.join(missing)}")
     C = make_code(desc["kind"], desc["q"], desc["m"], desc["k"])
+    for key, want in C.descriptor().items():
+        if desc[key] != want:
+            raise ValueError(f"word file header says {key}={desc[key]!r}, "
+                             f"but {C!r} has {key}={want!r}")
     values = []
     for ln in lines[1:]:
         ln = ln.strip()

@@ -275,6 +275,8 @@ class ExperimentReport:
 def corrupt_word(word, delta, rng):
     """Flip exactly floor(delta * n) uniformly chosen coordinates to
     uniformly chosen wrong symbols."""
+    if not 0 <= delta <= 1:
+        raise ValueError(f"corruption fraction delta must lie in [0, 1], got {delta}")
     n = len(word)
     nerr = math.floor(delta * n)
     q = word.support.field.order

@@ -7,7 +7,10 @@ and the degree sets of affine and projective lifted codes.
 
 A monomial's evaluations along every line lie in a fixed Reed-Solomon code
 exactly when every digitwise shadow of its exponent has low reduced weight;
-`adeg` and `pdeg` enumerate those exponents.  `monomial_membership_oracle`
+`adeg` and `pdeg` enumerate those exponents.  The shadow weights of d are
+exactly the sums sum_j c_j p^j with 0 <= c_j <= D_j, where D_j is the sum of
+base-p digit j over d's coordinates, so the largest reduced shadow weight
+depends on the column digit sums D alone.  `monomial_membership_oracle`
 is the definitional brute force used to pin both down in tests.
 """
 
@@ -17,6 +20,8 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from liftedcodes.gf import GF
 from liftedcodes.geometry import (
@@ -138,67 +143,36 @@ class DegreeSet:
         return json.dumps([list(d) for d in self.sorted()])
 
 
-def _char_of(q):
-    F = GF(q)
-    return F.p
-
-
 @lru_cache(maxsize=None)
-def _max_reduced_subweight_map(m, q):
-    """For every tuple in the box [0, q-1]^m, the maximum over all digitwise
-    shadows e of int_reduce(|e|), computed by a subset-sum digit DP."""
-    p = _char_of(q)
-    # per-coordinate achievable-sum bitsets
-    coord_masks = []
-    for c in range(q):
-        mask = 1
-        pos = 1
-        v = c
-        while v:
-            dig = v % p
-            new = mask
-            step = pos
-            for _ in range(dig):
-                new |= new << step
-            mask = new
-            v //= p
-            pos *= p
-        coord_masks.append(mask)
+def _max_reduced_subweight_array(m, q):
+    """For every d in the box [0, q-1]^m (an m-dimensional array indexed by
+    d), the maximum over all digitwise shadows e of d of int_reduce(|e|).
 
-    out = {}
-    def rec(prefix, mask):
-        if len(prefix) == m:
-            best = 0
-            s = 0
-            mm = mask
-            while mm:
-                if mm & 1:
-                    r = int_reduce(s, q)
-                    if r > best:
-                        best = r
-                s += 1
-                mm >>= 1
-            out[prefix] = best
-            return
-        for c in range(q):
-            cm = coord_masks[c]
-            combined = 0
-            s = 0
-            mm = mask
-            while mm:
-                if mm & 1:
-                    combined |= cm << s
-                s += 1
-                mm >>= 1
-            rec(prefix + (c,), combined)
-
-    rec((), 1)
+    Tabulates int_reduce(sum_j c_j p^j) on the grid of column digit sums
+    [0, m(p-1)]^t, takes running maxima along every axis, and gathers the
+    result at each d's digit sums D.
+    """
+    F = GF(q)
+    p, t = F.p, F.t
+    side = m * (p - 1) + 1
+    w = np.tensordot(p ** np.arange(t), np.indices((side,) * t), axes=1)
+    best = np.vectorize(int_reduce)(w, q)
+    for axis in range(t):
+        best = np.maximum.accumulate(best, axis=axis)
+    # column digit sums never carry, so the flat grid position of D is the
+    # sum over coordinates of each coordinate's own position
+    pos = F.np_digits.astype(np.intp) @ (side ** np.arange(t - 1, -1, -1))
+    flat = np.zeros((), dtype=np.intp)
+    for _ in range(m):
+        flat = np.add.outer(flat, pos)
+    out = best.ravel()[flat]
+    out.setflags(write=False)  # cached: shared by every caller
     return out
 
 
 def max_reduced_subweight(d, q):
     """max over e <=_p d of int_reduce(|e|); d must lie in the box."""
-    return _max_reduced_subweight_map(len(d), q)[tuple(d)]
+    return int(_max_reduced_subweight_array(len(d), q)[tuple(d)])
 
 
 def adeg(m, k, q):
@@ -209,8 +183,8 @@ def adeg(m, k, q):
     """
     if not 0 <= k <= q - 2:
         raise ValueError(f"affine lifting needs 0 <= k <= q-2, got k={k}")
-    mrw = _max_reduced_subweight_map(m, q)
-    tuples = frozenset(d for d, mx in mrw.items() if mx <= k)
+    mrw = _max_reduced_subweight_array(m, q)
+    tuples = frozenset(map(tuple, np.argwhere(mrw <= k).tolist()))
     return DegreeSet(tuples, "affine", q, m, k)
 
 
@@ -272,7 +246,7 @@ def pdeg_direct(m, k, q):
     if not 1 <= k <= q - 1:
         raise ValueError(f"projective lifting needs 1 <= k <= q-1, got k={k}")
     v = lifting_degree(m, k, q)
-    mrw = _max_reduced_subweight_map(m, q)  # suffixes have length <= m
+    mrw = _max_reduced_subweight_array(m, q)  # suffixes have length <= m
     out = set()
     for d in _p_reduced_sphere(m + 1, v, q):
         tail = eta(d)

@@ -89,7 +89,11 @@ class Support:
             else:
                 cur.append(ch)
         parts.append("".join(cur))
-        return tuple(self.field.parse_element(s).index for s in parts)
+        point = tuple(self.field.parse_element(s).index for s in parts)
+        if point not in self.index:
+            raise ValueError(f"{text!r} is not a point of {self!r} (projective "
+                             "points take leading nonzero coordinate [1])")
+        return point
 
 
 @lru_cache(maxsize=None)

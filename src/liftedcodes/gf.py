@@ -369,7 +369,9 @@ class FiniteField(_FieldBase):
             modulus = IRREDUCIBLE_POLYS.get((p, t))
             if modulus is None:
                 modulus = self._search_modulus(p, t)
-        modulus = tuple(int(c) % p for c in modulus)
+        modulus = tuple(int(c) for c in modulus)
+        if not all(0 <= c < p for c in modulus):
+            raise ValueError(f"modulus coefficients must lie in 0..{p - 1}, got {list(modulus)}")
         if len(modulus) != t + 1 or modulus[-1] != 1:
             raise ValueError(f"modulus must be monic of degree {t}")
         q = self.order

@@ -17,7 +17,7 @@ import numpy as np
 def as_matrix(rows, dtype=np.uint8):
     A = np.asarray(rows, dtype=dtype)
     if A.ndim == 1:
-        A = A.reshape(1, -1)
+        A = A.reshape(1, -1) if A.size else A.reshape(0, 0)
     return A
 
 

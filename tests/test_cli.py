@@ -153,6 +153,57 @@ def test_out_of_range_element_in_word_file_exits_2(tmp_path, capsys):
     assert "[3,0]" in err and "Traceback" not in err
 
 
+def _plift_word_file(tmp_path, capsys):
+    msg = tmp_path / "msg.txt"
+    msg.write_text("\n".join(["[1,0]"] * 11) + "\n")
+    word_file = tmp_path / "word.txt"
+    run_cli(capsys, "encode", "--kind", "PLift", "--q", "4", "--m", "2",
+            "--k", "3", "--msg-file", str(msg), "--out", str(word_file))
+    return word_file
+
+
+def assert_one_line_usage_error(code, err):
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("point", ["([0]:[0]:[0])", "([1]:[0])", "([0,1]:[0]:[0])"])
+def test_point_outside_support_exits_2(tmp_path, capsys, point):
+    word_file = _plift_word_file(tmp_path, capsys)
+    code, out, err = run_cli(capsys, "local-correct", "--in", str(word_file),
+                             "--point", point, "--s", "4", "--seed", "1")
+    assert_one_line_usage_error(code, err)
+    assert "not a point" in err and out == ""
+
+
+@pytest.mark.parametrize("old, new, key", [('"q": 4, ', "", "q"),
+                                           ('"dim": 11', '"dim": 99', "dim")])
+def test_bad_word_header_exits_2(tmp_path, capsys, old, new, key):
+    lines = _plift_word_file(tmp_path, capsys).read_text().splitlines()
+    assert old in lines[0]
+    lines[0] = lines[0].replace(old, new)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(capsys, "corrupt", "--in", str(bad), "--delta", "0.05",
+                           "--seed", "1")
+    assert_one_line_usage_error(code, err)
+    assert key in err
+
+
+@pytest.mark.parametrize("delta", ["1.5", "nan"])
+def test_delta_outside_unit_interval_exits_2(tmp_path, capsys, delta):
+    word_file = _plift_word_file(tmp_path, capsys)
+    code, _, err = run_cli(capsys, "corrupt", "--in", str(word_file),
+                           "--delta", delta, "--seed", "1")
+    assert_one_line_usage_error(code, err)
+    assert "delta" in err
+    code, _, err = run_cli(capsys, "experiment", "--q", "4", "--m", "2", "--k", "3",
+                           "--s", "4", "--delta", delta, "--trials", "3", "--seed", "1")
+    assert_one_line_usage_error(code, err)
+    assert "delta" in err
+
+
 def test_selftest_command(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0

@@ -1,6 +1,8 @@
 """Exponent calculus: reductions, degree sets of lifted codes, and agreement
 with the definitional line-restriction oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -119,16 +121,15 @@ def test_adeg_out_of_range():
 
 
 def test_max_reduced_subweight_vs_enumeration():
-    # the digit DP agrees with enumerating every shadow explicitly
-    for q, p in ((4, 2), (8, 2), (9, 3)):
-        for d0 in range(q):
-            for d1 in range(q):
-                best = 0
-                for e0 in range(d0 + 1):
-                    for e1 in range(d1 + 1):
-                        if p_adic_leq((e0, e1), (d0, d1), p):
-                            best = max(best, int_reduce(e0 + e1, q))
-                assert max_reduced_subweight((d0, d1), q) == best, (q, d0, d1)
+    # the column digit-sum array agrees with enumerating every shadow
+    # explicitly; m = 3 widens the digit-sum grid, q = 27 adds a third axis
+    for q, p, m in ((4, 2, 2), (8, 2, 2), (9, 3, 2), (27, 3, 2), (8, 2, 3), (9, 3, 3)):
+        for d in itertools.product(range(q), repeat=m):
+            best = 0
+            for e in itertools.product(*(range(c + 1) for c in d)):
+                if p_adic_leq(e, d, p):
+                    best = max(best, int_reduce(sum(e), q))
+            assert max_reduced_subweight(d, q) == best, (q, d)
 
 
 def test_pdeg_worked_example():

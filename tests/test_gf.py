@@ -51,6 +51,11 @@ def test_reducible_modulus_rejected():
         field_new(4, 1)  # composite characteristic
 
 
+def test_modulus_coefficient_outside_prime_field_rejected():
+    with pytest.raises(ValueError):
+        field_new(2, 2, (3, 3, 1))  # not silently read as x^2 + x + 1
+
+
 def test_gf4_mul_and_pow():
     F = GF(4)
     w = F.omega

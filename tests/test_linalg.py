@@ -39,6 +39,11 @@ def test_solve_particular_without_equations():
     assert x.tolist() == [0, 0, 0]
 
 
+def test_empty_row_list_is_an_empty_system():
+    assert linalg.as_matrix([]).shape == (0, 0)
+    assert linalg.solve_particular(GF(4), [], []).tolist() == []
+
+
 def test_solve_particular_inconsistent_system():
     F = GF(9)
     A = [[1, 2, 3], [1, 2, 3]]
