@@ -140,7 +140,7 @@ def qc_certificate(F, m, C):
     G_u = evaluate_monomials(F, C.degree_tuples, u_vecs)
     # consistency with the twist: evaluating at u multiplies the standard
     # evaluation by twist^v
-    wv = np.array([F.pow(w, C.v) for w in twist], dtype=np.uint8)
+    wv = np.array([F.pow(w, C.v) for w in twist], dtype=F.dtype)
     expected = F.np_mul[wv[None, :], C.G[:, positions]]
     if not np.array_equal(G_u, expected):
         raise AssertionError("twist consistency failed")
@@ -201,7 +201,7 @@ def exact_distance(C, limit=2 * 10 ** 7):
     best = n + 1
     for msg in itertools.product(range(q), repeat=dim - a):
         if any(msg):
-            b = np.zeros(n, dtype=np.uint8)
+            b = np.zeros(n, dtype=F.dtype)
             for c, row in zip(msg, rest):
                 if c:
                     b = linalg.gf_add(F, b, linalg.gf_scale(F, c, row))
@@ -294,6 +294,7 @@ def rate_table(q, m, ks=None):
     """Per-k dimension/rate rows for the affine lifting of degree k-1, the
     projective lifting of degree k, and the degree-k projective
     Reed-Muller code (all of one length family)."""
+    GF(q)  # rejects a q that is not a prime power
     n_a = q ** m
     n_p = theta(m, q)
     if ks is None:

@@ -48,7 +48,7 @@ def prm_dimension(m, v, q):
 
 def evaluate_monomials(F, tuples, points):
     """Evaluation matrix: one row per exponent tuple, one column per point."""
-    pts = np.asarray(points, dtype=np.uint8)
+    pts = np.asarray(points, dtype=F.dtype)
     if pts.ndim == 1:
         pts = pts.reshape(1, -1)
     n = pts.shape[0]
@@ -57,9 +57,9 @@ def evaluate_monomials(F, tuples, points):
     zero = pts == 0
     mul = F.np_mul
     exp = F.np_exp
-    G = np.empty((len(tuples), n), dtype=np.uint8)
+    G = np.empty((len(tuples), n), dtype=F.dtype)
     for r, d in enumerate(tuples):
-        acc = np.ones(n, dtype=np.uint8)
+        acc = np.ones(n, dtype=F.dtype)
         for i, e in enumerate(d):
             if e == 0:
                 continue
@@ -102,7 +102,7 @@ class LinearCode:
     def __init__(self, field, support, G):
         self.field = field
         self.support = support
-        self.G = linalg.as_matrix(G)
+        self.G = linalg.as_matrix(G, field.dtype)
         self._H = None
         self._dim = None
 
@@ -125,7 +125,7 @@ class LinearCode:
         H = self.parity_check()
         if H.size == 0:
             return True
-        v = np.asarray(values, dtype=np.uint8)
+        v = np.asarray(values, dtype=self.field.dtype)
         return not linalg.gf_matvec(self.field, H, v).any()
 
 
@@ -217,7 +217,7 @@ def encode(C, msg):
     vals = [v.index if hasattr(v, "index") else int(v) for v in msg]
     if len(vals) != C.dim:
         raise ValueError(f"message length {len(vals)} != dim {C.dim}")
-    word = linalg.gf_matvec(C.field, C.G.T, np.asarray(vals, dtype=np.uint8))
+    word = linalg.gf_matvec(C.field, C.G.T, np.asarray(vals, dtype=C.field.dtype))
     return Word(C.support, [int(x) for x in word])
 
 
@@ -253,7 +253,7 @@ def shorten_at_infinity(C):
     G_aff, G_inf = C.G[:, :n_aff], C.G[:, n_aff:]
     # message combinations that vanish on every infinity position
     N = linalg.nullspace(F, G_inf.T)
-    Gs = linalg.gf_matmul(F, N, G_aff) if N.size else np.zeros((0, n_aff), dtype=np.uint8)
+    Gs = linalg.gf_matmul(F, N, G_aff) if N.size else np.zeros((0, n_aff), dtype=F.dtype)
     R, _ = linalg.rref(F, Gs)
     return LinearCode(F, enumerate_points(F, C.m, "affine"), R)
 
@@ -285,7 +285,7 @@ def apply_projective_action(M, word, v):
     """
     F = word.support.field
     rows = [list(r) for r in M]
-    if linalg.rank(F, linalg.as_matrix(rows)) != len(rows):
+    if linalg.rank(F, rows) != len(rows):
         raise ValueError("projective action needs an invertible matrix")
     out = []
     for x in word.support.points:
@@ -300,7 +300,7 @@ def apply_affine_action(M, b, word):
     """Map ev(f) to ev(f o T) for the affine map T(x) = M x + b."""
     F = word.support.field
     rows = [list(r) for r in M]
-    if linalg.rank(F, linalg.as_matrix(rows)) != len(rows):
+    if linalg.rank(F, rows) != len(rows):
         raise ValueError("affine action needs an invertible matrix")
     out = []
     for x in word.support.points:
@@ -348,6 +348,13 @@ def word_from_text(text):
                if key not in desc]
     if missing:
         raise ValueError(f"word file header lacks {', '.join(missing)}")
+    if desc["kind"] not in KINDS:
+        raise ValueError(f"word file header says kind={desc['kind']!r}, not one of {KINDS}")
+    for key in ("q", "m", "k", "v", "dim", "length"):
+        # type() rather than isinstance: JSON true/false must not pass as 1/0
+        if type(desc[key]) is not int and not (key == "v" and desc[key] is None):
+            kinds = "an integer or null" if key == "v" else "an integer"
+            raise ValueError(f"word file header says {key}={desc[key]!r}, not {kinds}")
     C = make_code(desc["kind"], desc["q"], desc["m"], desc["k"])
     for key, want in C.descriptor().items():
         if desc[key] != want:

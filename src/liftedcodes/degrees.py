@@ -181,6 +181,8 @@ def adeg(m, k, q):
     The exponents d in [0, q-1]^m such that every digitwise shadow e of d
     has reduced weight at most k.  Its cardinality is the code dimension.
     """
+    if m < 1:
+        raise ValueError(f"affine lifting needs m >= 1, got m={m}")
     if not 0 <= k <= q - 2:
         raise ValueError(f"affine lifting needs 0 <= k <= q-2, got k={k}")
     mrw = _max_reduced_subweight_array(m, q)
@@ -201,6 +203,8 @@ def pdeg(m, k, q):
     tail is an order-m affine exponent of degree k-1) or starts with zero
     (and its tail lifts an order-(m-1) projective exponent).
     """
+    if m < 1:
+        raise ValueError(f"projective lifting needs m >= 1, got m={m}")
     if not 1 <= k <= q - 1:
         raise ValueError(f"projective lifting needs 1 <= k <= q-1, got k={k}")
     v = lifting_degree(m, k, q)

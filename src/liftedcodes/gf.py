@@ -9,8 +9,11 @@ length t (little-endian, degree < t), packed into an integer index
 Multiplication is reduced modulo a fixed irreducible polynomial.  Default
 moduli come from a published table of primitive polynomials, so that field
 construction is reproducible across builds; a custom modulus may be passed
-and is verified by trial factorization.  Log/antilog tables are built
-internally for speed but never leak into the observable representation.
+and is verified by trial factorization.  Polynomial arithmetic is used only
+to find omega and step through its powers; every table (product, inverse,
+sum, difference, and their numpy copies) is then read off the powers of
+omega and the base-p digits.  The tables never leak into the observable
+representation.
 
 Extension fields GF(q^m) over an already-built GF(q) are supported through
 :class:`ExtensionField` together with the coordinate isomorphism
@@ -239,9 +242,12 @@ class FieldElement:
 class _FieldBase:
     """Shared machinery for index-encoded finite fields.
 
-    Subclasses provide: order, p, add/sub/mul/inv on indices, and
-    index<->coefficient conversion.  omega is the first element in the
-    canonical enumeration whose multiplicative order is q - 1.
+    Subclasses provide: order, p, modulus, add/sub/mul/inv on indices,
+    index<->coefficient conversion, and _over, the field their polynomial
+    arithmetic runs over (None for a prime field).  _build_logs is the one
+    construction: omega is the first element in the canonical enumeration
+    whose multiplicative order is q - 1, and every table is read off its
+    powers.
     """
 
     def element(self, index):
@@ -290,39 +296,39 @@ class _FieldBase:
                 o //= ell
         return o
 
-    def _find_omega(self):
-        n = self.order - 1
-        facs = prime_factors(n) if n > 1 else []
-        for a in range(1, self.order):
-            if all(self._pow_slow(a, n // ell) != 1 for ell in facs):
-                return a
-        raise RuntimeError("no primitive element found")  # unreachable
+    # -- construction: the only arithmetic that does not read the tables --
 
-    def _pow_slow(self, a, n):
-        # square-and-multiply; usable before log tables exist
-        r = 1
-        b = a
-        while n:
-            if n & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            n >>= 1
-        return r
+    def _poly_mul(self, a, b):
+        """a*b from the definition: polynomials over self._over modulo the
+        modulus, or integers mod p in a prime field (self._over is None)."""
+        if self._over is None:
+            return a * b % self.p
+        return self.coeffs_to_index(poly_mulmod(
+            self._over, self.index_to_coeffs(a), self.index_to_coeffs(b), self.modulus))
+
+    def _is_primitive(self, a):
+        """a has order q-1: a^((q-1)/ell) != 1 for each prime ell | q-1."""
+        n = self.order - 1
+        if self._over is None:
+            powers = (pow(a, n // ell, self.p) for ell in prime_factors(n))
+        else:
+            x = self.index_to_coeffs(a)
+            powers = (self.coeffs_to_index(poly_powmod(self._over, x, n // ell, self.modulus))
+                      for ell in prime_factors(n))
+        return 1 not in powers
 
     def _build_logs(self):
-        # tables are assigned only once complete: mul() may dispatch on their
-        # presence (ExtensionField) and must not see a half-built table
+        """omega is the first primitive index; exp/log step by omega."""
         n = self.order - 1
-        log = [0] * self.order
+        self.omega_index = next(a for a in range(1, self.order) if self._is_primitive(a))
         exp = [1] * n
-        v = 1
-        for i in range(n):
-            exp[i] = v
+        for i in range(1, n):
+            exp[i] = self._poly_mul(exp[i - 1], self.omega_index)
+        log = [-1] * self.order
+        for i, v in enumerate(exp):
             log[v] = i
-            v = self.mul(v, self.omega_index)
-        log[0] = -1
-        self._log = log
         self._exp = exp
+        self._log = log
 
     # -- element construction / formatting -------------------------------
 
@@ -346,11 +352,9 @@ class _FieldBase:
         return int(rng.integers(self.order))
 
     def random_primitive_index(self, rng):
-        n = self.order - 1
-        facs = prime_factors(n) if n > 1 else []
         while True:
             a = int(rng.integers(1, self.order))
-            if all(self.pow(a, n // ell) != 1 for ell in facs):
+            if self._is_primitive(a):
                 return a
 
 
@@ -374,46 +378,34 @@ class FiniteField(_FieldBase):
             raise ValueError(f"modulus coefficients must lie in 0..{p - 1}, got {list(modulus)}")
         if len(modulus) != t + 1 or modulus[-1] != 1:
             raise ValueError(f"modulus must be monic of degree {t}")
-        q = self.order
-        self.dtype = np.dtype(np.uint8 if q <= 256 else np.uint16)
-        coeffs = [self.index_to_coeffs(i) for i in range(q)]
-        if t == 1:
-            self._mul = [[a * b % p for b in range(p)] for a in range(p)]
-        else:
-            # multiplication table via polynomial arithmetic mod the modulus
-            prime = GF(p)
-            if not is_irreducible(prime, modulus):
-                raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
-            mt = [[0] * q for _ in range(q)]
-            for a in range(q):
-                for b in range(a, q):
-                    idx = self.coeffs_to_index(poly_mulmod(prime, coeffs[a], coeffs[b], modulus))
-                    mt[a][b] = idx
-                    mt[b][a] = idx
-            self._mul = mt
         self.modulus = modulus
-
-        if p == 2:
-            self._add = None  # index XOR
-        else:
-            at = [[0] * q for _ in range(q)]
-            st = [[0] * q for _ in range(q)]
-            for a in range(q):
-                ca = coeffs[a]
-                for b in range(q):
-                    cb = coeffs[b]
-                    at[a][b] = self.coeffs_to_index([(x + y) % p for x, y in zip(ca, cb)])
-                    st[a][b] = self.coeffs_to_index([(x - y) % p for x, y in zip(ca, cb)])
-            self._add = at
-            self._sub = st
-
-        self.omega_index = self._find_omega()
+        self._over = GF(p) if t > 1 else None
+        if t > 1 and not is_irreducible(self._over, modulus):
+            raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
         self._build_logs()
-        self._inv = [0] * q
-        n = q - 1
-        for a in range(1, q):
-            self._inv[a] = self._exp[(n - self._log[a]) % n]
-        self._np_cache = {}
+        q, n = self.order, self.order - 1
+        self.dtype = dt = np.dtype(np.uint8 if q <= 256 else np.uint16)
+        self.np_exp = np.array(self._exp, dtype=dt)
+        self.np_log = np.array(self._log, dtype=np.int32)  # -1 at zero
+        log = self.np_log.astype(np.intp)
+        self.np_mul = self.np_exp[np.add.outer(log, log) % n]
+        self.np_mul[0] = 0
+        self.np_mul[:, 0] = 0
+        self._mul = self.np_mul.tolist()
+        self._inv = [0] + [self._exp[-e % n] for e in self._log[1:]]
+        # addition is digitwise mod p; index XOR in characteristic 2
+        powers = p ** np.arange(t)
+        digits = np.arange(q)[:, None] // powers % p
+        self.np_digits = digits.astype(dt)
+        if p == 2:
+            idx = np.arange(q, dtype=dt)
+            self.np_add = self.np_sub = np.bitwise_xor.outer(idx, idx)
+        else:
+            cols = list(zip(digits.T, powers))
+            self.np_add = sum(np.add.outer(d, d) % p * w for d, w in cols).astype(dt)
+            self.np_sub = sum(np.subtract.outer(d, d) % p * w for d, w in cols).astype(dt)
+            self._add = self.np_add.tolist()
+            self._sub = self.np_sub.tolist()
 
     @staticmethod
     def _search_modulus(p, t):
@@ -482,60 +474,6 @@ class FiniteField(_FieldBase):
     def describe(self):
         return {"p": self.p, "t": self.t, "modulus": list(self.modulus)}
 
-    # -- numpy views (lazy) ----------------------------------------------
-
-    def _np(self, name):
-        if name in self._np_cache:
-            return self._np_cache[name]
-        q, dt = self.order, self.dtype
-        if name == "mul":
-            arr = np.array(self._mul, dtype=dt)
-        elif name == "add":
-            arr = (np.arange(q, dtype=dt)[:, None] ^ np.arange(q, dtype=dt)[None, :]
-                   if self.p == 2 else np.array(self._add, dtype=dt))
-        elif name == "sub":
-            arr = (self._np("add") if self.p == 2 else np.array(self._sub, dtype=dt))
-        elif name == "inv":
-            arr = np.array(self._inv, dtype=dt)
-        elif name == "log":
-            arr = np.array(self._log, dtype=np.int32)
-        elif name == "exp":
-            arr = np.array(self._exp, dtype=dt)
-        elif name == "digits":
-            arr = np.array([self.index_to_coeffs(i) for i in range(q)], dtype=dt)
-        else:
-            raise KeyError(name)
-        self._np_cache[name] = arr
-        return arr
-
-    @property
-    def np_mul(self):
-        return self._np("mul")
-
-    @property
-    def np_add(self):
-        return self._np("add")
-
-    @property
-    def np_sub(self):
-        return self._np("sub")
-
-    @property
-    def np_inv(self):
-        return self._np("inv")
-
-    @property
-    def np_log(self):
-        return self._np("log")
-
-    @property
-    def np_exp(self):
-        return self._np("exp")
-
-    @property
-    def np_digits(self):
-        return self._np("digits")
-
 
 def field_new(p, t, modulus=None):
     """Construct GF(p^t); errors on composite p or a reducible modulus."""
@@ -581,33 +519,22 @@ class ExtensionField(_FieldBase):
         self.order = base.order ** m
         if self.order > self._MAX_ORDER:
             raise ValueError("extension field too large for desk-scale tables")
+        self._over = base
         if modulus is None:
-            modulus = self._search_primitive_modulus()
-        self.modulus = tuple(modulus)
-        if len(self.modulus) != m + 1 or self.modulus[-1] != 1:
-            raise ValueError(f"modulus must be monic of degree {m}")
-        if not is_irreducible(base, self.modulus):
-            raise ValueError("extension modulus is reducible over the base field")
-        self.omega_index = self._find_omega()
+            # modulus coefficients are base-field indices; the root z of the
+            # modulus sits at index q for m >= 2
+            for cand in monic_polys(base, m):
+                self.modulus = tuple(cand)
+                z = base.neg(cand[0]) if m == 1 else base.order
+                if is_irreducible(base, cand) and self._is_primitive(z):
+                    break
+        else:
+            self.modulus = tuple(modulus)
+            if len(self.modulus) != m + 1 or self.modulus[-1] != 1:
+                raise ValueError(f"modulus must be monic of degree {m}")
+            if not is_irreducible(base, self.modulus):
+                raise ValueError("extension modulus is reducible over the base field")
         self._build_logs()
-
-    # modulus coefficients are base-field indices
-    def _search_primitive_modulus(self):
-        m = self.m
-        n = self.order - 1
-        facs = prime_factors(n) if n > 1 else []
-        for cand in monic_polys(self.base, m):
-            if not is_irreducible(self.base, cand):
-                continue
-            # primitivity of the root z: order exactly q^m - 1
-            z = [self.base.neg(cand[0])] if m == 1 else [0, 1]
-            if self._root_order_full(z, cand, facs, n):
-                return tuple(cand)
-        raise RuntimeError("no primitive modulus found")  # unreachable
-
-    def _root_order_full(self, z, mod, facs, n):
-        one = [1] + [0] * (self.m - 1)
-        return all(poly_powmod(self.base, z, n // ell, mod) != one for ell in facs)
 
     # -- index-level arithmetic ------------------------------------------
 
@@ -646,33 +573,13 @@ class ExtensionField(_FieldBase):
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
-        if hasattr(self, "_log"):
-            n = self.order - 1
-            return self._exp[(self._log[a] + self._log[b]) % n]
-        return self.coeffs_to_index(poly_mulmod(self.base, self.index_to_coeffs(a),
-                                                self.index_to_coeffs(b), self.modulus))
+        return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("division by zero in finite field")
         n = self.order - 1
         return self._exp[(n - self._log[a]) % n]
-
-    def _find_omega(self):
-        # constants have order dividing q-1 < q^m - 1, so for m >= 2 the
-        # first primitive element is the modulus root z at index q.
-        if self.m == 1:
-            return self.base.omega_index
-        n = self.order - 1
-        facs = prime_factors(n)
-        z = self.base.order  # index of the polynomial-basis root
-        if self._root_order_full([0, 1], self.modulus, facs, n):
-            return z
-        # fallback search (non-primitive user modulus)
-        for a in range(1, self.order):
-            if self._root_order_full(self.index_to_coeffs(a), self.modulus, facs, n):
-                return a
-        raise RuntimeError("no primitive element found")  # unreachable
 
     def __eq__(self, other):
         return (isinstance(other, ExtensionField) and self.base == other.base

@@ -191,6 +191,33 @@ def test_bad_word_header_exits_2(tmp_path, capsys, old, new, key):
     assert key in err
 
 
+@pytest.mark.parametrize("new", ['"q": "4", ', '"q": 4.0, ', '"q": true, '])
+def test_word_header_value_of_wrong_type_exits_2(tmp_path, capsys, new):
+    lines = _plift_word_file(tmp_path, capsys).read_text().splitlines()
+    lines[0] = lines[0].replace('"q": 4, ', new)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(capsys, "corrupt", "--in", str(bad), "--delta", "0.05",
+                           "--seed", "1")
+    assert_one_line_usage_error(code, err)
+    assert "q=" in err and "integer" in err
+
+
+@pytest.mark.parametrize("argv, says", [
+    ("table --q 4 --m 0", "m >= 1"),
+    ("analyze --q 4 --m 0 --k 2", "m >= 1"),
+    ("table --q 4 --m -1", "m >= 1"),
+    ("table --q 1 --m 2", "not a prime power"),
+    ("corrupt --in {dir} --delta 0.1 --seed 1", "Is a directory"),
+    ("encode --kind PRS --q 4 --m 1 --k 2 --msg-file {dir}", "Is a directory"),
+])
+def test_bad_sizes_and_paths_exit_2(tmp_path, capsys, argv, says):
+    code, out, err = run_cli(capsys, *argv.format(dir=tmp_path).split())
+    assert_one_line_usage_error(code, err)
+    assert says in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("delta", ["1.5", "nan"])
 def test_delta_outside_unit_interval_exits_2(tmp_path, capsys, delta):
     word_file = _plift_word_file(tmp_path, capsys)

@@ -256,3 +256,21 @@ def test_descriptor_shape():
     d = make_code("PLift", 4, 2, 3).descriptor()
     assert d == {"kind": "PLift", "q": 4, "m": 2, "k": 3, "v": 6,
                  "dim": 11, "length": 21}
+
+
+def test_prs_codeword_over_gf257():
+    # element indices above 255: construction, membership and decoding must
+    # all take the field's dtype
+    from liftedcodes.decode import prs_decode
+    assert make_code("RS", 257, 1, 3).dim == 4
+    C = make_code("PRS", 257, 1, 3)
+    F = C.field
+    rng = np.random.default_rng(257)
+    word = encode(C, [int(c) for c in rng.integers(257, size=C.dim)])
+    assert max(word.values) > 255
+    assert C.contains(word.values)
+    y = list(word.values)
+    for i in rng.choice(len(y), size=3, replace=False):
+        y[int(i)] = F.add(y[int(i)], int(rng.integers(1, 257)))
+    assert not C.contains(y)
+    assert prs_decode(y, C.k, F) == word.values

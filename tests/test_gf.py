@@ -13,6 +13,7 @@ from liftedcodes.gf import (
     is_irreducible,
     monic_polys,
     poly_divmod,
+    poly_mulmod,
     IRREDUCIBLE_POLYS,
 )
 
@@ -160,6 +161,87 @@ def test_searched_modulus_fallback():
     F = FiniteField(17, 2)
     assert F.order == 289
     assert F.order_of(F.omega_index) == 288
+
+
+# ---------------------------------------------------------------------------
+# Every table against the definition: digitwise sums, products by poly_mulmod
+# ---------------------------------------------------------------------------
+
+class _ModP:
+    """GF(p) straight from integer arithmetic, independent of the tables."""
+
+    def __init__(self, p):
+        self.p = self.order = p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+
+def _assert_tables_match_definition(F, over, ndig):
+    """F's elements are ndig digits over the coefficient field `over`."""
+    q, base = F.order, over.order
+    dig = [[i // base ** j % base for j in range(ndig)] for i in range(q)]
+    index = {tuple(d): i for i, d in enumerate(dig)}
+    mul = [[0] * q for _ in range(q)]
+    for a in range(q):
+        for b in range(a, q):  # products commute: fill both triangles at once
+            mul[a][b] = mul[b][a] = index[tuple(poly_mulmod(over, dig[a], dig[b], F.modulus))]
+    add = [[index[tuple(map(over.add, dig[a], dig[b]))] for b in range(q)] for a in range(q)]
+    sub = [[index[tuple(map(over.sub, dig[a], dig[b]))] for b in range(q)] for a in range(q)]
+    assert [[F.mul(a, b) for b in range(q)] for a in range(q)] == mul
+    assert [[F.add(a, b) for b in range(q)] for a in range(q)] == add
+    assert [[F.sub(a, b) for b in range(q)] for a in range(q)] == sub
+    assert [F.inv(a) for a in range(1, q)] == [mul[a].index(1) for a in range(1, q)]
+
+    def order(a):
+        k, v = 1, a
+        while v != 1:
+            v, k = mul[v][a], k + 1
+        return k
+
+    omega = next(a for a in range(1, q) if order(a) == q - 1)
+    assert F.omega_index == omega
+    powers = [1]
+    while len(powers) < q - 1:
+        powers.append(mul[powers[-1]][omega])
+    assert [F.pow(omega, i) for i in range(q - 1)] == powers
+    if isinstance(F, FiniteField):
+        log = [-1] * q
+        for i, v in enumerate(powers):
+            log[v] = i
+        assert F.np_mul.tolist() == mul
+        assert F.np_add.tolist() == add
+        assert F.np_sub.tolist() == sub
+        assert F.np_digits.tolist() == dig
+        assert F.np_exp.tolist() == powers
+        assert F.np_log.tolist() == log
+        for arr in (F.np_mul, F.np_add, F.np_sub, F.np_exp, F.np_digits):
+            assert arr.dtype == F.dtype
+
+
+@pytest.mark.parametrize("make", [
+    lambda: field_new(3, 2, (1, 0, 1)),  # x^2 + 1: its root has order 4, not 8
+    lambda: FiniteField(2, 9),  # searched modulus, omega = 7
+    lambda: FiniteField(17, 2),
+    lambda: GF(9),
+    lambda: GF(16),
+    lambda: GF(25),
+], ids=["3^2-x2+1", "2^9", "17^2", "9", "16", "25"])
+def test_field_tables_match_definition(make):
+    F = make()
+    _assert_tables_match_definition(F, _ModP(F.p), F.t)
+
+
+@pytest.mark.parametrize("q, m", [(4, 3), (9, 2)])
+def test_extension_tables_match_definition(q, m):
+    E = ExtensionIso(GF(q), m).ext
+    _assert_tables_match_definition(E, E.base, m)
 
 
 # ---------------------------------------------------------------------------
