@@ -46,27 +46,25 @@ def prm_dimension(m, v, q):
     return total
 
 
-def evaluate_monomials(F, tuples, points):
-    """Evaluation matrix: one row per exponent tuple, one column per point."""
+def evaluate_monomials(F, exponents, points):
+    """Evaluation matrix: one row per exponent tuple, one column per point.
+
+    Exponents are reduced by `degrees.int_reduce`'s rule, and the matrix is
+    built one coordinate at a time from a q x q power table.
+    """
     pts = np.asarray(points, dtype=F.dtype)
     if pts.ndim == 1:
         pts = pts.reshape(1, -1)
-    n = pts.shape[0]
-    qm1 = F.order - 1
-    logs = F.np_log[pts].astype(np.int64)  # (n, nv); -1 at zeros
-    zero = pts == 0
-    mul = F.np_mul
-    exp = F.np_exp
-    G = np.empty((len(tuples), n), dtype=F.dtype)
-    for r, d in enumerate(tuples):
-        acc = np.ones(n, dtype=F.dtype)
-        for i, e in enumerate(d):
-            if e == 0:
-                continue
-            vi = exp[(logs[:, i] * (e % qm1)) % qm1]
-            vi[zero[:, i]] = 0
-            acc = mul[acc, vi]
-        G[r] = acc
+    q = F.order
+    E = np.asarray(exponents, dtype=np.int64).reshape(-1, pts.shape[1])
+    E = np.where(E <= q - 1, E, (E - 1) % (q - 1) + 1)
+    # power[a, e] = a^e for e in [0, q-1]; 0^0 = 1
+    power = F.np_exp[np.multiply.outer(F.np_log.astype(np.int64), np.arange(q)) % (q - 1)]
+    power[0] = 0
+    power[:, 0] = 1
+    G = np.ones((len(E), len(pts)), dtype=F.dtype)
+    for i in range(pts.shape[1]):
+        G = F.np_mul[G, power[pts[:, i], E[:, i, None]]]
     return G
 
 
@@ -84,9 +82,6 @@ class Word:
 
     def __getitem__(self, i):
         return self.values[i]
-
-    def erasure_count(self):
-        return sum(1 for v in self.values if v is None)
 
     def copy(self):
         return Word(self.support, list(self.values))
@@ -130,18 +125,19 @@ class LinearCode:
 
 
 class MonomialCode(LinearCode):
-    """Evaluation code of a reduced set of monomials."""
+    """Evaluation code of a reduced set of monomials, given as an (N, nvars)
+    exponent array with rows in lexicographic order."""
 
-    def __init__(self, kind, field, m, k, degree_set, support, v=None):
+    def __init__(self, kind, field, m, k, exponents, support, v=None):
         self.kind = kind
         self.q = field.order
         self.m = m
         self.k = k
         self.v = v
-        self.degree_tuples = sorted(degree_set)
-        G = evaluate_monomials(field, self.degree_tuples, support.points)
+        self.degree_tuples = list(map(tuple, exponents.tolist()))
+        G = evaluate_monomials(field, exponents, support.points)
         super().__init__(field, support, G)
-        self._dim = len(self.degree_tuples)
+        self._dim = len(exponents)
 
     def descriptor(self):
         return {"kind": self.kind, "q": self.q, "m": self.m, "k": self.k,
@@ -152,33 +148,35 @@ class MonomialCode(LinearCode):
 
 
 def _degree_tuples_for(kind, q, m, k):
+    """(exponent array with rows in lexicographic order, homogeneous degree
+    v or None) of a code kind."""
     if kind == "RS":
         if m != 1:
             raise ValueError("RS codes are univariate; use m=1")
         if not 0 <= k <= q - 1:
             raise ValueError(f"RS needs 0 <= k <= q-1, got k={k}")
-        return [(j,) for j in range(k + 1)], None
+        return np.arange(k + 1)[:, None], None
     if kind == "PRS":
         if m != 1:
             raise ValueError("PRS codes live on the projective line; use m=1")
         if not 0 <= k <= q:
             raise ValueError(f"PRS needs 0 <= k <= q, got k={k}")
-        return [(k - j, j) for j in range(k + 1)], k
+        j = np.arange(k + 1)
+        return np.column_stack([j, k - j]), k
     if kind == "RM":
         if not 0 <= k <= m * (q - 1):
             raise ValueError(f"RM needs 0 <= k <= m(q-1), got k={k}")
         tuples = {degrees.a_reduce(d, q) for d in _weight_at_most(m, k)}
-        return sorted(tuples), None
+        return np.array(sorted(tuples)), None
     if kind == "PRM":
         if not 1 <= k <= m * (q - 1):
             raise ValueError(f"PRM needs 1 <= k <= m(q-1), got k={k}")
         tuples = {degrees.p_reduce(d, q) for d in _weight_exactly(m + 1, k)}
-        return sorted(tuples), k
+        return np.array(sorted(tuples)), k
     if kind == "Lift":
-        return degrees.adeg(m, k, q).sorted(), None
+        return degrees.adeg(m, k, q), None
     if kind == "PLift":
-        ds = degrees.pdeg(m, k, q)
-        return ds.sorted(), ds.v
+        return degrees.pdeg(m, k, q), degrees.lifting_degree(m, k, q)
     raise ValueError(f"unknown code kind {kind!r}")
 
 
@@ -200,10 +198,10 @@ def _weight_exactly(nvars, k):
 
 @lru_cache(maxsize=None)
 def _make_code_cached(kind, field, m, k):
-    tuples, v = _degree_tuples_for(kind, field.order, m, k)
+    exponents, v = _degree_tuples_for(kind, field.order, m, k)
     space = "affine" if kind in _AFFINE_KINDS else "projective"
     support = enumerate_points(field, m, space)
-    return MonomialCode(kind, field, m, k, tuples, support, v=v)
+    return MonomialCode(kind, field, m, k, exponents, support, v=v)
 
 
 def make_code(kind, q, m, k):

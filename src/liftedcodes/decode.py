@@ -189,9 +189,6 @@ class CorrectionConfig:
     delta: float = 0.0
     seed: int | None = None
 
-    def t(self, k):
-        return (self.s - k - 1) // 2
-
 
 def _correct_on_line(y, P, C, s, L, dom_positions):
     """Decode the weighted line restriction; returns (symbol|None, queries)."""
@@ -226,6 +223,8 @@ def local_correct(y, P, C, cfg, rng, use_standard_embedding=False):
     the drawn line so that all homogenization weights are one; the output
     is identical draw-for-draw to the general path.
     """
+    if C.support.space != "projective":
+        raise ValueError(f"local correction needs a projective code, not {C!r}")
     F = C.field
     q = F.order
     if not C.k + 1 <= cfg.s <= q:

@@ -17,8 +17,6 @@ is the definitional brute force used to pin both down in tests.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -58,10 +56,6 @@ def int_reduce(e, q):
     if e <= q - 1:
         return e
     return (e - 1) % (q - 1) + 1
-
-
-def weight(d):
-    return sum(d)
 
 
 def a_reduce(d, q):
@@ -119,30 +113,6 @@ def eta(d):
     return d[leftmost_nonzero(d) + 1:]
 
 
-@dataclass(frozen=True)
-class DegreeSet:
-    """A reduced exponent set together with its defining parameters."""
-
-    tuples: frozenset
-    space: str  # 'affine' | 'projective'
-    q: int
-    m: int
-    k: int
-    v: int | None = None
-
-    def __len__(self):
-        return len(self.tuples)
-
-    def __contains__(self, d):
-        return tuple(d) in self.tuples
-
-    def sorted(self):
-        return sorted(self.tuples)
-
-    def to_json(self):
-        return json.dumps([list(d) for d in self.sorted()])
-
-
 @lru_cache(maxsize=None)
 def _max_reduced_subweight_array(m, q):
     """For every d in the box [0, q-1]^m (an m-dimensional array indexed by
@@ -179,15 +149,14 @@ def adeg(m, k, q):
     """Degree set of the affine lifting of order m of a degree-k code.
 
     The exponents d in [0, q-1]^m such that every digitwise shadow e of d
-    has reduced weight at most k.  Its cardinality is the code dimension.
+    has reduced weight at most k, as an (N, m) array with rows in
+    lexicographic order.  N is the code dimension.
     """
     if m < 1:
         raise ValueError(f"affine lifting needs m >= 1, got m={m}")
     if not 0 <= k <= q - 2:
         raise ValueError(f"affine lifting needs 0 <= k <= q-2, got k={k}")
-    mrw = _max_reduced_subweight_array(m, q)
-    tuples = frozenset(map(tuple, np.argwhere(mrw <= k).tolist()))
-    return DegreeSet(tuples, "affine", q, m, k)
+    return np.argwhere(_max_reduced_subweight_array(m, q) <= k)
 
 
 def lifting_degree(m, k, q):
@@ -196,29 +165,29 @@ def lifting_degree(m, k, q):
 
 
 def pdeg(m, k, q):
-    """Degree set of the projective lifting, built recursively.
+    """Degree set of the projective lifting, built recursively, as an
+    (N, m+1) array with rows in lexicographic order.
 
     Order-1 liftings are the classical projective Reed-Solomon exponents;
     an order-m exponent either starts with a nonzero coordinate (and its
     tail is an order-m affine exponent of degree k-1) or starts with zero
-    (and its tail lifts an order-(m-1) projective exponent).
+    (and its tail lifts an order-(m-1) projective exponent):
+    PDeg(m,k) = {(v-|d|, d) : d in ADeg(m,k-1)} u {(0, lift(d)) : d in PDeg(m-1,k)}.
     """
     if m < 1:
         raise ValueError(f"projective lifting needs m >= 1, got m={m}")
     if not 1 <= k <= q - 1:
         raise ValueError(f"projective lifting needs 1 <= k <= q-1, got k={k}")
-    v = lifting_degree(m, k, q)
     if m == 1:
-        tuples = frozenset((k - j, j) for j in range(k + 1))
-        return DegreeSet(tuples, "projective", q, m, k, v)
-    out = set()
-    for dstar in adeg(m, k - 1, q).tuples:
-        d0 = v - weight(dstar)
-        assert d0 > 0
-        out.add((d0,) + dstar)
-    for d in pdeg(m - 1, k, q).tuples:
-        out.add((0,) + lift_tuple(d, q))
-    return DegreeSet(frozenset(out), "projective", q, m, k, v)
+        j = np.arange(k + 1)
+        return np.column_stack([j, k - j])
+    A = adeg(m, k - 1, q)
+    affine = np.column_stack([lifting_degree(m, k, q) - A.sum(axis=1), A])
+    assert (affine[:, 0] > 0).all()
+    P = pdeg(m - 1, k, q)
+    P[np.arange(len(P)), (P != 0).argmax(axis=1)] += q - 1  # lift each row
+    out = np.vstack([affine, np.column_stack([np.zeros(len(P), P.dtype), P])])
+    return out[np.lexsort(out.T[::-1])]
 
 
 def _p_reduced_sphere(nvars, v, q):
@@ -245,8 +214,8 @@ def _p_reduced_sphere(nvars, v, q):
 
 
 def pdeg_direct(m, k, q):
-    """Same set as pdeg, by scanning reduced weight-v tuples and testing the
-    shadow condition on the suffix after the leading coordinate."""
+    """Same array as pdeg, by scanning reduced weight-v tuples and testing
+    the shadow condition on the suffix after the leading coordinate."""
     if not 1 <= k <= q - 1:
         raise ValueError(f"projective lifting needs 1 <= k <= q-1, got k={k}")
     v = lifting_degree(m, k, q)
@@ -257,7 +226,7 @@ def pdeg_direct(m, k, q):
         padded = tail + (0,) * (m - len(tail))
         if mrw[padded] <= k - 1:
             out.add(d)
-    return DegreeSet(frozenset(out), "projective", q, m, k, v)
+    return np.array(sorted(out), dtype=np.intp).reshape(-1, m + 1)
 
 
 # ---------------------------------------------------------------------------

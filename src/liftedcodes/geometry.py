@@ -126,8 +126,7 @@ def enumerate_points(F, m, space):
 class LineEmbedding:
     """Rank-2 linear map F_q^2 -> F_q^(m+1), stored by its two columns.
 
-    Maps x = (x0 : x1) in P^1 to x0*col0 + x1*col1.  The derived affine part
-    consists of the last m coordinate forms.
+    Maps x = (x0 : x1) in P^1 to x0*col0 + x1*col1.
     """
 
     def __init__(self, field, col0, col1):
@@ -145,16 +144,6 @@ class LineEmbedding:
     def from_rows(cls, field, rows):
         cols = list(zip(*rows))
         return cls(field, cols[0], cols[1])
-
-    @property
-    def matrix_rows(self):
-        return tuple(zip(self.col0, self.col1))
-
-    @property
-    def affine_part(self):
-        """The last m coordinate forms; parametrizes the affine line
-        t -> L*(1, t) when the first form is nonzero."""
-        return self.matrix_rows[1:]
 
     def domain_points(self):
         """Standard representatives of P^1 in support order."""

@@ -10,10 +10,11 @@ Multiplication is reduced modulo a fixed irreducible polynomial.  Default
 moduli come from a published table of primitive polynomials, so that field
 construction is reproducible across builds; a custom modulus may be passed
 and is verified by trial factorization.  Polynomial arithmetic is used only
-to find omega and step through its powers; every table (product, inverse,
-sum, difference, and their numpy copies) is then read off the powers of
-omega and the base-p digits.  The tables never leak into the observable
-representation.
+to find omega and step through its powers; scalar products and inverses
+then read the exp/log lists, and every table (product, sum, difference and
+the numpy copies) is read off the powers of omega and the base-p digits.
+The tables never leak into the observable representation.  The field order
+is limited to q <= MAX_ORDER = 2048, as the tables grow as q^2.
 
 Extension fields GF(q^m) over an already-built GF(q) are supported through
 :class:`ExtensionField` together with the coordinate isomorphism
@@ -28,6 +29,9 @@ from itertools import product, zip_longest
 import numpy as np
 
 from liftedcodes import linalg
+
+# Largest supported field order, checked before any search or table.
+MAX_ORDER = 2048
 
 # Published primitive polynomials, little-endian coefficient lists (monic).
 # Keyed by (p, t); degree-1 entries encode x - g with g the smallest
@@ -242,12 +246,13 @@ class FieldElement:
 class _FieldBase:
     """Shared machinery for index-encoded finite fields.
 
-    Subclasses provide: order, p, modulus, add/sub/mul/inv on indices,
+    Subclasses provide: order, p, modulus, add/sub on indices,
     index<->coefficient conversion, and _over, the field their polynomial
     arithmetic runs over (None for a prime field).  _build_logs is the one
     construction: omega is the first element in the canonical enumeration
     whose multiplicative order is q - 1, and every table is read off its
-    powers.
+    powers; it also sets the scalar mul, which with inv and pow reads the
+    exp/log lists.
     """
 
     def element(self, index):
@@ -269,6 +274,12 @@ class _FieldBase:
 
     def elements(self):
         return [FieldElement(self, i) for i in range(self.order)]
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("division by zero in finite field")
+        n = self.order - 1
+        return self._exp[(n - self._log[a]) % n]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -329,6 +340,19 @@ class _FieldBase:
             log[v] = i
         self._exp = exp
         self._log = log
+        # scalar mul: the logs of two nonzero elements sum below 2(q-1),
+        # where exp repeats; zero's log here is 2(q-1), so any sum with it
+        # lands in a run of zeros.  A closure rather than a method: the
+        # corrector makes about 22k products per 8-trial batch, and a
+        # method's attribute lookups, zero test and modulo added about 7%
+        # to that batch's time.
+        zlog = [2 * n] + log[1:]
+        prod = exp + exp + [0] * (2 * n + 1)
+
+        def mul(a, b):
+            return prod[zlog[a] + zlog[b]]
+
+        self.mul = mul
 
     # -- element construction / formatting -------------------------------
 
@@ -362,10 +386,11 @@ class FiniteField(_FieldBase):
     """GF(p^t) with a verified irreducible modulus and deterministic omega."""
 
     def __init__(self, p, t, modulus=None):
-        if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
         if t < 1:
             raise ValueError("extension degree must be >= 1")
+        _check_order(p ** t)
+        if not is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
         self.p = p
         self.t = t
         self.order = p ** t
@@ -391,8 +416,6 @@ class FiniteField(_FieldBase):
         self.np_mul = self.np_exp[np.add.outer(log, log) % n]
         self.np_mul[0] = 0
         self.np_mul[:, 0] = 0
-        self._mul = self.np_mul.tolist()
-        self._inv = [0] + [self._exp[-e % n] for e in self._log[1:]]
         # addition is digitwise mod p; index XOR in characteristic 2
         powers = p ** np.arange(t)
         digits = np.arange(q)[:, None] // powers % p
@@ -449,14 +472,6 @@ class FiniteField(_FieldBase):
             return a
         return self._sub[0][a]
 
-    def mul(self, a, b):
-        return self._mul[a][b]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("division by zero in finite field")
-        return self._inv[a]
-
     def scalar(self, c):
         """Embed an integer via the prime subfield (c mod p)."""
         return FieldElement(self, c % self.p)
@@ -480,9 +495,16 @@ def field_new(p, t, modulus=None):
     return FiniteField(p, t, modulus)
 
 
+def _check_order(q):
+    if q > MAX_ORDER:
+        raise ValueError(f"field order {q} exceeds the supported limit {MAX_ORDER}")
+
+
 @lru_cache(maxsize=None)
 def GF(q):
-    """Cached field of order q with the default (published) modulus."""
+    """Cached field of order q <= MAX_ORDER with the default (published)
+    modulus."""
+    _check_order(q)
     for p in range(2, q + 1):
         if is_prime(p) and q % p == 0:
             t = 0
@@ -510,7 +532,7 @@ class ExtensionField(_FieldBase):
 
     _MAX_ORDER = 1 << 20  # desk scale guard
 
-    def __init__(self, base, m, modulus=None):
+    def __init__(self, base, m):
         if m < 1:
             raise ValueError("extension dimension must be >= 1")
         self.base = base
@@ -520,20 +542,13 @@ class ExtensionField(_FieldBase):
         if self.order > self._MAX_ORDER:
             raise ValueError("extension field too large for desk-scale tables")
         self._over = base
-        if modulus is None:
-            # modulus coefficients are base-field indices; the root z of the
-            # modulus sits at index q for m >= 2
-            for cand in monic_polys(base, m):
-                self.modulus = tuple(cand)
-                z = base.neg(cand[0]) if m == 1 else base.order
-                if is_irreducible(base, cand) and self._is_primitive(z):
-                    break
-        else:
-            self.modulus = tuple(modulus)
-            if len(self.modulus) != m + 1 or self.modulus[-1] != 1:
-                raise ValueError(f"modulus must be monic of degree {m}")
-            if not is_irreducible(base, self.modulus):
-                raise ValueError("extension modulus is reducible over the base field")
+        # modulus coefficients are base-field indices; the root z of the
+        # modulus sits at index q for m >= 2
+        for cand in monic_polys(base, m):
+            self.modulus = tuple(cand)
+            z = base.neg(cand[0]) if m == 1 else base.order
+            if is_irreducible(base, cand) and self._is_primitive(z):
+                break
         self._build_logs()
 
     # -- index-level arithmetic ------------------------------------------
@@ -569,17 +584,6 @@ class ExtensionField(_FieldBase):
         if self.p == 2:
             return a
         return self.sub(0, a)
-
-    def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("division by zero in finite field")
-        n = self.order - 1
-        return self._exp[(n - self._log[a]) % n]
 
     def __eq__(self, other):
         return (isinstance(other, ExtensionField) and self.base == other.base

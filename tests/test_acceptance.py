@@ -220,12 +220,12 @@ def test_criterion_05_oracle_equivalence():
     checked = 0
     for q in (4, 8, 9):
         for k in range(q - 1):
-            A = adeg(2, k, q).tuples
+            A = set(map(tuple, adeg(2, k, q).tolist()))
             for d in itertools.product(range(q), repeat=2):
                 assert monomial_membership_oracle(d, k, q, "affine") == (d in A), (q, k, d)
                 checked += 1
         for k in range(1, q):
-            P = pdeg(2, k, q).tuples
+            P = set(map(tuple, pdeg(2, k, q).tolist()))
             v = lifting_degree(2, k, q)
             for d in _p_reduced_sphere(3, v, q):
                 assert monomial_membership_oracle(d, k, q, "projective") == (d in P), (q, k, d)

@@ -210,12 +210,30 @@ def test_word_header_value_of_wrong_type_exits_2(tmp_path, capsys, new):
     ("table --q 1 --m 2", "not a prime power"),
     ("corrupt --in {dir} --delta 0.1 --seed 1", "Is a directory"),
     ("encode --kind PRS --q 4 --m 1 --k 2 --msg-file {dir}", "Is a directory"),
+    ("table --q 65537 --m 1", "exceeds the supported limit"),
+    ("table --q 4096 --m 1", "exceeds the supported limit"),
 ])
 def test_bad_sizes_and_paths_exit_2(tmp_path, capsys, argv, says):
     code, out, err = run_cli(capsys, *argv.format(dir=tmp_path).split())
     assert_one_line_usage_error(code, err)
     assert says in err
     assert out == ""
+
+
+@pytest.mark.parametrize("kind, m, k, dim, point", [("RM", 2, 2, 6, "([1]:[0])"),
+                                                    ("Lift", 2, 2, 7, "([1]:[0])"),
+                                                    ("RS", 1, 2, 3, "([1])")])
+def test_local_correct_on_affine_word_exits_2(tmp_path, capsys, kind, m, k, dim, point):
+    msg = tmp_path / "msg.txt"
+    msg.write_text("\n".join(["[1,0]"] * dim) + "\n")
+    word_file = tmp_path / "word.txt"
+    code, _, _ = run_cli(capsys, "encode", "--kind", kind, "--q", "4", "--m", str(m),
+                         "--k", str(k), "--msg-file", str(msg), "--out", str(word_file))
+    assert code == 0
+    code, out, err = run_cli(capsys, "local-correct", "--in", str(word_file),
+                             "--point", point, "--s", "4", "--seed", "1")
+    assert_one_line_usage_error(code, err)
+    assert "projective" in err and out == ""
 
 
 @pytest.mark.parametrize("delta", ["1.5", "nan"])

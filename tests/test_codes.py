@@ -274,3 +274,26 @@ def test_prs_codeword_over_gf257():
         y[int(i)] = F.add(y[int(i)], int(rng.integers(1, 257)))
     assert not C.contains(y)
     assert prs_decode(y, C.k, F) == word.values
+
+
+@pytest.mark.parametrize("q", [2, 4, 9, 257])
+def test_evaluate_monomials_matches_scalar_powers(q):
+    # each entry is the product of scalar powers, exponents above q-1
+    # included, with 0^0 = 1
+    from liftedcodes.codes import evaluate_monomials
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    exps = rng.integers(0, 3 * q, size=(12, 3))
+    exps[0] = 0
+    exps[1, 1] = q - 1
+    points = [(0, 0, 0), (1, 0, q - 1)] + [tuple(int(c) for c in rng.integers(q, size=3))
+                                           for _ in range(10)]
+    G = evaluate_monomials(F, exps, points)
+    assert G.dtype == F.dtype and G.shape == (12, 12)
+    for r, d in enumerate(exps.tolist()):
+        for c, x in enumerate(points):
+            want = 1
+            for xi, e in zip(x, d):
+                want = F.mul(want, F.pow(xi, e))
+            assert G[r, c] == want, (d, x)
+    np.testing.assert_array_equal(evaluate_monomials(F, exps, points[5]), G[:, 5:6])

@@ -104,8 +104,12 @@ def test_p_reduce_order_independence():
         assert tuple(cur) == target
 
 
+def _tuples(exponents):
+    return set(map(tuple, exponents.tolist()))
+
+
 def test_adeg_worked_example():
-    assert adeg(2, 2, 4).tuples == frozenset(D_A_EXAMPLE)
+    np.testing.assert_array_equal(adeg(2, 2, 4), sorted(D_A_EXAMPLE))
 
 
 def test_adeg_table_values():
@@ -133,14 +137,15 @@ def test_max_reduced_subweight_vs_enumeration():
 
 
 def test_pdeg_worked_example():
-    assert pdeg(2, 3, 4).tuples == frozenset(D_L_EXAMPLE)
-    assert pdeg(2, 3, 4).v == 6
+    np.testing.assert_array_equal(pdeg(2, 3, 4), sorted(D_L_EXAMPLE))
+    assert lifting_degree(2, 3, 4) == 6
 
 
 def test_pdeg_order_one_is_prs():
     for q in (4, 8):
         for k in range(1, q):
-            assert pdeg(1, k, q).tuples == frozenset((k - j, j) for j in range(k + 1))
+            np.testing.assert_array_equal(pdeg(1, k, q),
+                                          sorted((k - j, j) for j in range(k + 1)))
 
 
 def test_pdeg_table_values():
@@ -152,7 +157,8 @@ def test_pdeg_direct_equals_recursive():
     for q in (4, 8):
         for m in (2, 3):
             for k in range(1, q):
-                assert pdeg_direct(m, k, q).tuples == pdeg(m, k, q).tuples, (q, m, k)
+                np.testing.assert_array_equal(pdeg_direct(m, k, q), pdeg(m, k, q),
+                                              err_msg=str((q, m, k)))
 
 
 def test_recursive_dimension_identities():
@@ -169,7 +175,7 @@ def test_all_pdeg_tuples_reduced_and_on_sphere():
         for m in (2, 3):
             for k in range(1, q):
                 v = lifting_degree(m, k, q)
-                for d in pdeg(m, k, q).tuples:
+                for d in map(tuple, pdeg(m, k, q).tolist()):
                     assert sum(d) == v
                     assert is_p_reduced(d, q)
 
@@ -179,11 +185,11 @@ def test_rm_sandwich():
     # the projective one (leading-coordinate lift)
     for q in (4, 8):
         for k in range(q - 1):
-            A = adeg(2, k, q).tuples
+            A = _tuples(adeg(2, k, q))
             simplex = {(a, b) for a in range(k + 1) for b in range(k + 1 - a)}
             assert {a_reduce(d, q) for d in simplex} <= A
         for k in range(1, q):
-            P = pdeg(2, k, q).tuples
+            P = _tuples(pdeg(2, k, q))
             lifted = set()
             for d0 in range(k + 1):
                 for d1 in range(k + 1 - d0):
@@ -211,13 +217,13 @@ def test_oracle_equivalence_small():
     from liftedcodes.degrees import _p_reduced_sphere
     q = 4
     for k in range(q - 1):
-        A = adeg(2, k, q).tuples
+        A = _tuples(adeg(2, k, q))
         for d0 in range(q):
             for d1 in range(q):
                 got = monomial_membership_oracle((d0, d1), k, q, "affine")
                 assert got == ((d0, d1) in A), (k, d0, d1)
     for k in range(1, q):
-        P = pdeg(2, k, q).tuples
+        P = _tuples(pdeg(2, k, q))
         v = lifting_degree(2, k, q)
         for d in _p_reduced_sphere(3, v, q):
             got = monomial_membership_oracle(d, k, q, "projective", exhaustive=True)
@@ -236,9 +242,3 @@ def test_oracle_per_line_matches_exhaustive():
             fast = monomial_membership_oracle(d, k, q, "projective", exhaustive=False)
             assert full == fast, (k, d)
 
-
-def test_degree_set_json():
-    ds = adeg(2, 2, 4)
-    import json
-    arr = json.loads(ds.to_json())
-    assert arr == sorted([list(d) for d in D_A_EXAMPLE])

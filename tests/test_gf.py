@@ -57,6 +57,14 @@ def test_modulus_coefficient_outside_prime_field_rejected():
         field_new(2, 2, (3, 3, 1))  # not silently read as x^2 + x + 1
 
 
+@pytest.mark.parametrize("make", [lambda: GF(4096), lambda: GF(65537),
+                                  lambda: field_new(2, 12), lambda: field_new(65537, 1)])
+def test_field_order_above_limit_rejected(make):
+    # rejected before any search or table is built
+    with pytest.raises(ValueError, match="exceeds the supported limit 2048"):
+        make()
+
+
 def test_gf4_mul_and_pow():
     F = GF(4)
     w = F.omega
