@@ -18,7 +18,7 @@ from liftedcodes import linalg
 from liftedcodes.codes import make_code, prm_dimension
 from liftedcodes.degrees import adeg, pdeg
 from liftedcodes.gf import GF, ExtensionIso
-from liftedcodes.geometry import all_lines, enumerate_points, standardize, theta
+from liftedcodes.geometry import all_lines, enumerate_points, locate, theta
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +75,7 @@ def information_set_check(C, points=None, rng=None):
         points = information_set(C, rng)
     if len(set(points)) != len(points) or len(points) != C.dim:
         return False
-    cols = [C.support.position(p) for p in points]
-    sub = C.G[:, cols]
+    sub = C.G[:, C.support.positions(points)]
     return linalg.rank(C.field, sub) == C.dim
 
 
@@ -129,12 +128,10 @@ def qc_certificate(F, m, C):
             cur = E.mul(cur, beta_d)
             u_vecs.append(tuple(iso.forward(cur)))
 
-    std = [standardize(F, u) for u in u_vecs]
-    pts = [pt for pt, _ in std]
-    if len(set(pts)) != n:
+    _, lams, positions = locate(F, u_vecs)
+    if len(set(positions.tolist())) != n:
         raise AssertionError("representation vectors do not cover the space")
-    twist = [F.inv(lam) for _, lam in std]  # u = twist * standard point
-    positions = [C.support.position(pt) for pt in pts]
+    twist = [F.inv(lam) for lam in lams.tolist()]  # u = twist * standard point
 
     from liftedcodes.codes import evaluate_monomials
     G_u = evaluate_monomials(F, C.degree_tuples, u_vecs)
@@ -150,7 +147,7 @@ def qc_certificate(F, m, C):
     shifted[:, perm] = G_u
     ok = linalg.rowspace_contains(F, G_u, shifted)
     cycles = [[i * nd + j for j in range(nd)] for i in range(d)]
-    return QcCertificate(n=n, d=d, u_vectors=u_vecs, support_positions=positions,
+    return QcCertificate(n=n, d=d, u_vectors=u_vecs, support_positions=positions.tolist(),
                          twist=twist, permutation=perm, cycles=cycles, verified=bool(ok))
 
 
@@ -237,11 +234,9 @@ def mds_exact_distance(C):
 def incidence_matrix(F, m):
     """0/1 matrix of the point-line incidences of P^m, one row per line."""
     sup = enumerate_points(F, m, "projective")
-    lines = all_lines(sup)
+    lines = np.array(all_lines(sup))
     H = np.zeros((len(lines), len(sup)), dtype=np.uint8)
-    for r, line in enumerate(lines):
-        for pos in line:
-            H[r, pos] = 1
+    H[np.arange(len(lines))[:, None], lines] = 1
     return H
 
 

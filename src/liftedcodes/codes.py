@@ -17,7 +17,7 @@ import numpy as np
 
 from liftedcodes import degrees, linalg
 from liftedcodes.gf import GF, FiniteField
-from liftedcodes.geometry import enumerate_points, standardize, theta
+from liftedcodes.geometry import enumerate_points, locate
 
 KINDS = ("RS", "PRS", "RM", "PRM", "Lift", "PLift")
 _AFFINE_KINDS = {"RS", "RM", "Lift"}
@@ -135,7 +135,7 @@ class MonomialCode(LinearCode):
         self.k = k
         self.v = v
         self.degree_tuples = list(map(tuple, exponents.tolist()))
-        G = evaluate_monomials(field, exponents, support.points)
+        G = evaluate_monomials(field, exponents, support.coords)
         super().__init__(field, support, G)
         self._dim = len(exponents)
 
@@ -232,15 +232,13 @@ def restrict_to_line(word, L, v):
     reads, erasures pass through.
     """
     F = L.field
-    sup1 = enumerate_points(F, 1, "projective")
+    if word.support != enumerate_points(F, L.m, "projective"):
+        raise ValueError(f"{L!r} does not map into {word.support!r}")
     out = []
-    for pos, (img, lam) in enumerate(L.image_info()):
-        val = word[word.support.position(img)]
-        if val is None:
-            out.append(None)
-        else:
-            out.append(F.div(val, F.pow(lam, v)))
-    return Word(sup1, out)
+    for pos, lam in zip(L.positions.tolist(), L.lams.tolist()):
+        val = word[pos]
+        out.append(None if val is None else F.div(val, F.pow(lam, v)))
+    return Word(enumerate_points(F, 1, "projective"), out)
 
 
 def shorten_at_infinity(C):
@@ -282,14 +280,13 @@ def apply_projective_action(M, word, v):
     representative of M x, with lambda the standardizing scalar.
     """
     F = word.support.field
-    rows = [list(r) for r in M]
-    if linalg.rank(F, rows) != len(rows):
+    M = linalg.as_matrix(M, F.dtype)
+    if linalg.rank(F, M) != len(M):
         raise ValueError("projective action needs an invertible matrix")
+    _, lams, positions = locate(F, linalg.gf_matmul(F, word.support.coords, M.T))
     out = []
-    for x in word.support.points:
-        raw = tuple(_dot_row(F, row, x) for row in rows)
-        img, lam = standardize(F, raw)
-        val = word[word.support.position(img)]
+    for pos, lam in zip(positions.tolist(), lams.tolist()):
+        val = word[pos]
         out.append(None if val is None else F.div(val, F.pow(lam, v)))
     return Word(word.support, out)
 
@@ -297,22 +294,12 @@ def apply_projective_action(M, word, v):
 def apply_affine_action(M, b, word):
     """Map ev(f) to ev(f o T) for the affine map T(x) = M x + b."""
     F = word.support.field
-    rows = [list(r) for r in M]
-    if linalg.rank(F, rows) != len(rows):
+    M = linalg.as_matrix(M, F.dtype)
+    if linalg.rank(F, M) != len(M):
         raise ValueError("affine action needs an invertible matrix")
-    out = []
-    for x in word.support.points:
-        img = tuple(F.add(_dot_row(F, row, x), bb) for row, bb in zip(rows, b))
-        out.append(word[word.support.position(img)])
-    return Word(word.support, out)
-
-
-def _dot_row(F, row, x):
-    acc = 0
-    for a, c in zip(row, x):
-        if a and c:
-            acc = F.add(acc, F.mul(a, c))
-    return acc
+    images = linalg.gf_add(F, linalg.gf_matmul(F, word.support.coords, M.T),
+                           np.asarray(b, dtype=F.dtype)[None, :])
+    return Word(word.support, [word[pos] for pos in word.support.positions(images).tolist()])
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ import numpy as np
 from liftedcodes import linalg
 from liftedcodes.codes import Word, encode, make_code
 from liftedcodes.gf import GF, FiniteField, poly_divmod, poly_eval
-from liftedcodes.geometry import enumerate_points, random_embedding_through, \
-    standard_line_embedding, theta
+from liftedcodes.geometry import random_embedding_through, theta
 
 
 def _berlekamp_welch(F, pairs, deg_bound, radius):
@@ -165,11 +164,10 @@ def query_gen(P, L, s, rng):
     n = theta(L.m, q)
     if not 1 <= s <= q:
         raise ValueError(f"query budget must satisfy 1 <= s <= q, got s={s}")
-    P = tuple(P)
-    info = L.image_info()
-    p_pre = next((i for i, (pt, _) in enumerate(info) if pt == P), None)
-    if p_pre is None:
+    images = L.image_points()
+    if tuple(P) not in images:
         raise ValueError("target point does not lie on the embedded line")
+    p_pre = images.index(tuple(P))
     others = [i for i in range(q + 1) if i != p_pre]
     if rng.random() < s / n:
         extra = rng.choice(len(others), size=s - 1, replace=False)
@@ -190,38 +188,11 @@ class CorrectionConfig:
     seed: int | None = None
 
 
-def _correct_on_line(y, P, C, s, L, dom_positions):
-    """Decode the weighted line restriction; returns (symbol|None, queries)."""
-    F = C.field
-    sup = C.support
-    q = F.order
-    info = L.image_info()
-    y1 = [None] * (q + 1)
-    queried = []
-    for i in dom_positions:
-        img, lam = info[i]
-        pos = sup.position(img)
-        queried.append(pos)
-        val = y[pos]
-        if val is not None:
-            y1[i] = F.div(val, F.pow(lam, C.v))
-    if sum(1 for v in y1 if v is not None) < C.k + 1:
-        return None, queried  # erased input positions left too few reads
-    cw = prs_decode(y1, C.k, F)
-    if cw is None:
-        return None, queried
-    p_pre = next(i for i, (pt, _) in enumerate(info) if pt == tuple(P))
-    lam = info[p_pre][1]
-    return F.mul(F.pow(lam, C.v), cw[p_pre]), queried
-
-
-def local_correct(y, P, C, cfg, rng, use_standard_embedding=False):
+def local_correct(y, P, C, cfg, rng):
     """One corrector call: reads exactly s coordinates of y.
 
     Returns (symbol, queried_positions); symbol is None when the line
-    decoder fails (an erasure output).  `use_standard_embedding` re-embeds
-    the drawn line so that all homogenization weights are one; the output
-    is identical draw-for-draw to the general path.
+    decoder fails (an erasure output).
     """
     if C.support.space != "projective":
         raise ValueError(f"local correction needs a projective code, not {C!r}")
@@ -232,18 +203,20 @@ def local_correct(y, P, C, cfg, rng, use_standard_embedding=False):
     P = tuple(P)
     L = random_embedding_through(P, F, rng)
     dom_positions = query_gen(P, L, cfg.s, rng)
-    if use_standard_embedding:
-        points = [L.image_info()[i][0] for i in dom_positions]
-        Ls = standard_line_embedding(F, L.image_points())
-        dom_s = _preimages_of(Ls, points)
-        return _correct_on_line(y, P, C, cfg.s, Ls, dom_s)
-    return _correct_on_line(y, P, C, cfg.s, L, dom_positions)
-
-
-def _preimages_of(L, points):
-    info = L.image_info()
-    lookup = {pt: i for i, (pt, _) in enumerate(info)}
-    return sorted(lookup[tuple(p)] for p in points)
+    lams = L.lams.tolist()
+    queried = L.positions[dom_positions].tolist()
+    y1 = [None] * (q + 1)
+    for i, pos in zip(dom_positions, queried):
+        val = y[pos]
+        if val is not None:
+            y1[i] = F.div(val, F.pow(lams[i], C.v))
+    if sum(1 for v in y1 if v is not None) < C.k + 1:
+        return None, queried  # erased input positions left too few reads
+    cw = prs_decode(y1, C.k, F)
+    if cw is None:
+        return None, queried
+    # P is the image of the point at infinity, with lambda one
+    return cw[q], queried
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +287,11 @@ def mc_experiment(C, cfg, trials, seed=None):
         rng = np.random.default_rng(children[tr])
         c = encode(C, [int(x) for x in rng.integers(C.field.order, size=C.dim)])
         y = corrupt_word(c, cfg.delta, rng)
-        P = C.support[int(rng.integers(n))]
-        sym, queried = local_correct(y, P, C, cfg, rng)
+        target = int(rng.integers(n))
+        sym, queried = local_correct(y, C.support[target], C, cfg, rng)
         for pos in queried:
             hist[pos] += 1
-        truth = c[C.support.position(P)]
+        truth = c[target]
         if sym is None:
             erasures += 1
         elif sym == truth:
@@ -346,7 +319,6 @@ def query_position_sample(C, P, s, calls, seed):
     P = tuple(P)
     for _ in range(calls):
         L = random_embedding_through(P, F, rng)
-        info = L.image_info()
-        for i in query_gen(P, L, s, rng):
-            hist[sup.position(info[i][0])] += 1
+        for pos in L.positions[query_gen(P, L, s, rng)].tolist():
+            hist[pos] += 1
     return hist

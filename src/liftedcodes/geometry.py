@@ -9,7 +9,7 @@ Point orderings are deterministic and stable:
   lexicographically.  Points are stored in standard representative form
   (leftmost nonzero coordinate equals one), so the affine chart occupies
   the first q^m positions and the hyperplane at infinity the last
-  theta(m-1, q) positions.
+  theta(m-1, q) positions.  `locate` computes positions in closed form.
 
 A line embedding is a rank-2 linear map F_q^2 -> F_q^(m+1), kept as its two
 columns.  Restricting an evaluation vector along an embedding requires the
@@ -18,8 +18,11 @@ homogenization weights lambda^v collected by :meth:`LineEmbedding.weight_vector`
 
 from __future__ import annotations
 
-import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
+
+from liftedcodes import linalg
 
 
 def theta(m, q):
@@ -42,35 +45,86 @@ def standardize(F, vec):
     return tuple(F.mul(lam, c) for c in vec), lam
 
 
-class Support:
-    """Ordered evaluation-point list with an index map point -> position."""
+def locate(F, V):
+    """Standard points, lambdas and support positions of nonzero vectors.
 
-    def __init__(self, field, m, space, points):
+    V is an (N, m+1) array of nonzero vectors.  Each row is scaled by the
+    inverse lambda of its leftmost nonzero coordinate, and its P^m position
+    is the offset of that coordinate's chart plus the tail after the
+    leading one read as a base-q number.  Returns (points, lambdas,
+    positions) as arrays; an affine point x of A^m sits where (1 : x) sits
+    in P^m, at the base-q number x.
+    """
+    V = np.asarray(V)
+    lead = (V != 0).argmax(axis=1)
+    lead_values = V[np.arange(len(V)), lead]
+    if np.count_nonzero(lead_values) != len(V):
+        raise ValueError("zero vector has no projective representative")
+    # omega^-log: a negative index wraps around the q-1 powers of omega
+    lams = F.np_exp[-F.np_log[lead_values]]
+    points = F.np_mul[lams[:, None], V]
+    weights = [F.order ** e for e in range(V.shape[1] - 1, -1, -1)]
+    # chart i starts after the sum(weights[:i]) points of the charts before
+    # it, and its leading one reads as weights[i]
+    start = np.array([sum(weights[:i]) - w for i, w in enumerate(weights)])
+    return points, lams, start[lead] + points.astype(np.int64) @ weights
+
+
+class Support:
+    """Ordered evaluation points of A^m or P^m, kept as one coordinate array."""
+
+    def __init__(self, field, m, space):
+        if space not in ("affine", "projective"):
+            raise ValueError(f"unknown space {space!r}")
         self.field = field
         self.m = m
         self.space = space  # 'affine' | 'projective'
-        self.points = tuple(points)
-        self.index = {pt: i for i, pt in enumerate(self.points)}
+        q = field.order
+        if space == "affine":
+            numbers, width = np.arange(q ** m), m
+        else:
+            # chart i is the base-q numbers q^(m-i), ..., 2q^(m-i) - 1
+            numbers = np.concatenate([np.arange(q ** e, 2 * q ** e) for e in range(m, -1, -1)])
+            width = m + 1
+        digits = numbers[:, None] // q ** np.arange(width - 1, -1, -1) % q
+        self.coords = digits.astype(field.dtype)
+
+    @cached_property
+    def points(self):
+        return tuple(map(tuple, self.coords.tolist()))
 
     def __len__(self):
-        return len(self.points)
+        return len(self.coords)
 
     def __getitem__(self, i):
         return self.points[i]
 
+    def positions(self, points):
+        """Support positions of an (N, width) array of points, by `locate`;
+        ValueError if a row is not a point of this support."""
+        V = np.asarray(points, dtype=np.int64)
+        if (V.ndim != 2 or V.shape[1] != self.coords.shape[1]
+                or not ((0 <= V) & (V < self.field.order)).all()):
+            raise ValueError(f"not a point of {self!r}")
+        if self.space == "affine":
+            V = np.hstack([np.ones((len(V), 1), dtype=np.int64), V])
+        std, _, pos = locate(self.field, V)
+        if not np.array_equal(std, V):
+            raise ValueError(f"not a point of {self!r}")
+        return pos
+
     def position(self, point):
-        return self.index[tuple(point)]
+        return int(self.positions([point])[0])
 
     def __eq__(self, other):
         return (isinstance(other, Support) and self.field == other.field
-                and self.space == other.space and self.points == other.points)
+                and self.m == other.m and self.space == other.space)
 
     def __repr__(self):
         return f"Support({self.space} {self.m}-space over GF({self.field.order}), n={len(self)})"
 
     def format_point(self, i):
-        pt = self.points[i]
-        return "(" + ":".join(str(self.field.element(c)) for c in pt) + ")"
+        return "(" + ":".join(str(self.field.element(c)) for c in self[i]) + ")"
 
     def parse_point(self, text):
         text = text.strip()
@@ -90,26 +144,17 @@ class Support:
                 cur.append(ch)
         parts.append("".join(cur))
         point = tuple(self.field.parse_element(s).index for s in parts)
-        if point not in self.index:
+        try:
+            self.position(point)
+        except ValueError:
             raise ValueError(f"{text!r} is not a point of {self!r} (projective "
-                             "points take leading nonzero coordinate [1])")
+                             "points take leading nonzero coordinate [1])") from None
         return point
 
 
 @lru_cache(maxsize=None)
 def _support_cached(field, m, space):
-    q = field.order
-    if space == "affine":
-        points = list(itertools.product(range(q), repeat=m))
-        return Support(field, m, "affine", points)
-    if space == "projective":
-        points = []
-        for lead in range(m + 1):
-            for tail in itertools.product(range(q), repeat=m - lead):
-                points.append((0,) * lead + (1,) + tail)
-        assert len(points) == theta(m, q)
-        return Support(field, m, "projective", points)
-    raise ValueError(f"unknown space {space!r}")
+    return Support(field, m, space)
 
 
 def enumerate_points(F, m, space):
@@ -136,9 +181,10 @@ class LineEmbedding:
         if len(self.col0) != len(self.col1):
             raise ValueError("columns of unequal length")
         self.m = len(self.col0) - 1
-        if _rank2(field, self.col0, self.col1) != 2:
+        # rank 2: both columns are nonzero and located at different positions
+        if not (any(self.col0) and any(self.col1)
+                and len(set(locate(field, [self.col0, self.col1])[2].tolist())) == 2):
             raise ValueError("embedding matrix must have rank 2")
-        self._info = None
 
     @classmethod
     def from_rows(cls, field, rows):
@@ -156,19 +202,38 @@ class LineEmbedding:
         return tuple(F.add(F.mul(x0, a), F.mul(x1, b))
                      for a, b in zip(self.col0, self.col1))
 
+    @cached_property
+    def _located(self):
+        """`locate` of the q+1 images in P^1 support order; computed on first
+        use, as the membership oracle builds many embeddings and reads only
+        map_raw."""
+        F = self.field
+        dom = _support_cached(F, 1, "projective").coords
+        return locate(F, linalg.gf_add(F, F.np_mul[dom[:, :1], np.array(self.col0)],
+                                       F.np_mul[dom[:, 1:], np.array(self.col1)]))
+
+    @property
+    def lams(self):
+        """The images' lambdas, an array in P^1 support order."""
+        return self._located[1]
+
+    @property
+    def positions(self):
+        """The images' support positions, an array in P^1 support order."""
+        return self._located[2]
+
     def image_info(self):
         """Per-position (standard point, lambda) along P^1 support order."""
-        if self._info is None:
-            self._info = tuple(standardize(self.field, self.map_raw(x))
-                               for x in self.domain_points())
-        return self._info
+        return tuple(zip(self.image_points(), self.lams.tolist()))
 
     def image_points(self):
-        return tuple(pt for pt, _ in self.image_info())
+        return tuple(map(tuple, self._located[0].tolist()))
 
     def line_indices(self, support):
         """The embedded line as a sorted tuple of support positions."""
-        return tuple(sorted(support.position(pt) for pt in self.image_points()))
+        if support != enumerate_points(self.field, self.m, "projective"):
+            raise ValueError(f"{self!r} does not map into {support!r}")
+        return tuple(sorted(self.positions.tolist()))
 
     def weight_vector(self, v):
         """(q+1)-tuple of lambda^v in P^1 support order; v >= 1."""
@@ -176,22 +241,36 @@ class LineEmbedding:
             raise ValueError("weight vector needs a positive degree")
         F = self.field
         e = (v - 1) % (F.order - 1) + 1  # v > 0 mapped into [1, q-1]
-        return tuple(F.pow(lam, e) for _, lam in self.image_info())
+        return tuple(F.pow(lam, e) for lam in self.lams.tolist())
 
     def __repr__(self):
         return f"LineEmbedding(cols={self.col0}x{self.col1})"
 
 
-def _rank2(F, a, b):
-    # rank of the (m+1) x 2 matrix [a | b]
-    i = next((j for j, c in enumerate(a) if c), None)
-    if i is None:
-        return 1 if any(b) else 0
-    lam = F.div(b[i], a[i])
-    for x, y in zip(a, b):
-        if F.sub(y, F.mul(lam, x)) != 0:
-            return 2
-    return 1
+@lru_cache(maxsize=None)
+def _all_lines_cached(field, m):
+    """Every line of P^m as (sorted support positions, r1, r2), in
+    lexicographic order of the positions.
+
+    (r1, r2) is the line's reduced echelon basis: r1 has its leading one at
+    i, r2 at j > i, and r1[j] = 0.  Each line has exactly one such basis,
+    and the images of (1 : x) and (0 : 1) under it are already standard.
+    """
+    pts = _support_cached(field, m, "projective").coords
+    lead = (pts != 0).argmax(axis=1)
+    r1, r2 = np.nonzero((lead[:, None] < lead) & (pts[:, lead] == 0))
+    dom = _support_cached(field, 1, "projective").coords
+    images = linalg.gf_add(field, field.np_mul[dom[:, :1, None], pts[r1]],
+                           field.np_mul[dom[:, 1:, None], pts[r2]])
+    positions = locate(field, images.reshape(-1, m + 1))[2].reshape(field.order + 1, -1)
+    lines = np.sort(positions.T, axis=1)
+    order = np.lexsort(lines.T[::-1])
+    return lines[order], pts[r1[order]], pts[r2[order]]
+
+
+def all_lines(support):
+    """Every projective line of the support, each a sorted index tuple."""
+    return list(map(tuple, _all_lines_cached(support.field, support.m)[0].tolist()))
 
 
 def lines_through(P, support):
@@ -199,53 +278,16 @@ def lines_through(P, support):
 
     There are theta(m-1, q) of them and they partition P^m minus P.
     """
-    F = support.field
-    P = tuple(P)
-    if P not in support.index:
-        raise ValueError("point not in support")
-    q = F.order
-    seen = set()
-    lines = []
-    for Q in support.points:
-        if Q == P or support.position(Q) in seen:
-            continue
-        L = LineEmbedding(F, Q, P)
-        idx = L.line_indices(support)
-        lines.append(idx)
-        pos_p = support.position(P)
-        seen.update(i for i in idx if i != pos_p)
-    lines.sort()
-    assert len(lines) == theta(support.m - 1, q)
-    return lines
-
-
-@lru_cache(maxsize=None)
-def _all_lines_cached(field, m):
-    support = enumerate_points(field, m, "projective")
-    seen = set()
-    lines = []
-    for i, P in enumerate(support.points):
-        for Q in support.points[i + 1:]:
-            L = LineEmbedding(field, Q, P)
-            idx = L.line_indices(support)
-            if idx not in seen:
-                seen.add(idx)
-                lines.append(idx)
-    lines.sort()
-    return tuple(lines)
-
-
-def all_lines(support):
-    """Every projective line of the support, each a sorted index tuple."""
-    return list(_all_lines_cached(support.field, support.m))
+    lines = _all_lines_cached(support.field, support.m)[0]
+    hit = (lines == support.position(P)).any(axis=1)
+    return list(map(tuple, lines[hit].tolist()))
 
 
 @lru_cache(maxsize=None)
 def standard_line_embeddings(field, m):
     """One weight-free embedding per line of P^m, in all_lines order."""
-    support = enumerate_points(field, m, "projective")
-    return tuple(standard_line_embedding(field, [support[i] for i in line])
-                 for line in _all_lines_cached(field, m))
+    _, R1, R2 = _all_lines_cached(field, m)
+    return tuple(LineEmbedding(field, a, b) for a, b in zip(R1.tolist(), R2.tolist()))
 
 
 def random_embedding_through(P, F, rng):
@@ -256,47 +298,39 @@ def random_embedding_through(P, F, rng):
     span(P), by rejection.
     """
     P = tuple(P)
+    if len(P) < 2 or not any(P):
+        raise ValueError(f"no line passes through {P}: lines need a nonzero "
+                         "point of P^m with m >= 1")
     q = F.order
     mp1 = len(P)
     while True:
         cand = tuple(int(c) for c in rng.integers(q, size=mp1))
-        if any(cand) and not _is_multiple(F, cand, P):
+        try:
             return LineEmbedding(F, cand, P)
-
-
-def _is_multiple(F, v, w):
-    # v = lam * w for some lam (w assumed nonzero)
-    i = next(j for j, c in enumerate(w) if c)
-    lam = F.div(v[i], w[i])
-    return all(F.sub(x, F.mul(lam, y)) == 0 for x, y in zip(v, w))
+        except ValueError:  # cand lies in span(P)
+            continue
 
 
 def standard_line_embedding(F, line_points):
     """An embedding of the given line whose weight vector is all ones.
 
-    Uses the line's unique point with the latest leading-one position as the
-    second column; every image of a standard representative of P^1 is then
-    already standard.
+    Its columns are the line's reduced echelon basis: the point with the
+    latest leading one, which sorts first, as the second column and the
+    next point in sorted order as the first.
     """
     pts = sorted(line_points)
-    def lead(pt):
-        return next(j for j, c in enumerate(pt) if c)
-    b = max(pts, key=lead)
-    a = next(pt for pt in pts if pt != b)
-    L = LineEmbedding(F, a, b)
-    assert all(lam == 1 for _, lam in L.image_info())
-    return L
+    return LineEmbedding(F, pts[1], pts[0])
 
 
 def all_embeddings(F, m):
     """All rank-2 maps F_q^2 -> F_q^(m+1), one per scalar class.
 
     The first column runs over standard representatives, the second over
-    all vectors outside its span.
+    all vectors outside its span: the nonzero vectors located elsewhere.
     """
     proj = enumerate_points(F, m, "projective")
-    q = F.order
-    for a in proj.points:
-        for b in itertools.product(range(q), repeat=m + 1):
-            if any(b) and not _is_multiple(F, b, a):
-                yield LineEmbedding(F, a, b)
+    vectors = enumerate_points(F, m + 1, "affine").coords[1:]
+    located_at = locate(F, vectors)[2]
+    for i, a in enumerate(proj.points):
+        for b in vectors[located_at != i].tolist():
+            yield LineEmbedding(F, a, b)

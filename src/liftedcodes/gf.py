@@ -11,8 +11,9 @@ moduli come from a published table of primitive polynomials, so that field
 construction is reproducible across builds; a custom modulus may be passed
 and is verified by trial factorization.  Polynomial arithmetic is used only
 to find omega and step through its powers; scalar products and inverses
-then read the exp/log lists, and every table (product, sum, difference and
-the numpy copies) is read off the powers of omega and the base-p digits.
+then read the exp/log lists, scalar sums and differences work on the
+base-p digits, and the numpy product, sum and difference tables are read
+off the powers of omega and the base-p digits.
 The tables never leak into the observable representation.  The field order
 is limited to q <= MAX_ORDER = 2048, as the tables grow as q^2.
 
@@ -427,8 +428,6 @@ class FiniteField(_FieldBase):
             cols = list(zip(digits.T, powers))
             self.np_add = sum(np.add.outer(d, d) % p * w for d, w in cols).astype(dt)
             self.np_sub = sum(np.subtract.outer(d, d) % p * w for d, w in cols).astype(dt)
-            self._add = self.np_add.tolist()
-            self._sub = self.np_sub.tolist()
 
     @staticmethod
     def _search_modulus(p, t):
@@ -460,17 +459,21 @@ class FiniteField(_FieldBase):
     def add(self, a, b):
         if self.p == 2:
             return a ^ b
-        return self._add[a][b]
+        if self.t == 1:
+            return (a + b) % self.p
+        return self.coeffs_to_index([x + y for x, y in zip(self.index_to_coeffs(a),
+                                                           self.index_to_coeffs(b))])
 
     def sub(self, a, b):
         if self.p == 2:
             return a ^ b
-        return self._sub[a][b]
+        if self.t == 1:
+            return (a - b) % self.p
+        return self.coeffs_to_index([x - y for x, y in zip(self.index_to_coeffs(a),
+                                                           self.index_to_coeffs(b))])
 
     def neg(self, a):
-        if self.p == 2:
-            return a
-        return self._sub[0][a]
+        return self.sub(0, a)
 
     def scalar(self, c):
         """Embed an integer via the prime subfield (c mod p)."""

@@ -1,5 +1,6 @@
 """End-to-end CLI coverage: every subcommand, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -255,3 +256,24 @@ def test_selftest_command(capsys):
     lines = [ln for ln in out.splitlines() if ln]
     assert all(ln.startswith("PASS") for ln in lines)
     assert len(lines) == 10
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    ("experiment --q 4 --m 2 --k 3 --s 4 --delta 0.05 --trials 40 --seed 11",
+     "b5ede8e28704b74661f1740723696255946109973903c9ed9810de77afdc419d"),
+    ("experiment --q 8 --m 2 --k 5 --s 8 --delta 0.05 --trials 30 --seed 5",
+     "325d571ad8d66aab87d3eb14970e6523070e9894831f799bea495292d71150bf"),
+    ("analyze --q 4 --m 2 --k 3",
+     "ea0ca8a97d4ad83ac779df5000a33d25d470aabdf6bdb9d6d3c5bfb5b28ab235"),
+    ("local-correct --in {noisy} --point ([1]:[0]:[0]) --s 4 --seed 9",
+     "d4128a50961cd2483554c53d655839000d7c4c474cb8cd89e77e6c0c146f5aa0"),
+], ids=["experiment-q4", "experiment-q8", "analyze-q4", "local-correct-q4"])
+def test_stdout_bytes_pinned(tmp_path, capsys, argv, sha256):
+    # identical flags and seed must keep giving identical bytes across
+    # refactors of the field, geometry, decoder and analysis layers
+    noisy = tmp_path / "noisy.txt"
+    run_cli(capsys, "corrupt", "--in", str(_plift_word_file(tmp_path, capsys)),
+            "--delta", "0.05", "--seed", "3", "--out", str(noisy))
+    code, out, _ = run_cli(capsys, *argv.format(noisy=noisy).split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256

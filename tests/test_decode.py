@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from liftedcodes.codes import Word, encode, make_code, random_codeword
+from liftedcodes.codes import Word, encode, make_code, random_codeword, restrict_to_line
 from liftedcodes.decode import (
     CorrectionConfig,
     corrupt_word,
@@ -19,7 +19,7 @@ from liftedcodes.decode import (
     query_position_sample,
 )
 from liftedcodes.gf import GF
-from liftedcodes.geometry import random_embedding_through, theta
+from liftedcodes.geometry import random_embedding_through, standard_line_embedding, theta
 
 
 def _random_prs_word(F, k, rng):
@@ -259,7 +259,10 @@ def test_local_correct_uncorrupted_and_query_count():
 
 
 def test_local_correct_standard_embedding_matches_general():
+    # the drawn line decodes to the same symbol at P whether it is read
+    # through the drawn embedding or through its all-ones-weight embedding
     C = make_code("PLift", 4, 2, 3)
+    F = C.field
     cfg = CorrectionConfig(s=4)
     for trial in range(30):
         rng_a = np.random.default_rng(100 + trial)
@@ -273,9 +276,20 @@ def test_local_correct_standard_embedding_matches_general():
         P2 = C.support[int(rng_b.integers(21))]
         assert P == P2
         sym_a, q_a = local_correct(y, P, C, cfg, rng_a)
-        sym_b, q_b = local_correct(y2, P, C, cfg, rng_b, use_standard_embedding=True)
-        assert sorted(q_a) == sorted(q_b)
-        assert sym_a == sym_b
+        L = random_embedding_through(P, F, rng_b)
+        queried = set(L.positions[query_gen(P, L, cfg.s, rng_b)].tolist())
+        assert queried == set(q_a)
+        Ls = standard_line_embedding(F, L.image_points())
+        symbols = []
+        for emb in (L, Ls):
+            read = [v if pos in queried else None
+                    for v, pos in zip(restrict_to_line(y, emb, C.v).values,
+                                      emb.positions.tolist())]
+            cw = prs_decode(read, C.k, F)
+            at = emb.image_points().index(P)
+            symbols.append(None if cw is None
+                           else F.mul(emb.weight_vector(C.v)[at], cw[at]))
+        assert symbols[0] == symbols[1] == sym_a
 
 
 def test_local_correct_s_range_enforced():

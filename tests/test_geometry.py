@@ -1,6 +1,8 @@
 """Geometry: enumeration counts, standard representatives, lines, and the
 homogenization weights that make line restrictions literal subwords."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -12,6 +14,7 @@ from liftedcodes.geometry import (
     all_lines,
     enumerate_points,
     lines_through,
+    locate,
     random_embedding_through,
     standard_line_embedding,
     standardize,
@@ -80,6 +83,35 @@ def test_lines_through_counts_and_partition():
 
     sup4 = enumerate_points(GF(4), 3, "projective")
     assert len(lines_through((1, 0, 0, 0), sup4)) == 21  # theta(2, 4)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_locate_matches_standardize_and_enumeration(q, m):
+    F = GF(q)
+    proj = enumerate_points(F, m, "projective")
+    vectors = [v for v in itertools.product(range(q), repeat=m + 1) if any(v)]
+    points, lams, positions = locate(F, np.array(vectors))
+    for v, pt, lam, pos in zip(vectors, points.tolist(), lams.tolist(), positions.tolist()):
+        std, want_lam = standardize(F, v)
+        assert (tuple(pt), lam) == (std, want_lam)
+        assert pos == proj.points.index(std) == proj.position(std)
+    aff = enumerate_points(F, m, "affine")
+    assert [aff.position(x) for x in itertools.product(range(q), repeat=m)] == \
+        [aff.points.index(x) for x in itertools.product(range(q), repeat=m)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3])
+def test_all_lines_match_spans_of_point_pairs(q, m):
+    F = GF(q)
+    sup = enumerate_points(F, m, "projective")
+    spans = set()
+    for P, Q in itertools.combinations(sup.points, 2):
+        span = {standardize(F, tuple(F.add(F.mul(a, x), F.mul(b, y)) for x, y in zip(P, Q)))[0]
+                for a in range(q) for b in range(q) if a or b}
+        spans.add(tuple(sorted(sup.points.index(pt) for pt in span)))
+    assert all_lines(sup) == sorted(spans)
 
 
 def test_all_lines_count():
@@ -160,6 +192,13 @@ def test_random_embedding_through_contract():
     # |L(P^1)| = q + 1 for every rank-2 embedding
     for L in list(all_embeddings(F, 2))[:100]:
         assert len(set(L.image_points())) == 4
+
+
+@pytest.mark.parametrize("P", [(1,), (2,), (0, 0, 0)])
+def test_random_embedding_through_without_a_line_raises(P):
+    # P^0 has no line; the zero vector is no point
+    with pytest.raises(ValueError):
+        random_embedding_through(P, GF(4), np.random.default_rng(0))
 
 
 def test_random_embedding_line_uniformity():
