@@ -4,10 +4,11 @@ The corrector draws a uniform random line through the target point, reads s
 of its q+1 positions (chosen so that every individual query is uniform over
 all coordinates), strips the homogenization weights, and decodes the result
 as a projective Reed-Solomon word with q+1-s erasures and up to
-t = floor((s-k-1)/2) errors.  The PRS decoder reduces to shortened
-Reed-Solomon instances solved by error-locator interpolation, with the
-point at infinity carried as the leading-coefficient constraint; a
-brute-force nearest-codeword oracle pins its correctness at small q.
+t = floor((s-k-1)/2) errors.  The PRS decoder solves one homogeneous
+Berlekamp-Welch key equation on P^1, N = y E at every read point with N a
+form of degree k+t and E a form of degree t, so the point at infinity is
+read like any other; a brute-force nearest-codeword oracle pins its
+correctness at small q.
 """
 
 from __future__ import annotations
@@ -19,71 +20,46 @@ import numpy as np
 
 from liftedcodes import linalg
 from liftedcodes.codes import Word, encode, make_code
-from liftedcodes.gf import GF, FiniteField, poly_divmod, poly_eval
+from liftedcodes.gf import poly_divmod
 from liftedcodes.geometry import random_embedding_through, theta
-
-
-def _berlekamp_welch(F, pairs, deg_bound, radius):
-    """The unique polynomial of degree <= deg_bound agreeing with the pairs
-    in all but at most `radius` places, or None.
-
-    Solves Q(x) = y E(x) for monic E of degree `radius`; requires
-    len(pairs) >= deg_bound + 2*radius + 1.
-    """
-    if radius < 0:
-        return None
-    if deg_bound < 0:
-        g = []
-        bad = sum(1 for _, y in pairs if y != 0)
-        return g if bad <= radius else None
-    nq = deg_bound + radius + 1
-    rows, rhs = [], []
-    for x, y in pairs:
-        xpow = [1]
-        for _ in range(nq - 1):
-            xpow.append(F.mul(xpow[-1], x))
-        row = list(xpow[:nq])
-        epow = 1
-        for j in range(radius):
-            row.append(F.neg(F.mul(y, epow)))
-            epow = F.mul(epow, x)
-        rows.append(row)
-        rhs.append(F.mul(y, epow))  # y * x^radius
-    sol = linalg.solve_particular(F, rows, rhs)
-    if sol is None:
-        return None
-    sol = sol.tolist()
-    Q = sol[:nq]
-    E = sol[nq:] + [1]
-    g, rem = poly_divmod(F, Q, E)
-    if rem:
-        return None
-    if len(g) > deg_bound + 1:
-        return None
-    bad = sum(1 for x, y in pairs if poly_eval(F, g, x) != y)
-    return g if bad <= radius else None
 
 
 # ---------------------------------------------------------------------------
 # Projective Reed-Solomon error-and-erasure decoding
 # ---------------------------------------------------------------------------
 
+def _monomial_rows(F, positions, d):
+    """Values of the degree-d monomials x0^(d-j) x1^j, j = 0..d, at the
+    standard points of ascending line positions, one row per position:
+    x^j at (1 : x) for x < q, and the unit vector at j = d at (0 : 1)."""
+    q = F.order
+    x = np.asarray(positions)
+    rows = F.np_exp[np.outer(F.np_log[x % q], np.arange(d + 1)) % (q - 1)]
+    if positions[0] == 0:
+        rows[0, 1:] = 0  # 0^0 = 1 is already in place
+    if positions[-1] == q:
+        rows[-1] = 0
+        rows[-1, d] = 1
+    return rows
+
+
 def prs_codeword(F, g, k):
     """Evaluation word of a degree-<=k coefficient list: affine values in
     canonical order, then the degree-k coefficient at infinity."""
-    q = F.order
-    out = [poly_eval(F, g, x) for x in range(q)]
-    out.append(g[k] if len(g) > k else 0)
-    return out
+    g = list(g) + [0] * (k + 1 - len(g))
+    return linalg.gf_matvec(F, _monomial_rows(F, range(F.order + 1), k), g).tolist()
 
 
 def prs_decode(y, k, F):
     """Unique codeword within t = floor((s-k-1)/2) errors of y on its s
     non-erased positions, or None.
 
-    The affine part is a shortened Reed-Solomon instance; a read value at
-    infinity constrains the leading coefficient and is handled by deciding
-    both hypotheses (infinity correct / infinity in error).
+    Solves the homogeneous key equation N(a, b) = y E(a, b) at every read
+    standard point (a : b), with N a form of degree k+t and E a form of
+    degree t.  Every nonzero solution has N = f E for the same f whenever
+    a codeword lies within t (N1 E2 - N2 E1 has degree k+2t and s > k+2t
+    zeros), so any null-space vector decodes, the point at infinity
+    included; the final distance check rejects everything else.
     """
     vals = list(y.values) if isinstance(y, Word) else list(y)
     q = F.order
@@ -94,34 +70,20 @@ def prs_decode(y, k, F):
     if s < k + 1:
         raise ValueError(f"need at least k+1 = {k + 1} readable positions, got {s}")
     t = (s - k - 1) // 2
-    aff = [(x, vals[x]) for x in range(q) if vals[x] is not None]
-    y_inf = vals[q]
-
-    candidates = []
-    if y_inf is None:
-        g = _berlekamp_welch(F, aff, k, t)
-        if g is not None:
-            candidates.append(g)
-    else:
-        # infinity read correctly: subtract y_inf * x^k, decode degree k-1
-        shifted = [(x, F.sub(v, F.mul(y_inf, F.pow(x, k)))) for x, v in aff]
-        h = _berlekamp_welch(F, shifted, k - 1, t)
-        if h is not None:
-            candidates.append(h + [0] * (k - len(h)) + [y_inf])
-        # infinity in error: one fewer error available on the affine part
-        g = _berlekamp_welch(F, aff, k, t - 1)
-        if g is not None:
-            candidates.append(g)
-
-    best = None
-    for g in candidates:
-        cw = prs_codeword(F, g, k)
-        dist = sum(1 for i in non_erased if cw[i] != vals[i])
-        if dist <= t:
-            if best is not None and best != cw:
-                raise AssertionError("two codewords inside the unique-decoding radius")
-            best = cw
-    return best
+    neg_y = F.np_sub[0][np.array([vals[i] for i in non_erased], dtype=F.dtype)]
+    A = np.hstack([_monomial_rows(F, non_erased, k + t),
+                   F.np_mul[neg_y[:, None], _monomial_rows(F, non_erased, t)]])
+    sols = linalg.nullspace(F, A)
+    if not len(sols):
+        return None
+    sol = sols[0].tolist()
+    # dehomogenize at x0 = 1; E is a nonzero form, so E(1, x) is nonzero
+    g, rem = poly_divmod(F, sol[:k + t + 1], sol[k + t + 1:])
+    if rem or len(g) > k + 1:
+        return None
+    cw = prs_codeword(F, g, k)
+    dist = sum(1 for i in non_erased if cw[i] != vals[i])
+    return cw if dist <= t else None
 
 
 def prs_decode_bruteforce(y, k, F):
@@ -134,8 +96,7 @@ def prs_decode_bruteforce(y, k, F):
     s = len(non_erased)
     t = (s - k - 1) // 2
     C = make_code("PRS", F, 1, k)
-    from liftedcodes.linalg import span_all
-    words = span_all(F, C.G)
+    words = linalg.span_all(F, C.G)
     best, best_d = None, None
     for cw in words:
         d = sum(1 for i in non_erased if int(cw[i]) != vals[i])
@@ -260,14 +221,9 @@ def corrupt_word(word, delta, rng):
         pos = int(pos)
         old = out.values[pos]
         shift = int(rng.integers(1, q))
-        out.values[pos] = _wrong_symbol(word.support.field, old, shift)
+        # the shift-th of the q-1 symbols other than old, in index order
+        out.values[pos] = shift - (shift <= old)
     return out
-
-
-def _wrong_symbol(F, old, shift):
-    # uniform over the q-1 symbols different from old
-    candidates = [c for c in range(F.order) if c != old]
-    return candidates[shift - 1]
 
 
 def mc_experiment(C, cfg, trials, seed=None):

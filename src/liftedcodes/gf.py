@@ -99,13 +99,6 @@ def poly_trim(a):
     return a
 
 
-def poly_eval(F, coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
 def poly_divmod(F, a, b):
     """(quotient, remainder) of a by a nonzero b; the remainder is trimmed."""
     a = poly_trim(list(a))
@@ -373,9 +366,6 @@ class _FieldBase:
             raise ValueError(f"coefficient out of range in element literal {text!r}")
         return el
 
-    def random_index(self, rng):
-        return int(rng.integers(self.order))
-
     def random_primitive_index(self, rng):
         while True:
             a = int(rng.integers(1, self.order))
@@ -488,9 +478,6 @@ class FiniteField(_FieldBase):
 
     def __repr__(self):
         return f"GF({self.order})"
-
-    def describe(self):
-        return {"p": self.p, "t": self.t, "modulus": list(self.modulus)}
 
 
 def field_new(p, t, modulus=None):

@@ -4,9 +4,8 @@ Matrices are numpy arrays of canonical element indices of one FiniteField,
 in the field's element dtype ``F.dtype``.  Characteristic-2 fields add by
 XOR of indices, which keeps row elimination at memory bandwidth; odd
 characteristic goes through the field's add/sub tables.  ``rref`` is the one
-Gaussian elimination; rank, null space, inverse and solving are read off
-it.  It is adequate at desk scale and deliberately free of structure
-shortcuts.
+Gaussian elimination; rank, null space and inverse are read off it.  It
+is adequate at desk scale and deliberately free of structure shortcuts.
 """
 
 from __future__ import annotations
@@ -108,7 +107,9 @@ def nullspace(F, A):
     A = as_matrix(A, F.dtype)
     n = A.shape[1]
     R, pivots = rref(F, A)
-    free = np.setdiff1d(np.arange(n), pivots)
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = is_free.nonzero()[0]
     basis = np.zeros((len(free), n), dtype=F.dtype)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = F.np_sub[0][R[:, free].T]  # x_pivot = -R[:, free] x_free
@@ -156,16 +157,3 @@ def span_all(F, G):
         blocks = [gf_add(F, out, gf_scale(F, c, row)[None, :]) for c in range(q)]
         out = np.concatenate(blocks, axis=0)
     return out
-
-
-def solve_particular(F, A, b):
-    """One solution x of A x = b, or None if inconsistent."""
-    A = as_matrix(A, F.dtype)
-    b = np.asarray(b, dtype=F.dtype).reshape(-1, 1)
-    R, pivots = rref(F, np.hstack([A, b]))
-    n = A.shape[1]
-    if n in pivots:
-        return None  # pivot in the constant column
-    x = np.zeros(n, dtype=F.dtype)
-    x[pivots] = R[:, n]
-    return x

@@ -263,11 +263,16 @@ def test_selftest_command(capsys):
      "b5ede8e28704b74661f1740723696255946109973903c9ed9810de77afdc419d"),
     ("experiment --q 8 --m 2 --k 5 --s 8 --delta 0.05 --trials 30 --seed 5",
      "325d571ad8d66aab87d3eb14970e6523070e9894831f799bea495292d71150bf"),
+    ("experiment --q 9 --m 2 --k 5 --s 9 --delta 0.05 --trials 40 --seed 3",
+     "f236d7858c7b5980f669d83617681adfef39159c5a687ac805c9564209aad71e"),
+    ("experiment --q 5 --m 2 --k 2 --s 3 --delta 0.05 --trials 60 --seed 4",
+     "b90d51851057be8c017e95b6ae9c16657db86d01100aa7050f7e4635b6e2f631"),
     ("analyze --q 4 --m 2 --k 3",
      "ea0ca8a97d4ad83ac779df5000a33d25d470aabdf6bdb9d6d3c5bfb5b28ab235"),
     ("local-correct --in {noisy} --point ([1]:[0]:[0]) --s 4 --seed 9",
      "d4128a50961cd2483554c53d655839000d7c4c474cb8cd89e77e6c0c146f5aa0"),
-], ids=["experiment-q4", "experiment-q8", "analyze-q4", "local-correct-q4"])
+], ids=["experiment-q4", "experiment-q8", "experiment-q9", "experiment-q5-t0",
+        "analyze-q4", "local-correct-q4"])
 def test_stdout_bytes_pinned(tmp_path, capsys, argv, sha256):
     # identical flags and seed must keep giving identical bytes across
     # refactors of the field, geometry, decoder and analysis layers

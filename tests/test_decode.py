@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from liftedcodes.codes import Word, encode, make_code, random_codeword, restrict_to_line
@@ -123,6 +124,46 @@ def test_randomized_agreement_with_bruteforce():
             got = prs_decode(list(y), k, F)
             want = prs_decode_bruteforce(list(y), k, F)
             assert got == want, (q, k, y)
+
+
+PROPERTY_CASES = [(q, k) for q in (2, 3, 4, 5, 7, 8, 9) for k in range(q + 1)
+                  if q ** (k + 1) <= 300_000]
+
+
+@pytest.mark.parametrize("q, k", PROPERTY_CASES)
+@settings(derandomize=True, database=None, deadline=None, max_examples=6)
+@given(data=st.data())
+def test_decoder_matches_bruteforce_on_random_patterns(q, k, data):
+    # every k the brute-force oracle affords, k = 0 and k = q included:
+    # erasures anywhere, errors up to two past the radius t
+    F = GF(q)
+    C = make_code("PRS", F, 1, k)
+    msg = data.draw(st.lists(st.integers(0, q - 1), min_size=k + 1, max_size=k + 1))
+    cw = encode(C, msg).values
+    order = data.draw(st.permutations(range(q + 1)))
+    s = data.draw(st.integers(k + 1, q + 1))
+    t = (s - k - 1) // 2
+    y = [None] * (q + 1)
+    for i in order[:s]:
+        y[i] = cw[i]
+    for i in order[:data.draw(st.integers(0, min(s, t + 2)))]:
+        y[i] = F.add(y[i], data.draw(st.integers(1, q - 1)))
+    assert prs_decode(y, k, F) == prs_decode_bruteforce(y, k, F)
+
+
+@pytest.mark.parametrize("q, k", [(7, 2), (8, 1), (9, 2)])
+def test_wrong_symbol_at_infinity_with_t_minus_one_affine_errors(q, k):
+    # full read, so t = (q-k)//2: the whole error budget is spent, once
+    # at infinity
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    cw = _random_prs_word(F, k, rng)
+    t = (q - k) // 2
+    y = list(cw)
+    y[q] = F.add(y[q], 1)
+    for i in rng.choice(q, size=t - 1, replace=False):
+        y[int(i)] = F.add(y[int(i)], int(rng.integers(1, q)))
+    assert prs_decode(y, k, F) == cw == prs_decode_bruteforce(y, k, F)
 
 
 def test_roundtrip_with_errors_and_erasures_up_to_capacity():
@@ -310,6 +351,28 @@ def test_corrupt_word_exact_count():
     diffs = [i for i in range(21) if y[i] != c[i]]
     assert len(diffs) == int(0.25 * 21)
     assert corrupt_word(c, 0.0, rng).values == c.values
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_corrupt_word_draws_the_shift_th_other_symbol(q):
+    # a draw shift in [1, q) selects the shift-th of the q-1 symbols other
+    # than the old one, in index order
+    class FixedDraws:
+        def choice(self, n, size, replace):
+            return np.zeros(size, dtype=np.int64)
+
+        def integers(self, low, high):
+            return self.shift
+
+    C = make_code("PRS", GF(q), 1, 0)
+    rng = FixedDraws()
+    for old in range(q):
+        word = encode(C, [old])
+        others = [c for c in range(q) if c != old]
+        for shift in range(1, q):
+            rng.shift = shift
+            one_error = 1.5 / (q + 1)
+            assert corrupt_word(word, one_error, rng)[0] == others[shift - 1]
 
 
 def test_mc_experiment_clean_channel():
