@@ -9,6 +9,11 @@ Berlekamp-Welch key equation on P^1, N = y E at every read point with N a
 form of degree k+t and E a form of degree t, so the point at infinity is
 read like any other; a brute-force nearest-codeword oracle pins its
 correctness at small q.
+
+The Monte-Carlo harness makes each trial's draws on its own seeded stream in
+the order of encode, corrupt_word and local_correct, then evaluates the
+codeword only at the s queried positions and the target; it shares the line
+draw, the read-to-symbol step and the corruption draw with those functions.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from liftedcodes import linalg
-from liftedcodes.codes import Word, encode, make_code
+from liftedcodes.codes import Word, make_code
 from liftedcodes.gf import poly_divmod
 from liftedcodes.geometry import random_embedding_through, theta
 
@@ -97,14 +102,10 @@ def prs_decode_bruteforce(y, k, F):
     t = (s - k - 1) // 2
     C = make_code("PRS", F, 1, k)
     words = linalg.span_all(F, C.G)
-    best, best_d = None, None
-    for cw in words:
-        d = sum(1 for i in non_erased if int(cw[i]) != vals[i])
-        if best_d is None or d < best_d:
-            best, best_d = [int(x) for x in cw], d
-    if best_d is not None and best_d <= t:
-        return best
-    return None
+    # argmin keeps the first nearest word in span_all order
+    dist = (words[:, non_erased] != [vals[i] for i in non_erased]).sum(axis=1)
+    best = int(dist.argmin())
+    return words[best].tolist() if dist[best] <= t else None
 
 
 # ---------------------------------------------------------------------------
@@ -149,35 +150,45 @@ class CorrectionConfig:
     seed: int | None = None
 
 
+def _draw_line(C, P, s, rng):
+    """Check that C is projective and k+1 <= s <= q, then draw a uniform line
+    through P and its s queries: (embedding, domain positions, support
+    positions), both position lists in domain order."""
+    if C.support.space != "projective":
+        raise ValueError(f"local correction needs a projective code, not {C!r}")
+    F = C.field
+    if not C.k + 1 <= s <= F.order:
+        raise ValueError(f"query budget must satisfy k+1 <= s <= q, got s={s}")
+    L = random_embedding_through(P, F, rng)
+    dom_positions = query_gen(P, L, s, rng)
+    return L, dom_positions, L.positions[dom_positions].tolist()
+
+
+def _symbol_from_reads(C, L, dom_positions, reads):
+    """Symbol at the line's point at infinity decoded from the values read at
+    dom_positions (None where the word itself is erased), or None."""
+    F = C.field
+    q = F.order
+    lams = L.lams.tolist()
+    y1 = [None] * (q + 1)
+    for i, val in zip(dom_positions, reads):
+        if val is not None:
+            y1[i] = F.div(val, F.pow(lams[i], C.v))
+    if sum(1 for v in y1 if v is not None) < C.k + 1:
+        return None  # erased input positions left too few reads
+    cw = prs_decode(y1, C.k, F)
+    # P is the image of the point at infinity, with lambda one
+    return None if cw is None else cw[q]
+
+
 def local_correct(y, P, C, cfg, rng):
     """One corrector call: reads exactly s coordinates of y.
 
     Returns (symbol, queried_positions); symbol is None when the line
     decoder fails (an erasure output).
     """
-    if C.support.space != "projective":
-        raise ValueError(f"local correction needs a projective code, not {C!r}")
-    F = C.field
-    q = F.order
-    if not C.k + 1 <= cfg.s <= q:
-        raise ValueError(f"query budget must satisfy k+1 <= s <= q, got s={cfg.s}")
-    P = tuple(P)
-    L = random_embedding_through(P, F, rng)
-    dom_positions = query_gen(P, L, cfg.s, rng)
-    lams = L.lams.tolist()
-    queried = L.positions[dom_positions].tolist()
-    y1 = [None] * (q + 1)
-    for i, pos in zip(dom_positions, queried):
-        val = y[pos]
-        if val is not None:
-            y1[i] = F.div(val, F.pow(lams[i], C.v))
-    if sum(1 for v in y1 if v is not None) < C.k + 1:
-        return None, queried  # erased input positions left too few reads
-    cw = prs_decode(y1, C.k, F)
-    if cw is None:
-        return None, queried
-    # P is the image of the point at infinity, with lambda one
-    return cw[q], queried
+    L, dom_positions, queried = _draw_line(C, tuple(P), cfg.s, rng)
+    return _symbol_from_reads(C, L, dom_positions, [y[pos] for pos in queried]), queried
 
 
 # ---------------------------------------------------------------------------
@@ -205,49 +216,63 @@ class ExperimentReport:
         return asdict(self)
 
 
+def _draw_errors(n, delta, q, rng):
+    """{position: shift} for floor(delta * n) distinct uniform positions, each
+    with a uniform shift in [1, q), drawn as one array after the positions."""
+    if not 0 <= delta <= 1:
+        raise ValueError(f"corruption fraction delta must lie in [0, 1], got {delta}")
+    nerr = math.floor(delta * n)
+    if nerr == 0:
+        return {}
+    positions = rng.choice(n, size=nerr, replace=False)
+    return dict(zip(positions.tolist(), rng.integers(1, q, size=nerr).tolist()))
+
+
+def _corrupt(values, positions, errors):
+    """The values at positions after the errors: a shift moves a symbol to the
+    shift-th of the q-1 symbols other than it, in index order."""
+    return [v if (shift := errors.get(pos)) is None else shift - (shift <= v)
+            for pos, v in zip(positions, values)]
+
+
 def corrupt_word(word, delta, rng):
     """Flip exactly floor(delta * n) uniformly chosen coordinates to
     uniformly chosen wrong symbols."""
-    if not 0 <= delta <= 1:
-        raise ValueError(f"corruption fraction delta must lie in [0, 1], got {delta}")
     n = len(word)
-    nerr = math.floor(delta * n)
-    q = word.support.field.order
-    out = word.copy()
-    if nerr == 0:
-        return out
-    positions = rng.choice(n, size=nerr, replace=False)
-    for pos in positions:
-        pos = int(pos)
-        old = out.values[pos]
-        shift = int(rng.integers(1, q))
-        # the shift-th of the q-1 symbols other than old, in index order
-        out.values[pos] = shift - (shift <= old)
-    return out
+    errors = _draw_errors(n, delta, word.support.field.order, rng)
+    return Word(word.support, _corrupt(word.values, range(n), errors))
 
 
 def mc_experiment(C, cfg, trials, seed=None):
     """Per trial: uniform codeword, exact floor(delta*n) corruption, uniform
     target point, one corrector call.  Fully reproducible from the seed;
-    trials use deterministically derived substreams."""
+    trials use deterministically derived substreams.
+
+    Each trial makes exactly the draws of encode, corrupt_word and
+    local_correct in their order, but computes the codeword only at the s
+    queried positions and the target.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
     seed = cfg.seed if seed is None else seed
     if seed is None:
         raise ValueError("a seed is required for reproducibility")
+    F = C.field
     n = len(C.support)
     children = np.random.SeedSequence(seed).spawn(trials)
     hist = [0] * n
     successes = wrong = erasures = 0
     for tr in range(trials):
         rng = np.random.default_rng(children[tr])
-        c = encode(C, [int(x) for x in rng.integers(C.field.order, size=C.dim)])
-        y = corrupt_word(c, cfg.delta, rng)
+        msg = rng.integers(F.order, size=C.dim)
+        errors = _draw_errors(n, cfg.delta, F.order, rng)
         target = int(rng.integers(n))
-        sym, queried = local_correct(y, C.support[target], C, cfg, rng)
+        L, dom_positions, queried = _draw_line(C, C.support[target], cfg.s, rng)
+        vals = linalg.gf_matvec(F, C.G[:, queried + [target]].T, msg).tolist()
+        truth = vals.pop()
+        sym = _symbol_from_reads(C, L, dom_positions, _corrupt(vals, queried, errors))
         for pos in queried:
             hist[pos] += 1
-        truth = c[target]
         if sym is None:
             erasures += 1
         elif sym == truth:
@@ -255,7 +280,7 @@ def mc_experiment(C, cfg, trials, seed=None):
         else:
             wrong += 1
     return ExperimentReport(
-        q=C.field.order, m=C.m, k=C.k, s=cfg.s, delta=cfg.delta,
+        q=F.order, m=C.m, k=C.k, s=cfg.s, delta=cfg.delta,
         trials=trials, seed=seed, successes=successes, wrong=wrong,
         erasures=erasures, success_rate=successes / trials,
         query_histogram=hist,

@@ -63,11 +63,19 @@ def locate(F, V):
     # omega^-log: a negative index wraps around the q-1 powers of omega
     lams = F.np_exp[-F.np_log[lead_values]]
     points = F.np_mul[lams[:, None], V]
-    weights = [F.order ** e for e in range(V.shape[1] - 1, -1, -1)]
-    # chart i starts after the sum(weights[:i]) points of the charts before
-    # it, and its leading one reads as weights[i]
-    start = np.array([sum(weights[:i]) - w for i, w in enumerate(weights)])
+    weights, start = _chart_layout(F.order, V.shape[1])
     return points, lams, start[lead] + points.astype(np.int64) @ weights
+
+
+@lru_cache(maxsize=64)
+def _chart_layout(q, width):
+    """Read-only (weights, start) of `locate` for vectors of this width:
+    weights[i] = q^(width-1-i), and chart i starts after the sum(weights[:i])
+    points of the charts before it, less weights[i] for its leading one."""
+    weights = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    start = np.cumsum(weights) - 2 * weights
+    weights.flags.writeable = start.flags.writeable = False
+    return weights, start
 
 
 class Support:

@@ -271,8 +271,12 @@ def test_selftest_command(capsys):
      "ea0ca8a97d4ad83ac779df5000a33d25d470aabdf6bdb9d6d3c5bfb5b28ab235"),
     ("local-correct --in {noisy} --point ([1]:[0]:[0]) --s 4 --seed 9",
      "d4128a50961cd2483554c53d655839000d7c4c474cb8cd89e77e6c0c146f5aa0"),
+    ("corrupt --in {noisy} --delta 0.2 --seed 7",
+     "de9e7030e9c483d40448942d91d348a2f24977b9ebe5b6ea791d35eb17225bcd"),
+    ("experiment --q 4 --m 3 --k 3 --s 4 --delta 0.05 --trials 30 --seed 2",
+     "02b1efbfda79a69466d4a6987873f0ec1874d4cb21956e6d5c10309ff4cf9b89"),
 ], ids=["experiment-q4", "experiment-q8", "experiment-q9", "experiment-q5-t0",
-        "analyze-q4", "local-correct-q4"])
+        "analyze-q4", "local-correct-q4", "corrupt-q4", "experiment-q4-m3"])
 def test_stdout_bytes_pinned(tmp_path, capsys, argv, sha256):
     # identical flags and seed must keep giving identical bytes across
     # refactors of the field, geometry, decoder and analysis layers

@@ -10,6 +10,7 @@ from scipy.stats import chisquare
 from liftedcodes.codes import Word, encode, make_code, random_codeword, restrict_to_line
 from liftedcodes.decode import (
     CorrectionConfig,
+    ExperimentReport,
     corrupt_word,
     local_correct,
     mc_experiment,
@@ -361,8 +362,8 @@ def test_corrupt_word_draws_the_shift_th_other_symbol(q):
         def choice(self, n, size, replace):
             return np.zeros(size, dtype=np.int64)
 
-        def integers(self, low, high):
-            return self.shift
+        def integers(self, low, high, size):
+            return np.full(size, self.shift)
 
     C = make_code("PRS", GF(q), 1, 0)
     rng = FixedDraws()
@@ -373,6 +374,61 @@ def test_corrupt_word_draws_the_shift_th_other_symbol(q):
             rng.shift = shift
             one_error = 1.5 / (q + 1)
             assert corrupt_word(word, one_error, rng)[0] == others[shift - 1]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 32, 256, 2048])
+def test_array_shift_draw_equals_scalar_draws(q):
+    # corruption draws its shifts as one array where it once drew them one
+    # at a time: same values, and the generator ends in the same state
+    for seed in range(200):
+        scalar_rng, array_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        nerr = seed % 70
+        scalar = [int(scalar_rng.integers(1, q)) for _ in range(nerr)]
+        assert array_rng.integers(1, q, size=nerr).tolist() == scalar
+        assert array_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+def _per_trial_experiment(C, cfg, trials):
+    """The Monte-Carlo report built from the public per-trial pipeline: on
+    each spawned stream encode, corrupt_word, a target draw, local_correct."""
+    n = len(C.support)
+    hist = [0] * n
+    outcomes = []
+    for child in np.random.SeedSequence(cfg.seed).spawn(trials):
+        rng = np.random.default_rng(child)
+        c = encode(C, [int(x) for x in rng.integers(C.field.order, size=C.dim)])
+        y = corrupt_word(c, cfg.delta, rng)
+        target = int(rng.integers(n))
+        sym, queried = local_correct(y, C.support[target], C, cfg, rng)
+        for pos in queried:
+            hist[pos] += 1
+        outcomes.append("erasure" if sym is None else "success" if sym == c[target] else "wrong")
+    successes = outcomes.count("success")
+    return ExperimentReport(
+        q=C.field.order, m=C.m, k=C.k, s=cfg.s, delta=cfg.delta, trials=trials,
+        seed=cfg.seed, successes=successes, wrong=outcomes.count("wrong"),
+        erasures=outcomes.count("erasure"), success_rate=successes / trials,
+        query_histogram=hist).to_dict()
+
+
+@pytest.mark.parametrize("q, m, k, s, delta", [
+    (4, 2, 3, 4, 0.0), (4, 2, 1, 4, 0.25), (5, 2, 2, 3, 0.1), (5, 2, 2, 5, 0.1),
+    (8, 2, 5, 6, 0.0), (8, 2, 5, 8, 0.2), (9, 2, 5, 6, 0.05), (9, 2, 4, 9, 0.1),
+    (4, 3, 2, 3, 0.1), (4, 3, 3, 4, 0.05),
+])
+def test_mc_experiment_equals_per_trial_pipeline(q, m, k, s, delta):
+    # the engine computes only the read coordinates; its report must be the
+    # one the public encode -> corrupt -> local_correct pipeline gives
+    C = make_code("PLift", q, m, k)
+    cfg = CorrectionConfig(s=s, delta=delta, seed=q * 100 + m * 10 + k)
+    assert mc_experiment(C, cfg, trials=40).to_dict() == _per_trial_experiment(C, cfg, 40)
+
+
+@pytest.mark.parametrize("kind, s", [("PLift", 3), ("PLift", 5), ("Lift", 4), ("RM", 4)])
+def test_mc_experiment_rejects_affine_codes_and_out_of_range_s(kind, s):
+    C = make_code(kind, 4, 2, 3 if kind == "PLift" else 2)
+    with pytest.raises(ValueError):
+        mc_experiment(C, CorrectionConfig(s=s, delta=0.1, seed=1), trials=3)
 
 
 def test_mc_experiment_clean_channel():
