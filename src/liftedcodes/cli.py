@@ -97,6 +97,8 @@ def cmd_analyze(args):
     bad = set(checks) - known
     if bad:
         raise ValueError(f"unknown checks: {sorted(bad)}; choose from {sorted(known)}")
+    if not checks:
+        raise ValueError(f"no checks given; choose from {sorted(known)}")
     q, m, k = args.q, args.m, args.k
     C = codes.make_code("PLift", q, m, k)
     report = {"q": q, "m": m, "k": k}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -246,12 +247,14 @@ def shorten_at_infinity(C):
     F = C.field
     q = F.order
     n_aff = q ** C.m
-    G_aff, G_inf = C.G[:, :n_aff], C.G[:, n_aff:]
-    # message combinations that vanish on every infinity position
-    N = linalg.nullspace(F, G_inf.T)
-    Gs = linalg.gf_matmul(F, N, G_aff) if N.size else np.zeros((0, n_aff), dtype=F.dtype)
-    R, _ = linalg.rref(F, Gs)
-    return LinearCode(F, enumerate_points(F, C.m, "affine"), R)
+    n_inf = C.length - n_aff
+    # With the infinity columns first, the rows of the reduced echelon form
+    # that pivot on an affine column are zero at infinity and span exactly
+    # the subcode vanishing there; restricted to A^m they are its rref.
+    R, pivots = linalg.rref(F, np.hstack([C.G[:, n_aff:], C.G[:, :n_aff]]))
+    first_aff = bisect_left(pivots, n_inf)
+    return LinearCode(F, enumerate_points(F, C.m, "affine"),
+                      np.ascontiguousarray(R[first_aff:, n_inf:]))
 
 
 def puncture_to_infinity(C):

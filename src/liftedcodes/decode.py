@@ -126,18 +126,17 @@ def query_gen(P, L, s, rng):
     n = theta(L.m, q)
     if not 1 <= s <= q:
         raise ValueError(f"query budget must satisfy 1 <= s <= q, got s={s}")
-    images = L.image_points()
-    if tuple(P) not in images:
+    images = L._located[0]
+    P = np.asarray(P)
+    hits = (images == P).all(axis=1).nonzero()[0] if P.shape == images.shape[1:] else ()
+    if len(hits) == 0:
         raise ValueError("target point does not lie on the embedded line")
-    p_pre = images.index(tuple(P))
-    others = [i for i in range(q + 1) if i != p_pre]
-    if rng.random() < s / n:
-        extra = rng.choice(len(others), size=s - 1, replace=False)
-        chosen = [p_pre] + [others[int(i)] for i in extra]
-    else:
-        extra = rng.choice(len(others), size=s, replace=False)
-        chosen = [others[int(i)] for i in extra]
-    return sorted(chosen)
+    p_pre = int(hits[0])
+    # draw among the q other domain positions, numbered skipping p_pre
+    with_p = rng.random() < s / n
+    extra = rng.choice(q, size=s - with_p, replace=False)
+    chosen = (extra + (extra >= p_pre)).tolist()
+    return sorted(chosen + [p_pre] if with_p else chosen)
 
 
 @dataclass

@@ -4,8 +4,9 @@ Matrices are numpy arrays of canonical element indices of one FiniteField,
 in the field's element dtype ``F.dtype``.  Characteristic-2 fields add by
 XOR of indices, which keeps row elimination at memory bandwidth; odd
 characteristic goes through the field's add/sub tables.  ``rref`` is the one
-Gaussian elimination; rank, null space and inverse are read off it.  It
-is adequate at desk scale and deliberately free of structure shortcuts.
+Gaussian elimination behind null space and inverse; ``rank`` runs the same
+pivot step forward only, since a rank needs no back substitution.  Both
+are adequate at desk scale and deliberately free of structure shortcuts.
 """
 
 from __future__ import annotations
@@ -96,10 +97,33 @@ def rref(F, A):
 
 
 def rank(F, A):
-    A = as_matrix(A, F.dtype)
-    if A.size == 0:
-        return 0
-    return rref(F, A)[0].shape[0]
+    """Rank by forward elimination: each pivot clears only the rows below it,
+    and only from its own column on, so no pass touches a settled entry."""
+    A = as_matrix(A, F.dtype).copy()
+    nrows, ncols = A.shape
+    mul = F.np_mul
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        nz = A[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            A[[r, piv], c:] = A[[piv, r], c:]
+        lead = int(A[r, c])
+        if lead != 1:
+            A[r, c:] = mul[F.inv(lead)][A[r, c:]]
+        rows = r + 1 + A[r + 1:, c].nonzero()[0]
+        if rows.size:
+            updates = mul[:, A[r, c:]][A[rows, c]]
+            if F.p == 2:
+                A[rows, c:] ^= updates
+            else:
+                A[rows, c:] = F.np_sub[A[rows, c:], updates]
+        r += 1
+    return r
 
 
 def nullspace(F, A):

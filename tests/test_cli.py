@@ -129,6 +129,11 @@ def test_usage_errors_exit_2(capsys):
                            "--checks", "bogus")
     assert code == 2
     assert "bogus" in err
+    for empty in ("", ",,", " , "):
+        code, out, err = run_cli(capsys, "analyze", "--q", "4", "--m", "2", "--k", "3",
+                                 "--checks", empty)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: no checks given") and err.count("\n") == 1
     code, _, err = run_cli(capsys, "encode", "--kind", "PLift", "--q", "4",
                            "--m", "2", "--k", "9", "--msg-file", "nope.txt")
     assert code == 2

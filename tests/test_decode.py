@@ -21,7 +21,12 @@ from liftedcodes.decode import (
     query_position_sample,
 )
 from liftedcodes.gf import GF
-from liftedcodes.geometry import random_embedding_through, standard_line_embedding, theta
+from liftedcodes.geometry import (
+    enumerate_points,
+    random_embedding_through,
+    standard_line_embedding,
+    theta,
+)
 
 
 def _random_prs_word(F, k, rng):
@@ -244,6 +249,41 @@ def test_query_gen_size_and_bounds():
             assert len(S) == len(set(S)) == s
     with pytest.raises(ValueError):
         query_gen(P, random_embedding_through(P, F, rng), 4, rng)  # s > q
+    L = random_embedding_through(P, F, rng)
+    off_line = next(p for p in enumerate_points(F, 2, "projective").points
+                    if p not in L.image_points())
+    for bad in (off_line, (1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError, match="does not lie on the embedded line"):
+            query_gen(bad, L, 2, rng)
+
+
+def test_query_gen_equals_tuple_search_reference():
+    """The preimage found by array comparison gives the draws and positions
+    of a search through the image tuples, on the same generator state."""
+    def reference(P, L, s, rng):
+        images = L.image_points()
+        p_pre = images.index(tuple(P))
+        others = [i for i in range(len(images)) if i != p_pre]
+        if rng.random() < s / theta(L.m, L.field.order):
+            extra = rng.choice(len(others), size=s - 1, replace=False)
+            chosen = [p_pre] + [others[int(i)] for i in extra]
+        else:
+            extra = rng.choice(len(others), size=s, replace=False)
+            chosen = [others[int(i)] for i in extra]
+        return sorted(chosen)
+
+    for q, m in ((2, 2), (3, 2), (4, 3), (5, 2), (8, 2), (9, 2)):
+        F = GF(q)
+        pts = enumerate_points(F, m, "projective").points
+        rng = np.random.default_rng(q)
+        for trial in range(60):
+            # P anywhere on the line, not only at the image of infinity
+            L = random_embedding_through(pts[int(rng.integers(len(pts)))], F, rng)
+            P = L.image_points()[int(rng.integers(q + 1))]
+            s = int(rng.integers(1, q + 1))
+            a, b = np.random.default_rng(trial), np.random.default_rng(trial)
+            assert query_gen(P, L, s, a) == reference(P, L, s, b)
+            assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_query_gen_target_inclusion_rate():

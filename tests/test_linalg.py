@@ -57,3 +57,35 @@ def test_elimination_above_256_elements():
     M = [[256, 1], [3, 200]]
     Minv = linalg.inverse(F, M)
     assert np.array_equal(linalg.gf_matmul(F, M, Minv), np.eye(2, dtype=F.dtype))
+
+
+def _rank_cases(F, rng):
+    """Matrices whose rank stresses the pivot search: full, deficient by
+    construction, repeated rows, tall, wide and empty."""
+    q = F.order
+    def rand(r, c):
+        return rng.integers(q, size=(r, c)).astype(F.dtype)
+    cases = [rand(6, 6), rand(12, 5), rand(4, 15), rand(1, 7), rand(7, 1)]
+    for r, c, thin in [(10, 12, 3), (9, 7, 1), (14, 14, 6)]:
+        cases.append(linalg.gf_matmul(F, rand(r, thin), rand(thin, c)))
+    A = rand(5, 9)
+    cases.append(np.vstack([A, A, linalg.gf_scale(F, q - 1, A)]))
+    cases.append(np.vstack([A[:2]] * 4)[rng.permutation(8)])
+    cases.append(np.zeros((5, 8), dtype=F.dtype))
+    sparse = rand(8, 10)
+    sparse[rng.random(sparse.shape) < 0.8] = 0
+    cases.append(sparse)
+    cases += [np.zeros((0, 4), dtype=F.dtype), np.zeros((4, 0), dtype=F.dtype)]
+    return cases
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 2039, 2048])
+def test_rank_equals_rref_rank(q):
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    assert linalg.rank(F, []) == 0
+    for _ in range(4):
+        for A in _rank_cases(F, rng):
+            before = A.copy()
+            assert linalg.rank(F, A) == linalg.rref(F, A)[0].shape[0], A
+            assert np.array_equal(A, before)  # the input is not eliminated in place
