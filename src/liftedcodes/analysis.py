@@ -60,13 +60,11 @@ def _draw_iso(F, m, rng):
 
 
 def _omega_power_points(iso, count):
+    """Coordinates of Omega, Omega^2, ..., Omega^count."""
     E = iso.ext
-    pts = []
-    w = 1
-    for _ in range(count):
-        w = E.mul(w, iso.omega_index)
-        pts.append(tuple(iso.forward(w)))
-    return pts
+    e, n = E._log[iso.omega_index], E.order - 1
+    powers = [E._exp[e * j % n] for j in range(1, count + 1)]
+    return list(map(tuple, iso.forward_many(powers).tolist()))
 
 
 def information_set_check(C, points=None, rng=None):
@@ -119,25 +117,21 @@ def qc_certificate(F, m, C):
 
     iso = ExtensionIso(F, m + 1)
     E = iso.ext
-    beta = E.pow(E.omega_index, q - 1)
-    beta_d = E.pow(beta, d)
-    u_vecs = []
-    for i in range(d):
-        cur = E.pow(E.omega_index, i)
-        for _ in range(nd):
-            cur = E.mul(cur, beta_d)
-            u_vecs.append(tuple(iso.forward(cur)))
+    # u_(i, j) = omega^i * beta_d^(j+1), beta_d = omega^((q-1) d)
+    step = (q - 1) * d
+    u_idx = [E._exp[(i + step * (j + 1)) % (E.order - 1)] for i in range(d) for j in range(nd)]
+    U = iso.forward_many(u_idx)
 
-    _, lams, positions = locate(F, u_vecs)
+    _, lams, positions = locate(F, U)
     if len(set(positions.tolist())) != n:
         raise AssertionError("representation vectors do not cover the space")
-    twist = [F.inv(lam) for lam in lams.tolist()]  # u = twist * standard point
+    twist = F.np_exp[-F.np_log[lams]]  # u = twist * standard point
 
     from liftedcodes.codes import evaluate_monomials
-    G_u = evaluate_monomials(F, C.degree_tuples, u_vecs)
+    G_u = evaluate_monomials(F, C.degree_tuples, U)
     # consistency with the twist: evaluating at u multiplies the standard
     # evaluation by twist^v
-    wv = np.array([F.pow(w, C.v) for w in twist], dtype=F.dtype)
+    wv = F.np_exp[F.np_log[twist] * C.v % (q - 1)]
     expected = F.np_mul[wv[None, :], C.G[:, positions]]
     if not np.array_equal(G_u, expected):
         raise AssertionError("twist consistency failed")
@@ -147,8 +141,10 @@ def qc_certificate(F, m, C):
     shifted[:, perm] = G_u
     ok = linalg.rowspace_contains(F, G_u, shifted)
     cycles = [[i * nd + j for j in range(nd)] for i in range(d)]
-    return QcCertificate(n=n, d=d, u_vectors=u_vecs, support_positions=positions.tolist(),
-                         twist=twist, permutation=perm, cycles=cycles, verified=bool(ok))
+    return QcCertificate(n=n, d=d, u_vectors=list(map(tuple, U.tolist())),
+                         support_positions=positions.tolist(),
+                         twist=twist.tolist(), permutation=perm, cycles=cycles,
+                         verified=bool(ok))
 
 
 # ---------------------------------------------------------------------------

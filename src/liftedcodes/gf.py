@@ -10,20 +10,27 @@ Multiplication is reduced modulo a fixed irreducible polynomial.  Default
 moduli come from a published table of primitive polynomials, so that field
 construction is reproducible across builds; a custom modulus may be passed
 and is verified by trial factorization.  Polynomial arithmetic is used only
-to find omega and step through its powers; scalar products and inverses
-then read the exp/log lists, scalar sums and differences work on the
-base-p digits, and the numpy product, sum and difference tables are read
-off the powers of omega and the base-p digits.
+to find omega and to multiply it into the d base-p unit digit vectors:
+multiplication by omega is GF(p)-linear on an index's base-p digits, so
+the exp table is the orbit of 1 under that d x d matrix, filled by
+doubling (powers L..2L-1 are powers 0..L-1 times the matrix's L-th power).
+Scalar products and inverses then read the exp/log lists, scalar sums and
+differences work on the base-p digits, and the numpy product, sum and
+difference tables are read off the powers of omega and the base-p digits.
 The tables never leak into the observable representation.  The field order
 is limited to q <= MAX_ORDER = 2048, as the tables grow as q^2.
 
 Extension fields GF(q^m) over an already-built GF(q) are supported through
 :class:`ExtensionField` together with the coordinate isomorphism
-GF(q^m) -> GF(q)^m exposed as :class:`ExtensionIso`.
+GF(q^m) -> GF(q)^m exposed as :class:`ExtensionIso`.  An extension's
+index is its base-q digits, each the base-p digits of a base-field index,
+so the same doubling builds its exp table.  Extension orders are limited
+to 2^20, as its exp/log lists grow as q^m.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import product, zip_longest
 
@@ -244,9 +251,11 @@ class _FieldBase:
     index<->coefficient conversion, and _over, the field their polynomial
     arithmetic runs over (None for a prime field).  _build_logs is the one
     construction: omega is the first element in the canonical enumeration
-    whose multiplicative order is q - 1, and every table is read off its
-    powers; it also sets the scalar mul, which with inv and pow reads the
-    exp/log lists.
+    whose multiplicative order is q - 1, and its powers are the orbit of
+    1 under the GF(p)-linear map "times omega" on the base-p digits,
+    doubled from the first power up; every table is read off them.  It
+    also sets the scalar mul, which with inv and pow reads the exp/log
+    lists.
     """
 
     def element(self, index):
@@ -311,42 +320,71 @@ class _FieldBase:
         return self.coeffs_to_index(poly_mulmod(
             self._over, self.index_to_coeffs(a), self.index_to_coeffs(b), self.modulus))
 
+    def _poly_pow(self, a, e):
+        """a^e from the definition, as _poly_mul."""
+        if self._over is None:
+            return pow(a, e, self.p)
+        return self.coeffs_to_index(poly_powmod(
+            self._over, self.index_to_coeffs(a), e, self.modulus))
+
     def _is_primitive(self, a):
         """a has order q-1: a^((q-1)/ell) != 1 for each prime ell | q-1."""
         n = self.order - 1
-        if self._over is None:
-            powers = (pow(a, n // ell, self.p) for ell in prime_factors(n))
-        else:
-            x = self.index_to_coeffs(a)
-            powers = (self.coeffs_to_index(poly_powmod(self._over, x, n // ell, self.modulus))
-                      for ell in prime_factors(n))
-        return 1 not in powers
+        return all(self._poly_pow(a, n // ell) != 1 for ell in prime_factors(n))
 
     def _build_logs(self):
-        """omega is the first primitive index; exp/log step by omega."""
-        n = self.order - 1
-        self.omega_index = next(a for a in range(1, self.order) if self._is_primitive(a))
-        exp = [1] * n
-        for i in range(1, n):
-            exp[i] = self._poly_mul(exp[i - 1], self.omega_index)
-        log = [-1] * self.order
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp = exp
-        self._log = log
+        """omega is the first primitive index; exp/log are its orbit on 1.
+
+        Multiplying by omega is GF(p)-linear on the d base-p digits of an
+        index, so with A the d x d matrix of omega on the unit digit
+        vectors, digit rows times A^L are the orbit shifted by L powers:
+        D[L:2L] = D[:L] A^L, and A^2L = A^L A^L.  Returns (exp, log) as
+        int32 arrays, log -1 at zero.
+        """
+        p, q, n = self.p, self.order, self.order - 1
+        self.omega_index = w = next(a for a in range(1, q) if self._is_primitive(a))
+        d = 1  # q = p^d
+        while p ** d < q:
+            d += 1
+        powers = p ** np.arange(d, dtype=np.int64)
+        # the smallest dtype that holds a digit row times A before the mod
+        dt = np.min_scalar_type(d * (p - 1) ** 2)
+        A = (np.array([self._poly_mul(w, int(u)) for u in powers])[:, None]
+             // powers % p).astype(dt)
+        D = np.zeros((n, d), dtype=dt)
+        D[0, 0] = 1
+        L = 1
+        while L < n:
+            k = min(L, n - L)
+            np.matmul(D[:k], A, out=D[L:L + k])
+            D[L:L + k] %= p
+            A = A @ A % p
+            L += k
+        exp = np.zeros(n, dtype=np.int32)
+        for j in reversed(range(d)):
+            exp *= p
+            exp += D[:, j]
+        del D  # freed before the lists, which set the peak at large q
+        log = np.full(q, -1, dtype=np.int32)
+        log[exp] = np.arange(n, dtype=np.int32)
+        self._exp = exp.tolist()
+        self._log = log.tolist()
         # scalar mul: the logs of two nonzero elements sum below 2(q-1),
         # where exp repeats; zero's log here is 2(q-1), so any sum with it
         # lands in a run of zeros.  A closure rather than a method: the
         # corrector makes about 22k products per 8-trial batch, and a
         # method's attribute lookups, zero test and modulo added about 7%
         # to that batch's time.
-        zlog = [2 * n] + log[1:]
-        prod = exp + exp + [0] * (2 * n + 1)
+        zlog = [2 * n] + self._log[1:]
+        # filled in place: `exp + exp + zeros` made 64 MB of temporaries at q = 2^20
+        prod = [0] * (4 * n + 1)
+        prod[:n] = prod[n:2 * n] = self._exp
 
         def mul(a, b):
             return prod[zlog[a] + zlog[b]]
 
         self.mul = mul
+        return exp, log
 
     # -- element construction / formatting -------------------------------
 
@@ -367,9 +405,11 @@ class _FieldBase:
         return el
 
     def random_primitive_index(self, rng):
+        """Uniform draws from 1..q-1 until one is primitive: a = omega^i
+        has order q-1 iff gcd(i, q-1) = 1."""
         while True:
             a = int(rng.integers(1, self.order))
-            if self._is_primitive(a):
+            if math.gcd(self._log[a], self.order - 1) == 1:
                 return a
 
 
@@ -398,12 +438,11 @@ class FiniteField(_FieldBase):
         self._over = GF(p) if t > 1 else None
         if t > 1 and not is_irreducible(self._over, modulus):
             raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
-        self._build_logs()
+        exp, log = self._build_logs()
         q, n = self.order, self.order - 1
         self.dtype = dt = np.dtype(np.uint8 if q <= 256 else np.uint16)
-        self.np_exp = np.array(self._exp, dtype=dt)
-        self.np_log = np.array(self._log, dtype=np.int32)  # -1 at zero
-        log = self.np_log.astype(np.intp)
+        self.np_exp = exp.astype(dt)
+        self.np_log = log  # -1 at zero
         self.np_mul = self.np_exp[np.add.outer(log, log) % n]
         self.np_mul[0] = 0
         self.np_mul[:, 0] = 0
@@ -515,9 +554,10 @@ def GF(q):
 class ExtensionField(_FieldBase):
     """GF(q^m) built over a base field, elements encoded base-q digitwise.
 
-    The modulus is the first monic irreducible of degree m over the base
-    (in canonical index order) whose root z is primitive, making z both the
-    polynomial-basis generator and the field's omega for m >= 2.
+    For m >= 2 the modulus is the first monic polynomial of degree m over
+    the base (in canonical index order) whose root z has order q^m - 1,
+    which makes it irreducible and z both the polynomial-basis generator
+    and the field's omega.  For m = 1 it is x.
     """
 
     _MAX_ORDER = 1 << 20  # desk scale guard
@@ -530,15 +570,21 @@ class ExtensionField(_FieldBase):
         self.p = base.p
         self.order = base.order ** m
         if self.order > self._MAX_ORDER:
-            raise ValueError("extension field too large for desk-scale tables")
+            raise ValueError(f"extension field order {self.order} exceeds the supported "
+                             f"limit 2^20 = {self._MAX_ORDER}")
         self._over = base
-        # modulus coefficients are base-field indices; the root z of the
-        # modulus sits at index q for m >= 2
-        for cand in monic_polys(base, m):
-            self.modulus = tuple(cand)
-            z = base.neg(cand[0]) if m == 1 else base.order
-            if is_irreducible(base, cand) and self._is_primitive(z):
-                break
+        # modulus coefficients are base-field indices; the root z = x of the
+        # modulus sits at index q.  A reducible modulus leaves fewer than
+        # q^m - 1 units, so z has order exactly q^m - 1 iff the modulus is
+        # irreducible and z primitive.  For m = 1 every modulus is
+        # irreducible and the first, x, is taken.
+        self.modulus = (0, 1)
+        if m > 1:
+            n = self.order - 1
+            for cand in monic_polys(base, m):
+                self.modulus = tuple(cand)
+                if self._poly_pow(base.order, n) == 1 and self._is_primitive(base.order):
+                    break
         self._build_logs()
 
     # -- index-level arithmetic ------------------------------------------
@@ -632,8 +678,13 @@ class ExtensionIso:
     def forward(self, x):
         """phi(x): coordinates of an extension element over the base field."""
         idx = x.index if isinstance(x, FieldElement) else x
-        digits = self.ext.index_to_coeffs(idx)
-        return tuple(linalg.gf_matvec(self.base, self._to_coords, digits).tolist())
+        return tuple(self.forward_many([idx])[0].tolist())
+
+    def forward_many(self, indices):
+        """phi of each extension index: an (N, m) array over the base field."""
+        q = self.base.order
+        digits = np.asarray(indices, dtype=np.int64).reshape(-1, 1) // q ** np.arange(self.m) % q
+        return linalg.gf_matmul(self.base, digits, self._to_coords.T)
 
     def inverse(self, coords):
         # x = sum coords_j * Omega^j, read off in the polynomial basis

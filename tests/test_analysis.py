@@ -6,6 +6,7 @@ import pytest
 
 from liftedcodes import linalg
 from liftedcodes.analysis import (
+    _omega_power_points,
     design_dual_report,
     distance_report,
     exact_distance,
@@ -21,7 +22,7 @@ from liftedcodes.analysis import (
 )
 from liftedcodes.codes import make_code
 from liftedcodes.degrees import adeg
-from liftedcodes.gf import GF
+from liftedcodes.gf import GF, ExtensionIso
 
 
 def test_information_set_lift_4_2_2():
@@ -63,6 +64,46 @@ def test_information_set_random_draws():
             C = make_code(kind, q, m, kk)
             for _ in range(3):
                 assert information_set_check(C, rng=rng), (kind, q, m, kk)
+
+
+def _omega_powers_by_steps(iso, count):
+    """Coordinates of Omega, ..., Omega^count, one product and one
+    gf_matvec per element."""
+    E, F = iso.ext, iso.base
+    out, w = [], 1
+    for _ in range(count):
+        w = E.mul(w, iso.omega_index)
+        out.append(tuple(linalg.gf_matvec(F, iso._to_coords, E.index_to_coeffs(w)).tolist()))
+    return out
+
+
+@pytest.mark.parametrize("q, m", [(4, 2), (3, 2), (9, 2), (8, 3), (2, 4)])
+def test_omega_power_points_equal_stepwise(q, m):
+    F = GF(q)
+    count = min(q ** m - 1, 60)
+    for iso in (ExtensionIso(F, m), ExtensionIso.random(F, m, np.random.default_rng(q * m))):
+        assert _omega_power_points(iso, count) == _omega_powers_by_steps(iso, count)
+
+
+@pytest.mark.parametrize("q, m", [(4, 2), (4, 3), (3, 2), (9, 2), (8, 2), (5, 2)])
+def test_qc_vectors_and_twist_equal_stepwise(q, m):
+    F = GF(q)
+    C = make_code("PLift", q, m, 2)
+    cert = qc_certificate(F, m, C)
+    iso = ExtensionIso(F, m + 1)
+    E = iso.ext
+    # u_(i, j) = omega^i * beta_d^(j+1), coordinates and twist element by element
+    beta_d = E.pow(E.pow(E.omega_index, q - 1), cert.d)
+    u = []
+    for i in range(cert.d):
+        cur = E.pow(E.omega_index, i)
+        for _ in range(cert.n // cert.d):
+            cur = E.mul(cur, beta_d)
+            u.append(tuple(linalg.gf_matvec(F, iso._to_coords, E.index_to_coeffs(cur)).tolist()))
+    assert cert.u_vectors == u
+    lead = [next(c for c in vec if c) for vec in u]
+    assert cert.twist == lead  # u = twist * (standard point with leading one)
+    assert cert.verified
 
 
 def test_qc_certificate_4_2():

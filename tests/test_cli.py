@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +147,27 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_extension_field_above_limit_exits_2(capsys):
+    # qc needs GF(64^4), past the 2^20 limit on extension fields
+    code, out, err = run_cli(capsys, "analyze", "--q", "64", "--m", "3", "--k", "5",
+                             "--checks", "qc")
+    assert (code, out) == (2, "")
+    assert err == ("error: extension field order 16777216 exceeds the supported "
+                   "limit 2^20 = 1048576\n")
+
+
+def test_python_m_liftedcodes_matches_main(capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    argv = ["table", "--q", "4", "--m", "2"]
+    proc = subprocess.run([sys.executable, "-m", "liftedcodes", *argv],
+                          capture_output=True, env=env, timeout=60)
+    code, out, _ = run_cli(capsys, *argv)
+    assert (proc.returncode, proc.stderr) == (code, b"")
+    assert proc.stdout == out.encode()
+
+
 def test_out_of_range_element_in_word_file_exits_2(tmp_path, capsys):
     msg = tmp_path / "msg.txt"
     msg.write_text("\n".join(["[1,0]"] * 11) + "\n")
@@ -280,8 +305,13 @@ def test_selftest_command(capsys):
      "de9e7030e9c483d40448942d91d348a2f24977b9ebe5b6ea791d35eb17225bcd"),
     ("experiment --q 4 --m 3 --k 3 --s 4 --delta 0.05 --trials 30 --seed 2",
      "02b1efbfda79a69466d4a6987873f0ec1874d4cb21956e6d5c10309ff4cf9b89"),
+    ("analyze --q 8 --m 3 --k 7 --checks infoset,qc,shorten-puncture",
+     "6c8a6f8327933743ecf78fd88090bcad64cddf3770279e51f467ef58ec92aae6"),
+    ("analyze --q 9 --m 2 --k 5 --checks infoset,qc,shorten-puncture",
+     "adb449a4d25679622bf07b0a9ca857ffaba6c04100e055f1cb9874153e9cffb9"),
 ], ids=["experiment-q4", "experiment-q8", "experiment-q9", "experiment-q5-t0",
-        "analyze-q4", "local-correct-q4", "corrupt-q4", "experiment-q4-m3"])
+        "analyze-q4", "local-correct-q4", "corrupt-q4", "experiment-q4-m3",
+        "analyze-q8-m3", "analyze-q9"])
 def test_stdout_bytes_pinned(tmp_path, capsys, argv, sha256):
     # identical flags and seed must keep giving identical bytes across
     # refactors of the field, geometry, decoder and analysis layers

@@ -1,19 +1,26 @@
 """Field arithmetic: axioms, defining relations, and the summation identities
 that drive monomial extraction."""
 
+import math
+
 import numpy as np
 import pytest
 
+from liftedcodes import linalg
 from liftedcodes.gf import (
     GF,
+    ExtensionField,
     ExtensionIso,
     FiniteField,
     ext_iso,
     field_new,
     is_irreducible,
+    is_prime,
     monic_polys,
     poly_divmod,
     poly_mulmod,
+    poly_powmod,
+    prime_factors,
     IRREDUCIBLE_POLYS,
 )
 
@@ -253,8 +260,122 @@ def test_extension_tables_match_definition(q, m):
 
 
 # ---------------------------------------------------------------------------
+# exp/log by doubling against the power-by-power construction
+# ---------------------------------------------------------------------------
+
+def _sequential_logs(F):
+    """The tables as built one power of omega at a time: omega is the first
+    primitive index, and each power is the last one times omega."""
+    q = F.order
+    omega = next(a for a in range(1, q) if F._is_primitive(a))
+    exp = [1] * (q - 1)
+    for i in range(1, q - 1):
+        exp[i] = F._poly_mul(exp[i - 1], omega)
+    log = [-1] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    return omega, exp, log
+
+
+def _assert_logs_match_sequential(F):
+    omega, exp, log = _sequential_logs(F)
+    assert F.omega_index == omega
+    assert F._exp == exp
+    assert F._log == log
+
+
+_PRIME_POWERS = [(p, t) for p in range(2, 2049) if is_prime(p)
+                 for t in range(1, 12) if p ** t <= 2048]
+
+
+@pytest.mark.parametrize("p, t", _PRIME_POWERS, ids=[f"{p}^{t}" for p, t in _PRIME_POWERS])
+def test_doubling_logs_match_sequential(p, t):
+    # a fresh field, not GF(q): the cache would keep every q^2 table alive
+    F = FiniteField(p, t)
+    _assert_logs_match_sequential(F)
+    assert F.np_exp.tolist() == F._exp and F.np_log.tolist() == F._log
+
+
+def test_doubling_logs_match_sequential_custom_modulus():
+    F = field_new(3, 2, (1, 0, 1))  # x^2 + 1: omega is not x
+    assert F.omega_index != 3
+    _assert_logs_match_sequential(F)
+
+
+def _trial_division_modulus(base, m):
+    """The extension modulus as chosen by trial division: the first monic
+    irreducible whose root z (index q; -c0 for m = 1) passes the
+    z^((q^m-1)/ell) != 1 tests."""
+    q, n = base.order, base.order ** m - 1
+    for cand in monic_polys(base, m):
+        z = base.neg(cand[0]) if m == 1 else q
+        z_digits = [z // q ** i % q for i in range(m)]
+        powers = (poly_powmod(base, z_digits, n // ell, cand) for ell in prime_factors(n))
+        if is_irreducible(base, cand) and all(w != [1] + [0] * (m - 1) for w in powers):
+            return tuple(cand)
+
+
+_EXTENSIONS = [(q, m) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+               for m in range(1, 13) if q ** m <= 4096]
+
+
+@pytest.mark.parametrize("q, m", _EXTENSIONS, ids=[f"{q}^{m}" for q, m in _EXTENSIONS])
+def test_extension_construction_matches_trial_division(q, m):
+    E = ExtensionField(GF(q), m)
+    assert E.modulus == _trial_division_modulus(GF(q), m)
+    _assert_logs_match_sequential(E)
+
+
+@pytest.mark.parametrize("make", [lambda: ExtensionField(GF(4), 2),
+                                  lambda: ExtensionField(GF(9), 2),
+                                  lambda: ExtensionField(GF(8), 3),
+                                  lambda: FiniteField(2, 9)],
+                         ids=["4^2", "9^2", "8^3", "2^9"])
+def test_log_gcd_primitivity_matches_order_test(make):
+    F = make()
+    n = F.order - 1
+    assert [math.gcd(F._log[a], n) == 1 for a in range(1, F.order)] == \
+        [F._is_primitive(a) for a in range(1, F.order)]
+
+
+# (q, m, seed) -> (omega, post-map) drawn by ExtensionIso.random: how
+# random_primitive_index tests a draw must not change which draws it takes
+_RANDOM_ISOS = {
+    (4, 2, 0): (5, [[0, 3], [2, 3]]),
+    (4, 2, 1): (12, [[3, 0], [0, 3]]),
+    (4, 2, 2): (4, [[0, 1], [1, 3]]),
+    (9, 2, 0): (51, [[4, 2], [2, 0]]),
+    (9, 2, 1): (61, [[8, 0], [1, 7]]),
+    (9, 2, 2): (9, [[2, 3], [7, 4]]),
+    (8, 3, 0): (435, [[5, 4, 2], [2, 0, 0], [0, 1, 6]]),
+    (8, 3, 1): (242, [[0, 6, 6], [6, 4, 6], [2, 3, 6]]),
+    (8, 3, 2): (429, [[2, 0, 2], [3, 6, 3], [0, 2, 4]]),
+}
+
+
+@pytest.mark.parametrize("q, m, seed", sorted(_RANDOM_ISOS))
+def test_random_iso_draws_pinned(q, m, seed):
+    iso = ExtensionIso.random(GF(q), m, np.random.default_rng(seed))
+    assert (iso.omega_index, iso.post_map) == _RANDOM_ISOS[q, m, seed]
+
+
+# ---------------------------------------------------------------------------
 # Extension isomorphisms
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q, m", [(4, 2), (3, 2), (9, 2), (8, 3)])
+def test_forward_many_equals_per_element_forward(q, m):
+    F = GF(q)
+    for iso in (ext_iso(F, m), ExtensionIso.random(F, m, np.random.default_rng(q + m))):
+        E = iso.ext
+        # per element: the polynomial-basis digits times the coordinate matrix
+        ref = [tuple(linalg.gf_matvec(F, iso._to_coords, E.index_to_coeffs(a)).tolist())
+               for a in range(E.order)]
+        many = iso.forward_many(range(E.order))
+        assert many.shape == (E.order, m) and many.dtype == F.dtype
+        assert list(map(tuple, many.tolist())) == ref
+        assert [iso.forward(a) for a in range(E.order)] == ref
+
 
 def test_ext_iso_identity_for_m1():
     F = GF(2)
