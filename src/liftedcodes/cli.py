@@ -34,6 +34,8 @@ def cmd_table(args):
     if args.kmin is not None or args.kmax is not None:
         lo = args.kmin if args.kmin is not None else 1
         hi = args.kmax if args.kmax is not None else max(args.q) - 1
+        if lo > hi:
+            raise ValueError(f"empty k range: kmin {lo} > kmax {hi}")
         ks = range(lo, hi + 1)
     if args.format == "json":
         blocks = [{"q": q, "m": args.m, "rows": analysis.rate_table(q, args.m, ks=ks)}

@@ -4,16 +4,20 @@ The corrector draws a uniform random line through the target point, reads s
 of its q+1 positions (chosen so that every individual query is uniform over
 all coordinates), strips the homogenization weights, and decodes the result
 as a projective Reed-Solomon word with q+1-s erasures and up to
-t = floor((s-k-1)/2) errors.  The PRS decoder solves one homogeneous
-Berlekamp-Welch key equation on P^1, N = y E at every read point with N a
-form of degree k+t and E a form of degree t, so the point at infinity is
-read like any other; a brute-force nearest-codeword oracle pins its
-correctness at small q.
+t = floor((s-k-1)/2) errors.  One decoder serves every caller: a stack of
+homogeneous Berlekamp-Welch key equations on P^1, N = y E at every read
+point with N a form of degree k+t and E a form of degree t, solved by one
+lockstep Gauss-Jordan over all slices (linalg.null_vectors), so the point at
+infinity is read like any other.  prs_decode is its one-slice call; a
+brute-force nearest-codeword oracle pins it at small q.
 
-The Monte-Carlo harness makes each trial's draws on its own seeded stream in
-the order of encode, corrupt_word and local_correct, then evaluates the
-codeword only at the s queried positions and the target; it shares the line
-draw, the read-to-symbol step and the corruption draw with those functions.
+The Monte-Carlo engine makes each trial's draws on its own seeded stream in
+the order of encode, corrupt_word and local_correct, sharing the line draw
+and the corruption rule with them.  It then works on chunks of trials at
+once: one product evaluates every codeword at its s queried positions and
+its target, one log gather strips the line weights, and one stacked key
+equation decodes the chunk.  local_correct keeps the scalar path, read by
+read, as the reference the engine is tested against.
 """
 
 from __future__ import annotations
@@ -35,16 +39,16 @@ from liftedcodes.geometry import random_embedding_through, theta
 
 def _monomial_rows(F, positions, d):
     """Values of the degree-d monomials x0^(d-j) x1^j, j = 0..d, at the
-    standard points of ascending line positions, one row per position:
-    x^j at (1 : x) for x < q, and the unit vector at j = d at (0 : 1)."""
+    standard points of line positions, along a new last axis of the
+    positions array: x^j at (1 : x) for x < q, and the unit vector at
+    j = d at (0 : 1)."""
     q = F.order
     x = np.asarray(positions)
-    rows = F.np_exp[np.outer(F.np_log[x % q], np.arange(d + 1)) % (q - 1)]
-    if positions[0] == 0:
-        rows[0, 1:] = 0  # 0^0 = 1 is already in place
-    if positions[-1] == q:
-        rows[-1] = 0
-        rows[-1, d] = 1
+    rows = F.np_exp[np.multiply.outer(F.np_log[x % q], np.arange(d + 1)) % (q - 1)]
+    rows[x == 0, 1:] = 0  # 0^0 = 1 is already in place
+    at_inf = x == q
+    rows[at_inf] = 0
+    rows[at_inf, d] = 1
     return rows
 
 
@@ -55,17 +59,45 @@ def prs_codeword(F, g, k):
     return linalg.gf_matvec(F, _monomial_rows(F, range(F.order + 1), k), g).tolist()
 
 
+def _decode_stack(F, k, positions, ys):
+    """Key-equation decoding of a stack of B projective RS reads.
+
+    positions and ys are (B, s) arrays: slice b read ys[b] at the ascending
+    line positions positions[b].  Returns (g, ok): g is (B, k+1), the
+    coefficients of the unique degree-<=k polynomial whose codeword lies
+    within t = floor((s-k-1)/2) of slice b on its reads, where ok[b].
+
+    Each slice solves the homogeneous key equation N(a, b) = y E(a, b) at
+    its read standard points (a : b), with N a form of degree k+t and E a
+    form of degree t.  Every nonzero solution has N = f E for the same f
+    whenever a codeword lies within t (N1 E2 - N2 E1 has degree k+2t and
+    s > k+2t zeros), so any null vector decodes, the point at infinity
+    included; the degree, remainder and distance checks reject everything
+    else.  All slices share one linalg.null_vectors call.
+    """
+    B, s = ys.shape
+    t = (s - k - 1) // 2
+    neg_y = F.np_sub[0][ys]
+    A = np.concatenate([_monomial_rows(F, positions, k + t),
+                        F.np_mul[neg_y[..., None], _monomial_rows(F, positions, t)]], axis=2)
+    sols, ok = linalg.null_vectors(F, A)
+    g = np.zeros((B, k + 1), dtype=F.dtype)
+    for b in ok.nonzero()[0].tolist():
+        sol = sols[b].tolist()
+        # dehomogenize at x0 = 1; E is a nonzero form, so E(1, x) is nonzero
+        quot, rem = poly_divmod(F, sol[:k + t + 1], sol[k + t + 1:])
+        if rem or len(quot) > k + 1:
+            ok[b] = False
+        else:
+            g[b, :len(quot)] = quot
+    vals = linalg.gf_sum(F, F.np_mul[_monomial_rows(F, positions, k), g[:, None, :]], axis=2)
+    ok &= (vals != ys).sum(axis=1) <= t
+    return g, ok
+
+
 def prs_decode(y, k, F):
     """Unique codeword within t = floor((s-k-1)/2) errors of y on its s
-    non-erased positions, or None.
-
-    Solves the homogeneous key equation N(a, b) = y E(a, b) at every read
-    standard point (a : b), with N a form of degree k+t and E a form of
-    degree t.  Every nonzero solution has N = f E for the same f whenever
-    a codeword lies within t (N1 E2 - N2 E1 has degree k+2t and s > k+2t
-    zeros), so any null-space vector decodes, the point at infinity
-    included; the final distance check rejects everything else.
-    """
+    non-erased positions, or None: the one-slice call of _decode_stack."""
     vals = list(y.values) if isinstance(y, Word) else list(y)
     q = F.order
     if len(vals) != q + 1:
@@ -74,21 +106,9 @@ def prs_decode(y, k, F):
     s = len(non_erased)
     if s < k + 1:
         raise ValueError(f"need at least k+1 = {k + 1} readable positions, got {s}")
-    t = (s - k - 1) // 2
-    neg_y = F.np_sub[0][np.array([vals[i] for i in non_erased], dtype=F.dtype)]
-    A = np.hstack([_monomial_rows(F, non_erased, k + t),
-                   F.np_mul[neg_y[:, None], _monomial_rows(F, non_erased, t)]])
-    sols = linalg.nullspace(F, A)
-    if not len(sols):
-        return None
-    sol = sols[0].tolist()
-    # dehomogenize at x0 = 1; E is a nonzero form, so E(1, x) is nonzero
-    g, rem = poly_divmod(F, sol[:k + t + 1], sol[k + t + 1:])
-    if rem or len(g) > k + 1:
-        return None
-    cw = prs_codeword(F, g, k)
-    dist = sum(1 for i in non_erased if cw[i] != vals[i])
-    return cw if dist <= t else None
+    ys = np.array([[vals[i] for i in non_erased]], dtype=F.dtype)
+    g, ok = _decode_stack(F, k, np.array([non_erased]), ys)
+    return prs_codeword(F, g[0].tolist(), k) if ok[0] else None
 
 
 def prs_decode_bruteforce(y, k, F):
@@ -242,14 +262,34 @@ def corrupt_word(word, delta, rng):
     return Word(word.support, _corrupt(word.values, range(n), errors))
 
 
+_CHUNK = 256  # trials per stacked decode; mc_experiment's docstring bounds its memory
+
+
+def _strip_weights(F, v, vals, lams):
+    """vals / lams^v elementwise, by one log gather; zero stays zero."""
+    n = F.order - 1
+    logs = F.np_log[vals].astype(np.int64) - (v % n) * F.np_log[lams].astype(np.int64)
+    out = F.np_exp[logs % n]
+    out[vals == 0] = 0
+    return out
+
+
 def mc_experiment(C, cfg, trials, seed=None):
     """Per trial: uniform codeword, exact floor(delta*n) corruption, uniform
     target point, one corrector call.  Fully reproducible from the seed;
     trials use deterministically derived substreams.
 
     Each trial makes exactly the draws of encode, corrupt_word and
-    local_correct in their order, but computes the codeword only at the s
-    queried positions and the target.
+    local_correct in their order.  Then, for up to _CHUNK trials at a time,
+    one product evaluates the codewords at the s queried positions and the
+    target only, one gather strips the line weights, and one stacked key
+    equation decodes every trial's reads.
+
+    The chunk bounds memory: its largest arrays are the codeword product,
+    _CHUNK * (s+1) * dim field elements (8t bytes each in gf_sum's digit
+    sums for odd p), and the key-equation monomials, _CHUNK * s * (k+t+1)
+    int64 exponents, with s <= q.  At q = 32, s = 32, k = 16 and dim = 153
+    a full chunk allocates at most 4.6 MB at once (tracemalloc peak).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -257,32 +297,38 @@ def mc_experiment(C, cfg, trials, seed=None):
     if seed is None:
         raise ValueError("a seed is required for reproducibility")
     F = C.field
-    n = len(C.support)
+    n, s, k = len(C.support), cfg.s, C.k
     children = np.random.SeedSequence(seed).spawn(trials)
-    hist = [0] * n
-    successes = wrong = erasures = 0
-    for tr in range(trials):
-        rng = np.random.default_rng(children[tr])
-        msg = rng.integers(F.order, size=C.dim)
-        errors = _draw_errors(n, cfg.delta, F.order, rng)
-        target = int(rng.integers(n))
-        L, dom_positions, queried = _draw_line(C, C.support[target], cfg.s, rng)
-        vals = linalg.gf_matvec(F, C.G[:, queried + [target]].T, msg).tolist()
-        truth = vals.pop()
-        sym = _symbol_from_reads(C, L, dom_positions, _corrupt(vals, queried, errors))
-        for pos in queried:
-            hist[pos] += 1
-        if sym is None:
-            erasures += 1
-        elif sym == truth:
-            successes += 1
-        else:
-            wrong += 1
+    hist = np.zeros(n, dtype=np.int64)
+    successes = wrong = 0
+    for lo in range(0, trials, _CHUNK):
+        msgs, errors, cols, doms, lams = [], [], [], [], []
+        for child in children[lo:lo + _CHUNK]:
+            rng = np.random.default_rng(child)
+            msgs.append(rng.integers(F.order, size=C.dim))
+            errors.append(_draw_errors(n, cfg.delta, F.order, rng))
+            target = int(rng.integers(n))
+            L, dom_positions, queried = _draw_line(C, C.support[target], s, rng)
+            cols.append(queried + [target])
+            doms.append(dom_positions)
+            lams.append(L.lams[dom_positions])
+        cols = np.array(cols)
+        msgs = np.array(msgs, dtype=F.dtype)
+        vals = linalg.gf_sum(F, F.np_mul[C.G[:, cols], msgs.T[:, :, None]], axis=0)
+        truth = vals[:, s]
+        reads = np.array([_corrupt(row, queried, errs) for row, queried, errs
+                          in zip(vals[:, :s].tolist(), cols[:, :s].tolist(), errors)],
+                         dtype=F.dtype)
+        g, ok = _decode_stack(F, k, np.array(doms), _strip_weights(F, C.v, reads, np.array(lams)))
+        right = ok & (g[:, k] == truth)
+        successes += int(right.sum())
+        wrong += int((ok & ~right).sum())
+        hist += np.bincount(cols[:, :s].ravel(), minlength=n)
     return ExperimentReport(
-        q=F.order, m=C.m, k=C.k, s=cfg.s, delta=cfg.delta,
+        q=F.order, m=C.m, k=C.k, s=s, delta=cfg.delta,
         trials=trials, seed=seed, successes=successes, wrong=wrong,
-        erasures=erasures, success_rate=successes / trials,
-        query_histogram=hist,
+        erasures=trials - successes - wrong, success_rate=successes / trials,
+        query_histogram=hist.tolist(),
     )
 
 

@@ -342,7 +342,10 @@ class _FieldBase:
         int32 arrays, log -1 at zero.
         """
         p, q, n = self.p, self.order, self.order - 1
-        self.omega_index = w = next(a for a in range(1, q) if self._is_primitive(a))
+        # indices below the order of the field under this one are its
+        # elements, whose orders divide that order minus one < q - 1
+        start = 1 if self._over is None or self._over.order == q else self._over.order
+        self.omega_index = w = next(a for a in range(start, q) if self._is_primitive(a))
         d = 1  # q = p^d
         while p ** d < q:
             d += 1

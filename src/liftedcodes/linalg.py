@@ -5,8 +5,10 @@ in the field's element dtype ``F.dtype``.  Characteristic-2 fields add by
 XOR of indices, which keeps row elimination at memory bandwidth; odd
 characteristic goes through the field's add/sub tables.  ``rref`` is the one
 Gaussian elimination behind null space and inverse; ``rank`` runs the same
-pivot step forward only, since a rank needs no back substitution.  Both
-are adequate at desk scale and deliberately free of structure shortcuts.
+pivot step forward only, since a rank needs no back substitution.
+``null_vectors`` runs Gauss-Jordan on a stack of same-shape matrices at
+once, for the many small systems of the Monte-Carlo corrector.  All are
+adequate at desk scale and deliberately free of structure shortcuts.
 """
 
 from __future__ import annotations
@@ -138,6 +140,52 @@ def nullspace(F, A):
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = F.np_sub[0][R[:, free].T]  # x_pivot = -R[:, free] x_free
     return basis
+
+
+def null_vectors(F, A):
+    """nullspace(F, A[b])[0] for every slice of a (B, r, c) stack at once.
+
+    Gauss-Jordan runs on all slices in lockstep and stops each slice at its
+    first column without a pivot.  Before that column a slice has pivoted
+    in every column, so every running slice has its pivot for column j in
+    row j and no slice keeps pivot bookkeeping of its own.  The rows that
+    later pivots would use are zero in the stopping column, so its entries
+    above row j are final: the null vector is their negation with a one at
+    j.  Returns (X, has): X[b] is that vector where has[b], and zero where
+    A[b] has full column rank.
+    """
+    A = np.array(A, dtype=F.dtype)
+    nslices, nrows, ncols = A.shape
+    X = np.zeros((nslices, ncols), dtype=F.dtype)
+    has = np.zeros(nslices, dtype=bool)
+    live = np.arange(nslices)  # original index of each running slice
+    inv = F.np_exp[(F.order - 1 - F.np_log) % (F.order - 1)]  # junk at zero, never read
+    for c in range(ncols):
+        below = A[:, c:, c] != 0  # (running, nrows - c); empty past the last row
+        pivoted = below.any(axis=1)
+        if not pivoted.all():
+            stop = live[~pivoted]
+            X[stop, :c] = F.np_sub[0][A[~pivoted, :c, c]]
+            X[stop, c] = 1
+            has[stop] = True
+            A, live, below = A[pivoted], live[pivoted], below[pivoted]
+        if not live.size:
+            break
+        ar = np.arange(live.size)
+        piv = c + below.argmax(axis=1)  # first nonzero at or below row c
+        row = A[ar, piv, c:]  # a copy: the pivot rows from column c on
+        A[ar, piv, c:] = A[:, c, c:]
+        # rows from c down are zero left of c, so only columns c.. change
+        row = F.np_mul[inv[row[:, :1]], row]
+        A[:, c, c:] = row
+        factors = A[:, :, c].copy()
+        factors[:, c] = 0
+        updates = F.np_mul[factors[:, :, None], row[:, None, :]]
+        if F.p == 2:
+            A[:, :, c:] ^= updates
+        else:
+            A[:, :, c:] = F.np_sub[A[:, :, c:], updates]
+    return X, has
 
 
 def inverse(F, M):

@@ -280,6 +280,17 @@ def test_delta_outside_unit_interval_exits_2(tmp_path, capsys, delta):
     assert "delta" in err
 
 
+@pytest.mark.parametrize("krange", [("--kmin", "5", "--kmax", "2"), ("--kmin", "9")])
+def test_empty_k_range_exits_2(tmp_path, capsys, krange):
+    # kmax defaults to q-1 = 7; a range with no k would print a bare header
+    out_file = tmp_path / "t.csv"
+    code, out, err = run_cli(capsys, "table", "--q", "8", "--m", "2", *krange,
+                             "--out", str(out_file))
+    assert_one_line_usage_error(code, err)
+    assert "empty k range" in err and out == ""
+    assert not out_file.exists()
+
+
 def test_selftest_command(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0

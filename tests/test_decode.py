@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
+from liftedcodes import decode
 from liftedcodes.codes import Word, encode, make_code, random_codeword, restrict_to_line
 from liftedcodes.decode import (
     CorrectionConfig,
@@ -462,6 +463,22 @@ def test_mc_experiment_equals_per_trial_pipeline(q, m, k, s, delta):
     C = make_code("PLift", q, m, k)
     cfg = CorrectionConfig(s=s, delta=delta, seed=q * 100 + m * 10 + k)
     assert mc_experiment(C, cfg, trials=40).to_dict() == _per_trial_experiment(C, cfg, 40)
+
+
+def test_mc_experiment_equals_per_trial_pipeline_across_a_chunk_boundary():
+    # the engine decodes its trials in chunks; the last chunk holds 3
+    # trials, and t = 1 gives successes, miscorrections and erasures
+    C = make_code("PLift", 4, 2, 1)
+    cfg = CorrectionConfig(s=4, delta=0.25, seed=424)
+    trials = decode._CHUNK + 3
+    assert mc_experiment(C, cfg, trials=trials).to_dict() == _per_trial_experiment(C, cfg, trials)
+
+
+def test_mc_experiment_equals_per_trial_pipeline_q32():
+    # the benchmark's mc-plane configuration, one 8-trial batch
+    C = make_code("PLift", 32, 2, 16)
+    cfg = CorrectionConfig(s=32, delta=1 / 16, seed=1_000_000)
+    assert mc_experiment(C, cfg, trials=8).to_dict() == _per_trial_experiment(C, cfg, 8)
 
 
 @pytest.mark.parametrize("kind, s", [("PLift", 3), ("PLift", 5), ("Lift", 4), ("RM", 4)])

@@ -89,3 +89,45 @@ def test_rank_equals_rref_rank(q):
             before = A.copy()
             assert linalg.rank(F, A) == linalg.rref(F, A)[0].shape[0], A
             assert np.array_equal(A, before)  # the input is not eliminated in place
+
+
+def _null_vector_stack(F, rng, nslices, r, c):
+    """A (nslices, r, c) stack mixing full-column-rank, all-zero, zero-row,
+    repeated-column and rank-2 slices, so that the first free column falls
+    at different places within one stack."""
+    q = F.order
+    A = rng.integers(q, size=(nslices, r, c)).astype(F.dtype)
+    for b in range(nslices):
+        kind = b % 5
+        if kind == 1:
+            A[b] = 0
+        elif kind == 2 and r:
+            A[b, rng.choice(r, size=min(r, 1 + b % 3), replace=False)] = 0
+        elif kind == 3 and c > 1:
+            j = int(rng.integers(1, c))
+            A[b, :, j] = A[b, :, rng.integers(j)]
+        elif kind == 4:
+            A[b] = linalg.gf_matmul(F, rng.integers(q, size=(r, 2)),
+                                    rng.integers(q, size=(2, c)))
+    return A
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27, 32])
+def test_null_vectors_equal_first_nullspace_row(q):
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    full_rank = 0
+    for r, c in [(4, 9), (3, 5), (6, 6), (8, 8), (11, 5), (9, 3), (1, 1), (0, 3), (3, 0)]:
+        A = _null_vector_stack(F, rng, 30, r, c)
+        before = A.copy()
+        X, has = linalg.null_vectors(F, A)
+        assert np.array_equal(A, before)  # the stack is not eliminated in place
+        assert X.shape == (30, c) and has.shape == (30,)
+        for b in range(30):
+            N = linalg.nullspace(F, A[b])
+            assert has[b] == bool(len(N)), (r, c, b)
+            assert np.array_equal(X[b], N[0] if len(N) else np.zeros(c, F.dtype)), (r, c, b)
+            full_rank += not len(N)
+    assert full_rank > 0
+    X, has = linalg.null_vectors(F, np.zeros((0, 3, 4), dtype=F.dtype))
+    assert X.shape == (0, 4) and has.shape == (0,)
