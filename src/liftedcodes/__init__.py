@@ -5,7 +5,7 @@ structural analysis (shortening/puncturing, information sets,
 quasi-cyclicity, distance bounds, dimension tables).
 """
 
-from liftedcodes.gf import GF, ExtensionIso, FieldElement, FiniteField, ext_iso, field_new
+from liftedcodes.gf import GF, ExtensionIso, FiniteField
 from liftedcodes.geometry import LineEmbedding, Support, enumerate_points, standardize
 from liftedcodes.degrees import adeg, pdeg
 from liftedcodes.codes import MonomialCode, Word, encode, make_code
@@ -13,7 +13,7 @@ from liftedcodes.decode import CorrectionConfig, local_correct, mc_experiment, p
 from liftedcodes.analysis import distance_report, information_set, qc_certificate, rate_table
 
 __all__ = [
-    "GF", "FiniteField", "FieldElement", "ExtensionIso", "ext_iso", "field_new",
+    "GF", "FiniteField", "ExtensionIso",
     "Support", "LineEmbedding", "enumerate_points", "standardize",
     "adeg", "pdeg",
     "MonomialCode", "Word", "make_code", "encode",

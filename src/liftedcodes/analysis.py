@@ -292,6 +292,8 @@ def rate_table(q, m, ks=None):
         ks = range(1, q)
     rows = []
     for k in ks:
+        if not 1 <= k <= q - 1:
+            raise ValueError(f"rate table needs 1 <= k <= q-1 = {q - 1} at q={q}, got k={k}")
         dim_a = len(adeg(m, k - 1, q))
         dim_p = len(pdeg(m, k, q))
         dim_prm = prm_dimension(m, k, q)

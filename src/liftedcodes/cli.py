@@ -50,7 +50,7 @@ def cmd_encode(args):
     C = codes.make_code(args.kind, args.q, args.m, args.k)
     with open(args.msg_file) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    msg = [C.field.parse_element(ln).index for ln in lines]
+    msg = [C.field.parse_element(ln) for ln in lines]
     word = codes.encode(C, msg)
     _write(codes.word_to_text(C, word), args.out)
     return 0
@@ -74,7 +74,7 @@ def cmd_local_correct(args):
     sym, queried = decode.local_correct(word, point, C, cfg, rng)
     report = {
         "point": args.point,
-        "symbol": None if sym is None else str(C.field.element(sym)),
+        "symbol": None if sym is None else C.field.format_element(sym),
         "erasure": sym is None,
         "queries": queried,
         "queried_points": [C.support.format_point(i) for i in queried],

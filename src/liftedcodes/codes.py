@@ -213,7 +213,7 @@ def make_code(kind, q, m, k):
 
 def encode(C, msg):
     """Message (length dim C) times the generator matrix."""
-    vals = [v.index if hasattr(v, "index") else int(v) for v in msg]
+    vals = [int(v) for v in msg]
     if len(vals) != C.dim:
         raise ValueError(f"message length {len(vals)} != dim {C.dim}")
     word = linalg.gf_matvec(C.field, C.G.T, np.asarray(vals, dtype=C.field.dtype))
@@ -316,14 +316,14 @@ def generator_matrix_text(C):
     F = C.field
     lines = []
     for row in C.G:
-        lines.append(" ".join(str(F.element(int(x))) for x in row))
+        lines.append(" ".join(F.format_element(int(x)) for x in row))
     return "\n".join(lines) + "\n"
 
 
 def word_to_text(C, word):
     lines = [json.dumps(C.descriptor(), sort_keys=True)]
     for v in word.values:
-        lines.append("?" if v is None else str(C.field.element(v)))
+        lines.append("?" if v is None else C.field.format_element(v))
     return "\n".join(lines) + "\n"
 
 
@@ -351,5 +351,5 @@ def word_from_text(text):
     values = []
     for ln in lines[1:]:
         ln = ln.strip()
-        values.append(None if ln == "?" else C.field.parse_element(ln).index)
+        values.append(None if ln == "?" else C.field.parse_element(ln))
     return C, Word(C.support, values)

@@ -72,8 +72,12 @@ def _decode_stack(F, k, positions, ys):
     form of degree t.  Every nonzero solution has N = f E for the same f
     whenever a codeword lies within t (N1 E2 - N2 E1 has degree k+2t and
     s > k+2t zeros), so any null vector decodes, the point at infinity
-    included; the degree, remainder and distance checks reject everything
-    else.  All slices share one linalg.null_vectors call.
+    included; the degree and remainder checks reject everything else.  No
+    distance check is needed: a nonzero null vector has E != 0 (else N has
+    s > k+t zeros), and once N = f E with deg f <= k, f equals y at every
+    read where E is nonzero, while the nonzero degree-t form E vanishes at
+    no more than t points of P^1.  All slices share one linalg.null_vectors
+    call.
     """
     B, s = ys.shape
     t = (s - k - 1) // 2
@@ -90,8 +94,6 @@ def _decode_stack(F, k, positions, ys):
             ok[b] = False
         else:
             g[b, :len(quot)] = quot
-    vals = linalg.gf_sum(F, F.np_mul[_monomial_rows(F, positions, k), g[:, None, :]], axis=2)
-    ok &= (vals != ys).sum(axis=1) <= t
     return g, ok
 
 

@@ -11,9 +11,14 @@ Point orderings are deterministic and stable:
   the first q^m positions and the hyperplane at infinity the last
   theta(m-1, q) positions.  `locate` computes positions in closed form.
 
+Coordinates are element indices.  A point's text is its coordinates' element
+texts joined by ":" in parentheses, e.g. "([1,0]:[0,1]:[0,0])" over GF(4)
+(`Support.format_point` / `Support.parse_point`).
+
 A line embedding is a rank-2 linear map F_q^2 -> F_q^(m+1), kept as its two
-columns.  Restricting an evaluation vector along an embedding requires the
-homogenization weights lambda^v collected by :meth:`LineEmbedding.weight_vector`.
+columns.  Its images, in P^1 support order, are read as support `positions`
+and standardizing scalars `lams`: restricting an evaluation vector along the
+embedding divides out the homogenization weights lambda^v.
 """
 
 from __future__ import annotations
@@ -132,26 +137,16 @@ class Support:
         return f"Support({self.space} {self.m}-space over GF({self.field.order}), n={len(self)})"
 
     def format_point(self, i):
-        return "(" + ":".join(str(self.field.element(c)) for c in self[i]) + ")"
+        return "(" + ":".join(self.field.format_element(c) for c in self[i]) + ")"
 
     def parse_point(self, text):
         text = text.strip()
         if not (text.startswith("(") and text.endswith(")")):
             raise ValueError(f"bad point literal: {text!r}")
+        # element literals hold no ":"; "()" is the one point of A^0
         body = text[1:-1]
-        parts, depth, cur = [], 0, []
-        for ch in body:
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            if ch == ":" and depth == 0:
-                parts.append("".join(cur))
-                cur = []
-            else:
-                cur.append(ch)
-        parts.append("".join(cur))
-        point = tuple(self.field.parse_element(s).index for s in parts)
+        parts = body.split(":") if body.strip() else []
+        point = tuple(self.field.parse_element(s) for s in parts)
         try:
             self.position(point)
         except ValueError:
@@ -199,10 +194,6 @@ class LineEmbedding:
         cols = list(zip(*rows))
         return cls(field, cols[0], cols[1])
 
-    def domain_points(self):
-        """Standard representatives of P^1 in support order."""
-        return enumerate_points(self.field, 1, "projective").points
-
     def map_raw(self, x):
         """Image vector of a P^1 representative x = (x0, x1), unnormalized."""
         F = self.field
@@ -230,18 +221,8 @@ class LineEmbedding:
         """The images' support positions, an array in P^1 support order."""
         return self._located[2]
 
-    def image_info(self):
-        """Per-position (standard point, lambda) along P^1 support order."""
-        return tuple(zip(self.image_points(), self.lams.tolist()))
-
     def image_points(self):
         return tuple(map(tuple, self._located[0].tolist()))
-
-    def line_indices(self, support):
-        """The embedded line as a sorted tuple of support positions."""
-        if support != enumerate_points(self.field, self.m, "projective"):
-            raise ValueError(f"{self!r} does not map into {support!r}")
-        return tuple(sorted(self.positions.tolist()))
 
     def weight_vector(self, v):
         """(q+1)-tuple of lambda^v in P^1 support order; v >= 1."""

@@ -1,10 +1,12 @@
 """Exact arithmetic in small prime-power finite fields GF(p^t).
 
-Elements are canonically represented as coefficient vectors over GF(p) of
-length t (little-endian, degree < t), packed into an integer index
-``sum(c_i * p**i)``.  Index 0 is zero, index 1 is one, and the index order
-0, 1, ..., q-1 is the canonical element enumeration used everywhere
-(primitive-element search, point orderings, deterministic sampling).
+An element is its integer index, the one representation every caller
+works on: the coefficient vector over GF(p) of length t (little-endian,
+degree < t) packed as ``sum(c_i * p**i)``.  Index 0 is zero, index 1 is
+one, and the index order 0, 1, ..., q-1 is the canonical element
+enumeration used everywhere (primitive-element search, point orderings,
+deterministic sampling).  Its text is the digit list "[c0,c1,...]"
+(``format_element`` / ``parse_element``).
 
 Multiplication is reduced modulo a fixed irreducible polynomial.  Default
 moduli come from a published table of primitive polynomials, so that field
@@ -24,15 +26,17 @@ Extension fields GF(q^m) over an already-built GF(q) are supported through
 :class:`ExtensionField` together with the coordinate isomorphism
 GF(q^m) -> GF(q)^m exposed as :class:`ExtensionIso`.  An extension's
 index is its base-q digits, each the base-p digits of a base-field index,
-so the same doubling builds its exp table.  Extension orders are limited
-to 2^20, as its exp/log lists grow as q^m.
+so the same doubling builds its exp table, and one digit codec serves both
+classes: digits over the field underneath (GF(p) or the base GF(q)),
+summed digitwise there.  Extension orders are limited to 2^20, as its
+exp/log lists grow as q^m.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product, zip_longest
+from itertools import product
 
 import numpy as np
 
@@ -171,112 +175,65 @@ def is_irreducible(F, poly):
 
 
 # ---------------------------------------------------------------------------
-# Elements
+# Fields
 # ---------------------------------------------------------------------------
 
-class FieldElement:
-    """An element of a finite field, identified by its canonical index.
-
-    Equality is equality of canonical representations within the same field.
-    Instances are immutable and hashable.
-    """
-
-    __slots__ = ("field", "index")
-
-    def __init__(self, field, index):
-        self.field = field
-        self.index = index
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine field element with {type(other).__name__}")
-        if self.field != other.field:
-            raise ValueError("operands belong to different fields")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.add(self.index, other.index))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.sub(self.index, other.index))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.mul(self.index, other.index))
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.div(self.index, other.index))
-
-    def __pow__(self, n):
-        return FieldElement(self.field, self.field.pow(self.index, n))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.index))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.index))
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElement)
-                and self.field == other.field and self.index == other.index)
-
-    def __hash__(self):
-        return hash((id(type(self)), self.field.order, self.index))
-
-    def __bool__(self):
-        return self.index != 0
-
-    @property
-    def coeffs(self):
-        return self.field.index_to_coeffs(self.index)
-
-    def __str__(self):
-        return "[" + ",".join(str(c) for c in self.coeffs) + "]"
-
-    def __repr__(self):
-        return f"{self.field!r}({self})"
-
-    def order(self):
-        """Multiplicative order; raises on zero."""
-        return self.field.order_of(self.index)
-
-
 class _FieldBase:
-    """Shared machinery for index-encoded finite fields.
+    """Shared machinery for finite fields whose elements are integer indices.
 
-    Subclasses provide: order, p, modulus, add/sub on indices,
-    index<->coefficient conversion, and _over, the field their polynomial
-    arithmetic runs over (None for a prime field).  _build_logs is the one
-    construction: omega is the first element in the canonical enumeration
-    whose multiplicative order is q - 1, and its powers are the orbit of
-    1 under the GF(p)-linear map "times omega" on the base-p digits,
-    doubled from the first power up; every table is read off them.  It
-    also sets the scalar mul, which with inv and pow reads the exp/log
-    lists.
+    Subclasses provide: order, p, modulus and _over, the field their
+    polynomial arithmetic runs over (None for a prime field).  An index is
+    its little-endian digits over _over, base p in GF(p^t) and base q in
+    GF(q^m); the one digit codec below converts both ways, and add/sub
+    work digitwise in _over (index XOR in characteristic 2, integers mod p
+    in a prime field).  _build_logs is the one construction: omega is the
+    first element in the canonical enumeration whose multiplicative order
+    is q - 1, and its powers are the orbit of 1 under the GF(p)-linear map
+    "times omega" on the base-p digits, doubled from the first power up;
+    every table is read off them.  It also sets the scalar mul, which with
+    inv and pow reads the exp/log lists.
     """
 
-    def element(self, index):
-        if not 0 <= index < self.order:
-            raise ValueError(f"index {index} out of range for field of order {self.order}")
-        return FieldElement(self, index)
+    # -- index-level arithmetic ------------------------------------------
 
     @property
-    def zero(self):
-        return FieldElement(self, 0)
+    def _radix(self):
+        return self.p if self._over is None else self._over.order
 
-    @property
-    def one(self):
-        return FieldElement(self, 1)
+    def index_to_coeffs(self, i):
+        r, w = self._radix, 1
+        out = []
+        while w < self.order:
+            out.append(i % r)
+            i //= r
+            w *= r
+        return tuple(out)
 
-    @property
-    def omega(self):
-        return FieldElement(self, self.omega_index)
+    def coeffs_to_index(self, coeffs):
+        r = self._radix
+        i = 0
+        for c in reversed(coeffs):
+            i = i * r + c
+        return i
 
-    def elements(self):
-        return [FieldElement(self, i) for i in range(self.order)]
+    def add(self, a, b):
+        if self.p == 2:
+            return a ^ b
+        if self._over is None:
+            return (a + b) % self.p
+        return self.coeffs_to_index([self._over.add(x, y) for x, y in
+                                     zip(self.index_to_coeffs(a), self.index_to_coeffs(b))])
+
+    def sub(self, a, b):
+        if self.p == 2:
+            return a ^ b
+        if self._over is None:
+            return (a - b) % self.p
+        return self.coeffs_to_index([self._over.sub(x, y) for x, y in
+                                     zip(self.index_to_coeffs(a), self.index_to_coeffs(b))])
+
+    def neg(self, a):
+        return self.sub(0, a)
 
     def inv(self, a):
         if a == 0:
@@ -389,23 +346,26 @@ class _FieldBase:
         self.mul = mul
         return exp, log
 
-    # -- element construction / formatting -------------------------------
+    # -- element text ----------------------------------------------------
 
-    def from_coeffs(self, coeffs):
-        return FieldElement(self, self.coeffs_to_index(coeffs))
+    def format_element(self, i):
+        """The textual form "[c0,c1,...]" of index i (little-endian digits)."""
+        return "[" + ",".join(map(str, self.index_to_coeffs(i))) + "]"
 
     def parse_element(self, text):
-        """Parse the textual form "[c0,c1,...]" (little-endian coefficients)."""
+        """The index of the textual form "[c0,c1,...]"; trailing zero digits
+        may be given or left out."""
         text = text.strip()
         if not (text.startswith("[") and text.endswith("]")):
             raise ValueError(f"bad element literal: {text!r}")
-        parts = [s for s in text[1:-1].split(",") if s.strip() != ""]
-        coeffs = [int(s) for s in parts]
-        el = self.from_coeffs(coeffs)
-        # a digit out of range would otherwise be silently reduced
-        if any(c != d for c, d in zip_longest(coeffs, el.coeffs, fillvalue=0)):
+        coeffs = [int(s) for s in text[1:-1].split(",") if s.strip() != ""]
+        if not all(0 <= c < self._radix for c in coeffs):
             raise ValueError(f"coefficient out of range in element literal {text!r}")
-        return el
+        i = self.coeffs_to_index(coeffs)
+        # digits in range: an index past the field is a nonzero digit past t
+        if i >= self.order:
+            raise ValueError(f"coefficient vector too long for this field: {text!r}")
+        return i
 
     def random_primitive_index(self, rng):
         """Uniform draws from 1..q-1 until one is primitive: a = omega^i
@@ -470,47 +430,6 @@ class FiniteField(_FieldBase):
         prime = GF(p)
         return tuple(next(c for c in monic_polys(prime, t) if is_irreducible(prime, c)))
 
-    # -- index-level arithmetic ------------------------------------------
-
-    def index_to_coeffs(self, i):
-        p = self.p
-        out = []
-        for _ in range(self.t):
-            out.append(i % p)
-            i //= p
-        return tuple(out)
-
-    def coeffs_to_index(self, coeffs):
-        if len(coeffs) > self.t and any(c % self.p for c in coeffs[self.t:]):
-            raise ValueError("coefficient vector too long for this field")
-        i = 0
-        for c in reversed([c % self.p for c in coeffs[:self.t]]):
-            i = i * self.p + c
-        return i
-
-    def add(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        if self.t == 1:
-            return (a + b) % self.p
-        return self.coeffs_to_index([x + y for x, y in zip(self.index_to_coeffs(a),
-                                                           self.index_to_coeffs(b))])
-
-    def sub(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        if self.t == 1:
-            return (a - b) % self.p
-        return self.coeffs_to_index([x - y for x, y in zip(self.index_to_coeffs(a),
-                                                           self.index_to_coeffs(b))])
-
-    def neg(self, a):
-        return self.sub(0, a)
-
-    def scalar(self, c):
-        """Embed an integer via the prime subfield (c mod p)."""
-        return FieldElement(self, c % self.p)
-
     def __eq__(self, other):
         return (isinstance(other, FiniteField) and self.p == other.p
                 and self.t == other.t and self.modulus == other.modulus)
@@ -520,11 +439,6 @@ class FiniteField(_FieldBase):
 
     def __repr__(self):
         return f"GF({self.order})"
-
-
-def field_new(p, t, modulus=None):
-    """Construct GF(p^t); errors on composite p or a reducible modulus."""
-    return FiniteField(p, t, modulus)
 
 
 def _check_order(q):
@@ -590,40 +504,6 @@ class ExtensionField(_FieldBase):
                     break
         self._build_logs()
 
-    # -- index-level arithmetic ------------------------------------------
-
-    def index_to_coeffs(self, i):
-        qb = self.base.order
-        out = []
-        for _ in range(self.m):
-            out.append(i % qb)
-            i //= qb
-        return tuple(out)
-
-    def coeffs_to_index(self, coeffs):
-        qb = self.base.order
-        i = 0
-        for c in reversed(list(coeffs[:self.m])):
-            i = i * qb + c
-        return i
-
-    def add(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        da, db = self.index_to_coeffs(a), self.index_to_coeffs(b)
-        return self.coeffs_to_index([self.base.add(x, y) for x, y in zip(da, db)])
-
-    def sub(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        da, db = self.index_to_coeffs(a), self.index_to_coeffs(b)
-        return self.coeffs_to_index([self.base.sub(x, y) for x, y in zip(da, db)])
-
-    def neg(self, a):
-        if self.p == 2:
-            return a
-        return self.sub(0, a)
-
     def __eq__(self, other):
         return (isinstance(other, ExtensionField) and self.base == other.base
                 and self.m == other.m and self.modulus == other.modulus)
@@ -674,14 +554,9 @@ class ExtensionIso:
             self._from_coords = linalg.gf_matmul(
                 base, self._from_coords, linalg.inverse(base, post_map))
 
-    @property
-    def omega(self):
-        return FieldElement(self.ext, self.omega_index)
-
     def forward(self, x):
         """phi(x): coordinates of an extension element over the base field."""
-        idx = x.index if isinstance(x, FieldElement) else x
-        return tuple(self.forward_many([idx])[0].tolist())
+        return tuple(self.forward_many([x])[0].tolist())
 
     def forward_many(self, indices):
         """phi of each extension index: an (N, m) array over the base field."""
@@ -708,7 +583,3 @@ class ExtensionIso:
                 continue
         return ExtensionIso(base, m, omega_index=om, post_map=M)
 
-
-def ext_iso(F, m):
-    """The canonical coordinate isomorphism GF(q^m) -> GF(q)^m."""
-    return ExtensionIso(F, m)

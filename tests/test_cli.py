@@ -291,6 +291,15 @@ def test_empty_k_range_exits_2(tmp_path, capsys, krange):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("krange, bad", [(("--kmin", "0", "--kmax", "0"), "k=0"),
+                                         (("--kmin", "3", "--kmax", "9"), "k=4")])
+def test_table_k_out_of_range_names_the_flag_value(capsys, krange, bad):
+    # the message names the k the user gave and q, not the affine part's k-1
+    code, out, err = run_cli(capsys, "table", "--q", "4", "--m", "2", *krange)
+    assert_one_line_usage_error(code, err)
+    assert bad in err and "q=4" in err and out == ""
+
+
 def test_selftest_command(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0

@@ -3,6 +3,7 @@ encoding example, line restrictions, shortening/puncturing, automorphisms."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liftedcodes import linalg
 from liftedcodes.codes import (
@@ -127,7 +128,7 @@ def test_restrict_worked_example():
     F = GF(3)
     L = LineEmbedding.from_rows(F, [(1, 1), (0, 1), (1, 0)])
     r = restrict_to_line(w, L, 1)
-    dom = L.domain_points()
+    dom = enumerate_points(F, 1, "projective").points
     by_point = {dom[i]: r[i] for i in range(4)}
     assert by_point[(1, 1)] == 1
     assert by_point[(1, 2)] == 2
@@ -255,7 +256,7 @@ def test_generator_matrix_text_export():
     assert all(len(ln.split()) == 5 for ln in lines)
     # row of the monomial S*T... degree tuples sorted: (0,1) then (1,0)
     F = C.field
-    row0 = [F.parse_element(s).index for s in lines[0].split()]
+    row0 = [F.parse_element(s) for s in lines[0].split()]
     assert row0 == list(C.G[0])
 
 
@@ -266,6 +267,20 @@ def test_word_text_roundtrip():
     w.values[3] = None
     text = word_to_text(C, w)
     C2, w2 = word_from_text(text)
+    assert C2.descriptor() == C.descriptor()
+    assert w2.values == w.values
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(code=st.sampled_from([("PLift", 4, 2, 3), ("Lift", 4, 2, 2), ("PLift", 9, 2, 5),
+                             ("PRS", 8, 1, 3), ("RS", 5, 1, 2), ("PRM", 3, 2, 1), ("RM", 7, 2, 3)]),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_word_text_roundtrip_random_erasures(code, seed, data):
+    C = make_code(*code)
+    w = random_codeword(C, np.random.default_rng(seed))
+    for i in data.draw(st.sets(st.integers(0, len(w) - 1))):
+        w.values[i] = None
+    C2, w2 = word_from_text(word_to_text(C, w))
     assert C2.descriptor() == C.descriptor()
     assert w2.values == w.values
 

@@ -298,8 +298,8 @@ def test_query_gen_target_inclusion_rate():
     for _ in range(draws):
         L = random_embedding_through(P, F, rng)
         S = query_gen(P, L, s, rng)
-        info = L.image_info()
-        if any(info[i][0] == P for i in S):
+        images = L.image_points()
+        if any(images[i] == P for i in S):
             hits += 1
     expected = s / n
     sigma = (expected * (1 - expected) / draws) ** 0.5

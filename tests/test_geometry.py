@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from liftedcodes.gf import GF
@@ -135,7 +136,7 @@ def test_worked_weight_vector_point_indexed():
     F = GF(3)
     L = LineEmbedding.from_rows(F, [(1, 1), (0, 1), (1, 0)])
     w = L.weight_vector(1)
-    dom = L.domain_points()
+    dom = enumerate_points(F, 1, "projective").points
     by_domain_point = {dom[i]: w[i] for i in range(4)}
     assert by_domain_point[(1, 1)] == 2
     assert by_domain_point[(1, 2)] == 2
@@ -171,13 +172,12 @@ def test_subword_property_random_polys():
                  for i in rng.choice(len(sphere), size=5, replace=False)}
         P = (1, int(rng.integers(4)), int(rng.integers(4)))
         L = random_embedding_through(P, F, rng)
-        w = L.weight_vector(v)
-        for pos, x in enumerate(L.domain_points()):
-            img, lam = L.image_info()[pos]
+        dom = enumerate_points(F, 1, "projective").points
+        for x, img, lam, wt in zip(dom, L.image_points(), L.lams.tolist(), L.weight_vector(v)):
             lhs = eval_poly(F, img, terms)
             rhs = F.mul(F.pow(lam, v), eval_poly(F, L.map_raw(x), terms))
             assert lhs == rhs
-            assert lhs == F.mul(w[pos], eval_poly(F, L.map_raw(x), terms))
+            assert lhs == F.mul(wt, eval_poly(F, L.map_raw(x), terms))
 
 
 def test_random_embedding_through_contract():
@@ -212,7 +212,7 @@ def test_random_embedding_line_uniformity():
     n_draws = 10_000
     for _ in range(n_draws):
         L = random_embedding_through(P, F, rng)
-        counts[L.line_indices(sup)] += 1
+        counts[tuple(sorted(L.positions.tolist()))] += 1
     stat, p = chisquare(list(counts.values()))
     assert p > 1e-3
 
@@ -230,3 +230,13 @@ def test_point_text_roundtrip():
     assert sup.parse_point(s) == sup.points[5]
     sup3 = enumerate_points(GF(3), 2, "projective")
     assert sup3.parse_point("([1]:[2]:[0])") == (1, 2, 0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16]), m=st.integers(0, 3),
+       space=st.sampled_from(["affine", "projective"]), data=st.data())
+def test_point_text_roundtrip_random_supports(q, m, space, data):
+    sup = enumerate_points(GF(q), m, space)
+    for i in data.draw(st.lists(st.integers(0, len(sup) - 1), min_size=1, max_size=10)):
+        point = sup.parse_point(sup.format_point(i))
+        assert point == sup[i] and sup.position(point) == i
