@@ -16,7 +16,7 @@ import numpy as np
 
 from liftedcodes import linalg
 from liftedcodes.codes import make_code, prm_dimension
-from liftedcodes.degrees import adeg, pdeg
+from liftedcodes.degrees import adim, pdim
 from liftedcodes.gf import GF, ExtensionIso
 from liftedcodes.geometry import all_lines, enumerate_points, locate, theta
 
@@ -47,7 +47,7 @@ def information_set(C, rng=None):
     if kind in ("PLift", "PRS"):
         out = [(0,) * C.m + (1,)]
         for i in range(1, C.m + 1):
-            dim_i = len(adeg(i, C.k - 1, q))
+            dim_i = adim(i, C.k - 1, q)
             iso = _draw_iso(F, i, rng)
             for aff in _omega_power_points(iso, dim_i):
                 out.append((0,) * (C.m - i) + (1,) + aff)
@@ -294,8 +294,8 @@ def rate_table(q, m, ks=None):
     for k in ks:
         if not 1 <= k <= q - 1:
             raise ValueError(f"rate table needs 1 <= k <= q-1 = {q - 1} at q={q}, got k={k}")
-        dim_a = len(adeg(m, k - 1, q))
-        dim_p = len(pdeg(m, k, q))
+        dim_a = adim(m, k - 1, q)
+        dim_p = pdim(m, k, q)
         dim_prm = prm_dimension(m, k, q)
         rows.append({
             "k": k,

@@ -50,15 +50,14 @@ def prm_dimension(m, v, q):
 def evaluate_monomials(F, exponents, points):
     """Evaluation matrix: one row per exponent tuple, one column per point.
 
-    Exponents are reduced by `degrees.int_reduce`'s rule, and the matrix is
+    Exponents are reduced by `degrees.int_reduce`, and the matrix is
     built one coordinate at a time from a q x q power table.
     """
     pts = np.asarray(points, dtype=F.dtype)
     if pts.ndim == 1:
         pts = pts.reshape(1, -1)
     q = F.order
-    E = np.asarray(exponents, dtype=np.int64).reshape(-1, pts.shape[1])
-    E = np.where(E <= q - 1, E, (E - 1) % (q - 1) + 1)
+    E = degrees.int_reduce(np.asarray(exponents, dtype=np.int64).reshape(-1, pts.shape[1]), q)
     # power[a, e] = a^e for e in [0, q-1]; 0^0 = 1
     power = F.np_exp[np.multiply.outer(F.np_log.astype(np.int64), np.arange(q)) % (q - 1)]
     power[0] = 0

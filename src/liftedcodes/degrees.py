@@ -12,6 +12,17 @@ exactly the sums sum_j c_j p^j with 0 <= c_j <= D_j, where D_j is the sum of
 base-p digit j over d's coordinates, so the largest reduced shadow weight
 depends on the column digit sums D alone.  `monomial_membership_oracle`
 is the definitional brute force used to pin both down in tests.
+
+The dimensions are counted on that grid of digit sums, never on the box:
+the tuples of [0, p-1]^m with digit sum s number c_m(s), the m-fold
+convolution of p ones, so the d in [0, q-1]^m with column digit sums D
+number prod_j c_m(D_j).  One integer histogram of the largest reduced
+shadow weight over the grid, weighted by those counts, gives
+dim Lift(m, k) = `adim` for every k in its cumulative sum, and the
+shortening/puncturing recursion dim PLift(m, k) = dim Lift(m, k-1) +
+dim PLift(m-1, k) telescopes to `pdim` = 1 + sum_{i=1..m} dim Lift(i, k-1).
+The grid has (m(p-1)+1)^t <= q^m cells; it is limited to MAX_GRID_CELLS,
+and counts to q^m < 2^63 so that int64 holds them exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from liftedcodes.gf import GF
+from liftedcodes.gf import GF, prime_power
 from liftedcodes.geometry import (
     all_embeddings,
     enumerate_points,
@@ -49,8 +60,13 @@ def p_adic_leq(a, b, p):
 def int_reduce(e, q):
     """Reduce an exponent into {0} union [1, q-1], preserving evaluation.
 
-    x^e and x^int_reduce(e) agree as functions on GF(q).
+    x^e and x^int_reduce(e) agree as functions on GF(q).  An integer array
+    is reduced elementwise.
     """
+    if isinstance(e, np.ndarray):
+        if (e < 0).any():
+            raise ValueError("exponent must be nonnegative")
+        return np.where(e <= q - 1, e, (e - 1) % (q - 1) + 1)
     if e < 0:
         raise ValueError("exponent must be nonnegative")
     if e <= q - 1:
@@ -113,22 +129,40 @@ def eta(d):
     return d[leftmost_nonzero(d) + 1:]
 
 
+MAX_GRID_CELLS = 2 ** 22
+
+
+def _digit_sum_grid(m, q):
+    """The largest reduced shadow weight at every point D of the grid of
+    column digit sums [0, m(p-1)]^t, axis j holding D_j.
+
+    Tabulates int_reduce(sum_j c_j p^j) on the grid and takes running
+    maxima along every axis, which maximises over 0 <= c <= D.
+    """
+    p, t = prime_power(q)
+    side = m * (p - 1) + 1
+    if side ** t > MAX_GRID_CELLS:
+        raise ValueError(f"the digit-sum grid at q={q}, m={m} has {side}^{t} cells, "
+                         f"past the limit 2^22 = {MAX_GRID_CELLS}")
+    w = np.zeros((), dtype=np.int64)
+    for j in range(t):
+        w = np.add.outer(w, np.arange(side, dtype=np.int64) * p ** j)
+    best = int_reduce(w, q)
+    for axis in range(t):
+        best = np.maximum.accumulate(best, axis=axis)
+    return best
+
+
 @lru_cache(maxsize=None)
 def _max_reduced_subweight_array(m, q):
     """For every d in the box [0, q-1]^m (an m-dimensional array indexed by
-    d), the maximum over all digitwise shadows e of d of int_reduce(|e|).
-
-    Tabulates int_reduce(sum_j c_j p^j) on the grid of column digit sums
-    [0, m(p-1)]^t, takes running maxima along every axis, and gathers the
-    result at each d's digit sums D.
+    d), the maximum over all digitwise shadows e of d of int_reduce(|e|):
+    `_digit_sum_grid` gathered at each d's column digit sums D.
     """
     F = GF(q)
-    p, t = F.p, F.t
-    side = m * (p - 1) + 1
-    w = np.tensordot(p ** np.arange(t), np.indices((side,) * t), axes=1)
-    best = np.vectorize(int_reduce)(w, q)
-    for axis in range(t):
-        best = np.maximum.accumulate(best, axis=axis)
+    t = F.t
+    best = _digit_sum_grid(m, q)
+    side = best.shape[0]
     # column digit sums never carry, so the flat grid position of D is the
     # sum over coordinates of each coordinate's own position
     pos = F.np_digits.astype(np.intp) @ (side ** np.arange(t - 1, -1, -1))
@@ -157,6 +191,48 @@ def adeg(m, k, q):
     if not 0 <= k <= q - 2:
         raise ValueError(f"affine lifting needs 0 <= k <= q-2, got k={k}")
     return np.argwhere(_max_reduced_subweight_array(m, q) <= k)
+
+
+@lru_cache(maxsize=None)
+def _lift_dims(m, q):
+    """dim Lift(m, k) at index k, for k = 0..q-1, counted on the digit-sum
+    grid: each cell D weighs prod_j c_m(D_j) box tuples, with c_m the
+    m-fold convolution of p ones."""
+    if q ** m >= 2 ** 63:
+        raise ValueError(f"dimension counts at q={q}, m={m} reach q^m = {q}^{m}, "
+                         "past the limit 2^63 of exact int64 counts")
+    best = _digit_sum_grid(m, q)
+    p, t = prime_power(q)
+    c = np.ones(1, dtype=np.int64)
+    for _ in range(m):
+        c = np.convolve(c, np.ones(p, dtype=np.int64))
+    weight = c
+    for _ in range(t - 1):
+        weight = np.multiply.outer(weight, c)
+    hist = np.zeros(q, dtype=np.int64)
+    np.add.at(hist, best.ravel(), weight.ravel())
+    dims = np.cumsum(hist)
+    dims.setflags(write=False)  # cached: shared by every caller
+    return dims
+
+
+def adim(m, k, q):
+    """len(adeg(m, k, q)), counted without building the array."""
+    if m < 1:
+        raise ValueError(f"affine lifting needs m >= 1, got m={m}")
+    if not 0 <= k <= q - 2:
+        raise ValueError(f"affine lifting needs 0 <= k <= q-2, got k={k}")
+    return int(_lift_dims(m, q)[k])
+
+
+def pdim(m, k, q):
+    """len(pdeg(m, k, q)) by the recursion unrolled:
+    1 + sum_{i=1..m} adim(i, k-1, q)."""
+    if m < 1:
+        raise ValueError(f"projective lifting needs m >= 1, got m={m}")
+    if not 1 <= k <= q - 1:
+        raise ValueError(f"projective lifting needs 1 <= k <= q-1, got k={k}")
+    return 1 + sum(adim(i, k - 1, q) for i in range(1, m + 1))
 
 
 def lifting_degree(m, k, q):

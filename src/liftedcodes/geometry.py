@@ -150,8 +150,9 @@ class Support:
         try:
             self.position(point)
         except ValueError:
-            raise ValueError(f"{text!r} is not a point of {self!r} (projective "
-                             "points take leading nonzero coordinate [1])") from None
+            hint = (f"affine points take {self.m} coordinates" if self.space == "affine"
+                    else "projective points take leading nonzero coordinate [1]")
+            raise ValueError(f"{text!r} is not a point of {self!r} ({hint})") from None
         return point
 
 

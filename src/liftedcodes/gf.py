@@ -446,22 +446,25 @@ def _check_order(q):
         raise ValueError(f"field order {q} exceeds the supported limit {MAX_ORDER}")
 
 
+def prime_power(q):
+    """(p, t) with q = p^t, p prime; ValueError if q is not a prime power."""
+    if q >= 2:
+        p = next(d for d in range(2, q + 1) if q % d == 0)  # least factor: prime
+        t, v = 0, q
+        while v % p == 0:
+            v //= p
+            t += 1
+        if v == 1:
+            return p, t
+    raise ValueError(f"{q} is not a prime power")
+
+
 @lru_cache(maxsize=None)
 def GF(q):
     """Cached field of order q <= MAX_ORDER with the default (published)
     modulus."""
     _check_order(q)
-    for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
-            t = 0
-            v = q
-            while v % p == 0:
-                v //= p
-                t += 1
-            if v != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return FiniteField(p, t)
-    raise ValueError(f"{q} is not a prime power")
+    return FiniteField(*prime_power(q))
 
 
 # ---------------------------------------------------------------------------

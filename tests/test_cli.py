@@ -45,6 +45,22 @@ def test_table_file_and_krange(tmp_path, capsys):
     assert text.splitlines()[1] == "7,64,37,0.578,73,45,0.616,36,0.493"
 
 
+def test_table_rows_past_the_box(capsys):
+    # the q=256 rows are the ones the exponent arrays gave (a 2^24 box);
+    # q=1024, m=3 (a 2^30 box) is counted on its 4^10-cell digit-sum grid
+    code, out, _ = run_cli(capsys, "table", "--q", "256", "--m", "3",
+                           "--kmin", "128", "--kmax", "129")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "128,16777216,357760,0.0213,16843009,366145,0.0217,366145,0.0217",
+        "129,16777216,366148,0.0218,16843009,374664,0.0222,374660,0.0222"]
+    code, out, _ = run_cli(capsys, "table", "--q", "1024", "--m", "3",
+                           "--kmin", "512", "--kmax", "512")
+    assert code == 0
+    assert out.splitlines()[1] == \
+        "512,1073741824,22500864,0.021,1074791425,22632705,0.0211,22632705,0.0211"
+
+
 def test_encode_corrupt_correct_pipeline(tmp_path, capsys):
     msg = tmp_path / "msg.txt"
     msg.write_text("\n".join(["[1,0]"] * 11) + "\n")
@@ -145,6 +161,15 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "--m", "2"])  # missing required --q
     assert exc.value.code == 2
+    capsys.readouterr()
+
+    # past the exact int64 count (q^m >= 2^63) or the digit-sum grid's cells
+    for argv, limit in (("table --q 4 --m 40", "limit 2^63"),
+                        ("table --q 2048 --m 8", "limit 2^63"),
+                        ("table --q 2048 --m 4 --kmin 512 --kmax 512", "limit 2^22")):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert_one_line_usage_error(code, err)
+        assert limit in err and out == ""
 
 
 def test_extension_field_above_limit_exits_2(capsys):

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from liftedcodes.degrees import (
+    _lift_dims,
     a_reduce,
     adeg,
+    adim,
     eta,
     int_reduce,
     is_a_reduced,
@@ -21,7 +23,9 @@ from liftedcodes.degrees import (
     p_reduce,
     pdeg,
     pdeg_direct,
+    pdim,
 )
+from liftedcodes.gf import is_prime
 
 D_A_EXAMPLE = {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 2)}
 D_L_EXAMPLE = {(6, 0, 0), (5, 1, 0), (5, 0, 1), (4, 2, 0), (4, 1, 1), (4, 0, 2),
@@ -134,6 +138,54 @@ def test_max_reduced_subweight_vs_enumeration():
                 if p_adic_leq(e, d, p):
                     best = max(best, int_reduce(sum(e), q))
             assert max_reduced_subweight(d, q) == best, (q, d)
+
+
+def _prime_powers(limit):
+    """(q, p, t) for every prime power q = p^t <= limit, by increasing q."""
+    return sorted((p ** t, p, t) for p in range(2, limit + 1) if is_prime(p)
+                  for t in range(1, limit.bit_length()) if p ** t <= limit)
+
+
+@pytest.mark.parametrize("q", [q for q, _, _ in _prime_powers(125)])
+def test_adim_pdim_count_the_arrays(q):
+    # counting on the digit-sum grid gives the lengths of the arrays, for
+    # every k and every m <= 4 whose box has at most 3 * 10^5 tuples
+    for m in range(1, 5):
+        if q ** m > 3 * 10 ** 5:
+            break
+        assert [adim(m, k, q) for k in range(q - 1)] == \
+            [len(adeg(m, k, q)) for k in range(q - 1)], (q, m)
+        assert [pdim(m, k, q) for k in range(1, q)] == \
+            [len(pdeg(m, k, q)) for k in range(1, q)], (q, m)
+
+
+@pytest.mark.parametrize("count, array, m, k", [
+    (adim, adeg, 0, 1), (adim, adeg, -1, 1), (adim, adeg, 2, -1), (adim, adeg, 2, 3),
+    (pdim, pdeg, 0, 1), (pdim, pdeg, -1, 1), (pdim, pdeg, 2, 0), (pdim, pdeg, 2, 4),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_adim_pdim_reject_what_the_arrays_reject(count, array, m, k):
+    with pytest.raises(ValueError) as want:
+        array(m, k, 4)
+    with pytest.raises(ValueError) as got:
+        count(m, k, 4)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("q, p, t", _prime_powers(2048))
+def test_pdim_matches_plane_closed_form(q, p, t):
+    # p^2t + p^t - (p(p+1)/2)^t, independent of the arrays, up to q = 2048
+    assert pdim(2, q - 1, q) == p ** (2 * t) + p ** t - (p * (p + 1) // 2) ** t
+
+
+def test_count_limits():
+    # counts stay exact up to q^m < 2^63; past it, and past 2^22 grid
+    # cells, the count is refused before anything is built
+    dims = _lift_dims(31, 4)
+    assert dims[0] == 1 and dims[-1] == 4 ** 31
+    with pytest.raises(ValueError, match=r"q\^m = 4\^32, past the limit 2\^63"):
+        adim(32, 1, 4)
+    with pytest.raises(ValueError, match=r"5\^11 cells, past the limit 2\^22"):
+        adim(4, 1, 2048)
 
 
 def test_pdeg_worked_example():

@@ -232,6 +232,20 @@ def test_point_text_roundtrip():
     assert sup3.parse_point("([1]:[2]:[0])") == (1, 2, 0)
 
 
+@pytest.mark.parametrize("space, text, hint", [
+    ("affine", "([1,0])", "(affine points take 2 coordinates)"),
+    ("affine", "([1,0]:[0,1]:[0,0])", "(affine points take 2 coordinates)"),
+    ("projective", "([1,0]:[0,1])", "(projective points take leading nonzero coordinate [1])"),
+    ("projective", "([0,1]:[1,0]:[0,0])",
+     "(projective points take leading nonzero coordinate [1])"),
+])
+def test_parse_point_hint_names_the_space(space, text, hint):
+    sup = enumerate_points(GF(4), 2, space)
+    with pytest.raises(ValueError) as exc:
+        sup.parse_point(text)
+    assert str(exc.value) == f"{text!r} is not a point of {sup!r} {hint}"
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16]), m=st.integers(0, 3),
        space=st.sampled_from(["affine", "projective"]), data=st.data())
