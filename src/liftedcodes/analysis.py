@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from liftedcodes import linalg
-from liftedcodes.codes import make_code, prm_dimension
+from liftedcodes.codes import evaluate_monomials, make_code, prm_dimension
 from liftedcodes.degrees import adim, pdim
-from liftedcodes.gf import GF, ExtensionIso
+from liftedcodes.gf import GF, ExtensionIso, _check_order, prime_power
 from liftedcodes.geometry import all_lines, enumerate_points, locate, theta
 
 
@@ -127,7 +127,6 @@ def qc_certificate(F, m, C):
         raise AssertionError("representation vectors do not cover the space")
     twist = F.np_exp[-F.np_log[lams]]  # u = twist * standard point
 
-    from liftedcodes.codes import evaluate_monomials
     G_u = evaluate_monomials(F, C.degree_tuples, U)
     # consistency with the twist: evaluating at u multiplies the standard
     # evaluation by twist^v
@@ -285,7 +284,8 @@ def rate_table(q, m, ks=None):
     """Per-k dimension/rate rows for the affine lifting of degree k-1, the
     projective lifting of degree k, and the degree-k projective
     Reed-Muller code (all of one length family)."""
-    GF(q)  # rejects a q that is not a prime power
+    _check_order(q)  # GF(q)'s own checks, without building its tables
+    prime_power(q)
     n_a = q ** m
     n_p = theta(m, q)
     if ks is None:

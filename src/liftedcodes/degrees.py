@@ -179,6 +179,20 @@ def max_reduced_subweight(d, q):
     return int(_max_reduced_subweight_array(len(d), q)[tuple(d)])
 
 
+def _check_affine(m, k, q):
+    if m < 1:
+        raise ValueError(f"affine lifting needs m >= 1, got m={m}")
+    if not 0 <= k <= q - 2:
+        raise ValueError(f"affine lifting needs 0 <= k <= q-2, got k={k}")
+
+
+def _check_projective(m, k, q):
+    if m < 1:
+        raise ValueError(f"projective lifting needs m >= 1, got m={m}")
+    if not 1 <= k <= q - 1:
+        raise ValueError(f"projective lifting needs 1 <= k <= q-1, got k={k}")
+
+
 def adeg(m, k, q):
     """Degree set of the affine lifting of order m of a degree-k code.
 
@@ -186,10 +200,7 @@ def adeg(m, k, q):
     has reduced weight at most k, as an (N, m) array with rows in
     lexicographic order.  N is the code dimension.
     """
-    if m < 1:
-        raise ValueError(f"affine lifting needs m >= 1, got m={m}")
-    if not 0 <= k <= q - 2:
-        raise ValueError(f"affine lifting needs 0 <= k <= q-2, got k={k}")
+    _check_affine(m, k, q)
     return np.argwhere(_max_reduced_subweight_array(m, q) <= k)
 
 
@@ -218,20 +229,14 @@ def _lift_dims(m, q):
 
 def adim(m, k, q):
     """len(adeg(m, k, q)), counted without building the array."""
-    if m < 1:
-        raise ValueError(f"affine lifting needs m >= 1, got m={m}")
-    if not 0 <= k <= q - 2:
-        raise ValueError(f"affine lifting needs 0 <= k <= q-2, got k={k}")
+    _check_affine(m, k, q)
     return int(_lift_dims(m, q)[k])
 
 
 def pdim(m, k, q):
     """len(pdeg(m, k, q)) by the recursion unrolled:
     1 + sum_{i=1..m} adim(i, k-1, q)."""
-    if m < 1:
-        raise ValueError(f"projective lifting needs m >= 1, got m={m}")
-    if not 1 <= k <= q - 1:
-        raise ValueError(f"projective lifting needs 1 <= k <= q-1, got k={k}")
+    _check_projective(m, k, q)
     return 1 + sum(adim(i, k - 1, q) for i in range(1, m + 1))
 
 
@@ -250,10 +255,7 @@ def pdeg(m, k, q):
     (and its tail lifts an order-(m-1) projective exponent):
     PDeg(m,k) = {(v-|d|, d) : d in ADeg(m,k-1)} u {(0, lift(d)) : d in PDeg(m-1,k)}.
     """
-    if m < 1:
-        raise ValueError(f"projective lifting needs m >= 1, got m={m}")
-    if not 1 <= k <= q - 1:
-        raise ValueError(f"projective lifting needs 1 <= k <= q-1, got k={k}")
+    _check_projective(m, k, q)
     if m == 1:
         j = np.arange(k + 1)
         return np.column_stack([j, k - j])
@@ -324,21 +326,6 @@ def _rs_syndrome_ok(F, values_by_t, k):
     return True
 
 
-@lru_cache(maxsize=None)
-def _prs_parity(q, k):
-    # parity rows for the projective RS code of dimension k+1, via the
-    # codes module (lazy import breaks the module cycle)
-    from liftedcodes.codes import make_code
-    C = make_code("PRS", q, 1, k)
-    return C.parity_check()
-
-
-def _prs_member(F, values, k):
-    from liftedcodes.linalg import gf_matvec
-    H = _prs_parity(F.order, k)
-    return not gf_matvec(F, H, values).any()
-
-
 def monomial_membership_oracle(d, k, q, space, exhaustive=None):
     """Definitional membership of one monomial in the lifted code.
 
@@ -375,6 +362,7 @@ def monomial_membership_oracle(d, k, q, space, exhaustive=None):
         return True
 
     if space == "projective":
+        from liftedcodes.codes import make_code  # lazy: codes imports degrees
         if exhaustive is None:
             exhaustive = q <= 4
         if exhaustive:
@@ -390,7 +378,7 @@ def monomial_membership_oracle(d, k, q, space, exhaustive=None):
                 for c, e in zip(raw, d):
                     acc = F.mul(acc, F.pow(c, e))
                 vals.append(acc)
-            if not _prs_member(F, vals, k):
+            if not make_code("PRS", F, 1, k).contains(vals):
                 return False
         return True
 

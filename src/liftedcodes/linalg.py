@@ -3,9 +3,9 @@
 Matrices are numpy arrays of canonical element indices of one FiniteField,
 in the field's element dtype ``F.dtype``.  Characteristic-2 fields add by
 XOR of indices, which keeps row elimination at memory bandwidth; odd
-characteristic goes through the field's add/sub tables.  ``rref`` is the one
-Gaussian elimination behind null space and inverse; ``rank`` runs the same
-pivot step forward only, since a rank needs no back substitution.
+characteristic goes through the field's add/sub tables.  ``rref`` and
+``rank`` share one pivot step (``_pivot``, then ``_clear``'s gathered row
+update): ``rref`` clears every other row, ``rank`` only the rows below.
 ``null_vectors`` runs Gauss-Jordan on a stack of same-shape matrices at
 once, for the many small systems of the Monte-Carlo corrector.  All are
 adequate at desk scale and deliberately free of structure shortcuts.
@@ -27,6 +27,14 @@ def gf_add(F, A, B):
     if F.p == 2:
         return A ^ B
     return F.np_add[A, B]
+
+
+def gf_isub(F, A, B):
+    """A -= B over the field, in place: no third array in characteristic 2."""
+    if F.p == 2:
+        A ^= B
+    else:
+        A[...] = F.np_sub[A, B]
 
 
 def gf_scale(F, c, A):
@@ -63,68 +71,61 @@ def gf_matmul(F, A, B):
     return out
 
 
+def _pivot(F, A, r, c):
+    """Move the first nonzero entry at or below row r of column c into row r
+    and scale it to one; False if there is none.  Rows from r down are zero
+    left of c in both eliminations, so only columns c.. move."""
+    nz = A[r:, c].nonzero()[0]
+    if nz.size == 0:
+        return False
+    piv = r + int(nz[0])
+    if piv != r:
+        A[[r, piv], c:] = A[[piv, r], c:]
+    lead = int(A[r, c])
+    if lead != 1:
+        A[r, c:] = F.np_mul[F.inv(lead)][A[r, c:]]
+    return True
+
+
+def _clear(F, A, rows, r, c):
+    """Subtract from each of `rows` its column-c entry times pivot row r, in
+    one gathered update.  The pivot row is zero left of c, so only columns
+    c.. change."""
+    if rows.size:
+        updates = F.np_mul[:, A[r, c:]][A[rows, c]]  # factor -> factor * pivot row
+        block = A[rows, c:]
+        gf_isub(F, block, updates)
+        A[rows, c:] = block
+
+
 def rref(F, A):
     """Reduced row echelon form; returns (R, pivot_columns)."""
     A = as_matrix(A, F.dtype).copy()
     nrows, ncols = A.shape
-    mul = F.np_mul
     pivots = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         if r >= nrows:
             break
-        nz = A[r:, c].nonzero()[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        lead = int(A[r, c])
-        if lead != 1:
-            A[r] = mul[F.inv(lead)][A[r]]
-        # eliminate every other row in one gathered update
-        colv = A[:, c].copy()
-        colv[r] = 0
-        rows = colv.nonzero()[0]
-        if rows.size:
-            scaled_all = mul[:, A[r]]  # (q, ncols): factor -> factor * pivot row
-            updates = scaled_all[colv[rows]]
-            if F.p == 2:
-                A[rows] ^= updates
-            else:
-                A[rows] = F.np_sub[A[rows], updates]
-        pivots.append(c)
-        r += 1
-    return A[:r], pivots
+        if _pivot(F, A, r, c):
+            rows = A[:, c].nonzero()[0]
+            _clear(F, A, rows[rows != r], r, c)
+            pivots.append(c)
+    return A[:len(pivots)], pivots
 
 
 def rank(F, A):
     """Rank by forward elimination: each pivot clears only the rows below it,
-    and only from its own column on, so no pass touches a settled entry."""
+    so no pass touches a settled entry."""
     A = as_matrix(A, F.dtype).copy()
     nrows, ncols = A.shape
-    mul = F.np_mul
     r = 0
     for c in range(ncols):
         if r >= nrows:
             break
-        nz = A[r:, c].nonzero()[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv], c:] = A[[piv, r], c:]
-        lead = int(A[r, c])
-        if lead != 1:
-            A[r, c:] = mul[F.inv(lead)][A[r, c:]]
-        rows = r + 1 + A[r + 1:, c].nonzero()[0]
-        if rows.size:
-            updates = mul[:, A[r, c:]][A[rows, c]]
-            if F.p == 2:
-                A[rows, c:] ^= updates
-            else:
-                A[rows, c:] = F.np_sub[A[rows, c:], updates]
-        r += 1
+        if _pivot(F, A, r, c):
+            _clear(F, A, r + 1 + A[r + 1:, c].nonzero()[0], r, c)
+            r += 1
     return r
 
 
@@ -181,10 +182,7 @@ def null_vectors(F, A):
         factors = A[:, :, c].copy()
         factors[:, c] = 0
         updates = F.np_mul[factors[:, :, None], row[:, None, :]]
-        if F.p == 2:
-            A[:, :, c:] ^= updates
-        else:
-            A[:, :, c:] = F.np_sub[A[:, :, c:], updates]
+        gf_isub(F, A[:, :, c:], updates)
     return X, has
 
 

@@ -216,6 +216,20 @@ def test_rate_table_csv_table2_bytes():
     assert rate_table_csv(4, 2) == expected
 
 
+def test_rate_table_builds_no_field(monkeypatch):
+    def no_field(q):
+        raise AssertionError("rate_table built a field")
+
+    expected = rate_table(32, 3)
+    monkeypatch.setattr("liftedcodes.analysis.GF", no_field)
+    rows = rate_table(32, 3)
+    assert rows == expected and [r["k"] for r in rows] == list(range(1, 32))
+    with pytest.raises(ValueError, match=r"^6 is not a prime power$"):
+        rate_table(6, 2)
+    with pytest.raises(ValueError, match=r"^field order 4096 exceeds the supported limit 2048$"):
+        rate_table(4096, 2)
+
+
 def test_rate_table_multiple_q_blocks():
     text = rate_table_csv([4, 8], 2)
     assert text.count("# q=") == 2

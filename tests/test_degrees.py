@@ -294,3 +294,16 @@ def test_oracle_per_line_matches_exhaustive():
             fast = monomial_membership_oracle(d, k, q, "projective", exhaustive=False)
             assert full == fast, (k, d)
 
+
+
+def test_lifting_preconditions_share_their_messages():
+    for f in (adeg, adim):
+        with pytest.raises(ValueError, match=r"^affine lifting needs m >= 1, got m=0$"):
+            f(0, 1, 4)
+        with pytest.raises(ValueError, match=r"^affine lifting needs 0 <= k <= q-2, got k=3$"):
+            f(2, 3, 4)
+    for f in (pdeg, pdim):
+        with pytest.raises(ValueError, match=r"^projective lifting needs m >= 1, got m=0$"):
+            f(0, 1, 4)
+        with pytest.raises(ValueError, match=r"^projective lifting needs 1 <= k <= q-1, got k=0$"):
+            f(2, 0, 4)

@@ -131,3 +131,126 @@ def test_null_vectors_equal_first_nullspace_row(q):
     assert full_rank > 0
     X, has = linalg.null_vectors(F, np.zeros((0, 3, 4), dtype=F.dtype))
     assert X.shape == (0, 4) and has.shape == (0,)
+
+
+# Reference copies of the two stand-alone loops that rref and rank were
+# before they shared `_pivot` and `_clear`: each with its own pivot search,
+# swap, scaling and update.  They are byte oracles for the shared step.
+
+def _reference_rref(F, A):
+    A = linalg.as_matrix(A, F.dtype).copy()
+    nrows, ncols = A.shape
+    mul = F.np_mul
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        nz = A[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            A[[r, piv]] = A[[piv, r]]
+        lead = int(A[r, c])
+        if lead != 1:
+            A[r] = mul[F.inv(lead)][A[r]]
+        colv = A[:, c].copy()
+        colv[r] = 0
+        rows = colv.nonzero()[0]
+        if rows.size:
+            updates = mul[:, A[r]][colv[rows]]
+            if F.p == 2:
+                A[rows] ^= updates
+            else:
+                A[rows] = F.np_sub[A[rows], updates]
+        pivots.append(c)
+        r += 1
+    return A[:r], pivots
+
+
+def _reference_rank(F, A):
+    A = linalg.as_matrix(A, F.dtype).copy()
+    nrows, ncols = A.shape
+    mul = F.np_mul
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        nz = A[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            A[[r, piv], c:] = A[[piv, r], c:]
+        lead = int(A[r, c])
+        if lead != 1:
+            A[r, c:] = mul[F.inv(lead)][A[r, c:]]
+        rows = r + 1 + A[r + 1:, c].nonzero()[0]
+        if rows.size:
+            updates = mul[:, A[r, c:]][A[rows, c]]
+            if F.p == 2:
+                A[rows, c:] ^= updates
+            else:
+                A[rows, c:] = F.np_sub[A[rows, c:], updates]
+        r += 1
+    return r
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 2039, 2048])
+def test_rref_and_rank_match_reference_loops(q):
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    for _ in range(4):
+        for A in _rank_cases(F, rng):
+            R, pivots = linalg.rref(F, A)
+            R_ref, pivots_ref = _reference_rref(F, A)
+            assert R.dtype == R_ref.dtype and np.array_equal(R, R_ref), A
+            assert pivots == pivots_ref, A
+            assert linalg.rank(F, A) == _reference_rank(F, A), A
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 2039, 2048])
+def test_pivot_step_clears_the_right_rows(q, monkeypatch):
+    """rank clears only the rows below each pivot and rref every other row;
+    each update leaves the pivot column as that elimination needs it."""
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    clear = linalg._clear
+    calls = []
+
+    def spy(F, A, rows, r, c):
+        assert (rows > r).all() if forward else (rows != r).all()
+        clear(F, A, rows, r, c)
+        if forward:
+            assert not A[r + 1:, c].any()
+        else:
+            assert np.array_equal(A[:, c], np.eye(len(A), dtype=F.dtype)[r])
+        calls.append(forward)
+
+    monkeypatch.setattr(linalg, "_clear", spy)
+    for A in _rank_cases(F, rng):
+        for forward, eliminate in [(True, linalg.rank), (False, linalg.rref)]:
+            eliminate(F, A)
+    assert True in calls and False in calls
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_rank_and_rref_against_the_enumerated_span(q):
+    """An oracle that shares no code with the elimination: q^rank is the
+    number of distinct words in the row space, rref's rows span the same
+    words, and its pivot columns hold unit vectors."""
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    checked = 0
+    for _ in range(4):
+        for A in _rank_cases(F, rng):
+            if q ** A.shape[0] > 2 ** 16:
+                continue
+            words = {w.tobytes() for w in linalg.span_all(F, A)}
+            R, pivots = linalg.rref(F, A)
+            assert q ** linalg.rank(F, A) == len(words), A
+            assert {w.tobytes() for w in linalg.span_all(F, R)} == words, A
+            assert np.array_equal(R[:, pivots], np.eye(len(pivots), dtype=F.dtype)), A
+            checked += 1
+    assert checked >= 30
