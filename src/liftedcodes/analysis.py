@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from liftedcodes import linalg
-from liftedcodes.codes import evaluate_monomials, make_code, prm_dimension
+from liftedcodes.codes import evaluate_monomials, make_code, prm_dimension, strip_weights
 from liftedcodes.degrees import adim, pdim
 from liftedcodes.gf import GF, ExtensionIso, _check_order, prime_power
 from liftedcodes.geometry import all_lines, enumerate_points, locate, theta
@@ -128,11 +128,8 @@ def qc_certificate(F, m, C):
     twist = F.np_exp[-F.np_log[lams]]  # u = twist * standard point
 
     G_u = evaluate_monomials(F, C.degree_tuples, U)
-    # consistency with the twist: evaluating at u multiplies the standard
-    # evaluation by twist^v
-    wv = F.np_exp[F.np_log[twist] * C.v % (q - 1)]
-    expected = F.np_mul[wv[None, :], C.G[:, positions]]
-    if not np.array_equal(G_u, expected):
+    # twist consistency: evaluating at u multiplies by twist^v = lams^-v
+    if not np.array_equal(G_u, strip_weights(F, C.v, C.G[:, positions], lams)):
         raise AssertionError("twist consistency failed")
 
     perm = [i * nd + ((j + 1) % nd) for i in range(d) for j in range(nd)]
@@ -157,7 +154,7 @@ class DistanceReport:
     exact: int | None = None
 
 
-def distance_report(C, exact=False, limit=2 * 10 ** 7):
+def distance_report(C, exact=False):
     """Distance bounds of a projective lifting, optionally with the exact
     value by exhaustive minimum-weight sweep."""
     q = C.field.order
@@ -167,11 +164,14 @@ def distance_report(C, exact=False, limit=2 * 10 ** 7):
     upper = theta(m, q) - q ** (m - 1) * k
     rep = DistanceReport(lower=lower, upper=upper)
     if exact:
-        rep.exact = exact_distance(C, limit=limit)
+        rep.exact = exact_distance(C)
     return rep
 
 
-def exact_distance(C, limit=2 * 10 ** 7):
+SWEEP_LIMIT = 2 * 10 ** 7  # largest codebook q^dim that exact_distance sweeps
+
+
+def exact_distance(C):
     """Minimum nonzero weight over the whole codebook.
 
     The message space is swept exhaustively in two halves: all words of the
@@ -182,7 +182,7 @@ def exact_distance(C, limit=2 * 10 ** 7):
     F = C.field
     G = C.G
     dim, n = G.shape
-    if F.order ** dim > limit:
+    if F.order ** dim > SWEEP_LIMIT:
         raise ValueError("codebook too large for an exhaustive sweep")
     q = F.order
     a = 0

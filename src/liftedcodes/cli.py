@@ -123,8 +123,7 @@ def cmd_analyze(args):
             passed &= cert.verified
 
     if "distance" in checks:
-        exact_ok = q ** C.dim <= 2 * 10 ** 7
-        rep = analysis.distance_report(C, exact=exact_ok)
+        rep = analysis.distance_report(C, exact=q ** C.dim <= analysis.SWEEP_LIMIT)
         entry = {"lower": rep.lower, "upper": rep.upper, "exact": rep.exact}
         entry["passed"] = (rep.exact is None or rep.lower <= rep.exact <= rep.upper)
         report["distance"] = entry

@@ -4,7 +4,8 @@ Covers classical Reed-Solomon / Reed-Muller codes, their projective
 analogues, and the affine/projective liftings built from the degree sets in
 :mod:`liftedcodes.degrees`.  Generator matrices list monomial evaluations,
 one row per exponent tuple in lexicographic order, over the deterministic
-supports of :mod:`liftedcodes.geometry`.
+supports of :mod:`liftedcodes.geometry`.  strip_weights is the one
+division by the homogenization weights lambda^v.
 """
 
 from __future__ import annotations
@@ -163,6 +164,8 @@ def _degree_tuples_for(kind, q, m, k):
             raise ValueError(f"PRS needs 0 <= k <= q, got k={k}")
         j = np.arange(k + 1)
         return np.column_stack([j, k - j]), k
+    if kind in ("RM", "PRM") and m < 1:
+        raise ValueError(f"{kind} needs m >= 1, got m={m}")
     if kind == "RM":
         if not 0 <= k <= m * (q - 1):
             raise ValueError(f"RM needs 0 <= k <= m(q-1), got k={k}")
@@ -224,6 +227,20 @@ def random_codeword(C, rng):
     return encode(C, msg)
 
 
+def strip_weights(F, v, vals, lams):
+    """vals / lams^v, lams broadcast along vals' last axis: one gather of
+    lams^-v and one product-table lookup, so zero stays zero."""
+    return F.np_mul[vals, F.np_exp[-v * F.np_log[lams].astype(np.int64) % (F.order - 1)]]
+
+
+def _strip_reads(word, positions, lams, v):
+    """word[positions] / lams^v as a list, erasures (None) passed through."""
+    F = word.support.field
+    reads = [word[pos] for pos in positions.tolist()]
+    vals = strip_weights(F, v, np.array([val or 0 for val in reads], dtype=F.dtype), lams)
+    return [None if val is None else out for val, out in zip(reads, vals.tolist())]
+
+
 def restrict_to_line(word, L, v):
     """Divide out the homogenization weights to read a line restriction.
 
@@ -234,11 +251,7 @@ def restrict_to_line(word, L, v):
     F = L.field
     if word.support != enumerate_points(F, L.m, "projective"):
         raise ValueError(f"{L!r} does not map into {word.support!r}")
-    out = []
-    for pos, lam in zip(L.positions.tolist(), L.lams.tolist()):
-        val = word[pos]
-        out.append(None if val is None else F.div(val, F.pow(lam, v)))
-    return Word(enumerate_points(F, 1, "projective"), out)
+    return Word(enumerate_points(F, 1, "projective"), _strip_reads(word, L.positions, L.lams, v))
 
 
 def shorten_at_infinity(C):
@@ -286,11 +299,7 @@ def apply_projective_action(M, word, v):
     if linalg.rank(F, M) != len(M):
         raise ValueError("projective action needs an invertible matrix")
     _, lams, positions = locate(F, linalg.gf_matmul(F, word.support.coords, M.T))
-    out = []
-    for pos, lam in zip(positions.tolist(), lams.tolist()):
-        val = word[pos]
-        out.append(None if val is None else F.div(val, F.pow(lam, v)))
-    return Word(word.support, out)
+    return Word(word.support, _strip_reads(word, positions, lams, v))
 
 
 def apply_affine_action(M, b, word):

@@ -8,16 +8,17 @@ t = floor((s-k-1)/2) errors.  One decoder serves every caller: a stack of
 homogeneous Berlekamp-Welch key equations on P^1, N = y E at every read
 point with N a form of degree k+t and E a form of degree t, solved by one
 lockstep Gauss-Jordan over all slices (linalg.null_vectors), so the point at
-infinity is read like any other.  prs_decode is its one-slice call; a
-brute-force nearest-codeword oracle pins it at small q.
+infinity is read like any other; its rows are read off the generators of
+PRS_q(k+t) and PRS_q(t).  prs_decode is its one-slice call; a brute-force
+nearest-codeword oracle pins it at small q.
 
 The Monte-Carlo engine makes each trial's draws on its own seeded stream in
 the order of encode, corrupt_word and local_correct, sharing the line draw
 and the corruption rule with them.  It then works on chunks of trials at
 once: one product evaluates every codeword at its s queried positions and
-its target, one log gather strips the line weights, and one stacked key
-equation decodes the chunk.  local_correct keeps the scalar path, read by
-read, as the reference the engine is tested against.
+its target, one strip_weights call strips the line weights, and one stacked
+key equation decodes the chunk.  local_correct keeps the scalar path, one
+trial at a time, as the reference the engine is tested against.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from liftedcodes import linalg
-from liftedcodes.codes import Word, make_code
+from liftedcodes.codes import Word, encode, make_code, strip_weights
 from liftedcodes.gf import poly_divmod
 from liftedcodes.geometry import random_embedding_through, theta
 
@@ -36,28 +37,6 @@ from liftedcodes.geometry import random_embedding_through, theta
 # ---------------------------------------------------------------------------
 # Projective Reed-Solomon error-and-erasure decoding
 # ---------------------------------------------------------------------------
-
-def _monomial_rows(F, positions, d):
-    """Values of the degree-d monomials x0^(d-j) x1^j, j = 0..d, at the
-    standard points of line positions, along a new last axis of the
-    positions array: x^j at (1 : x) for x < q, and the unit vector at
-    j = d at (0 : 1)."""
-    q = F.order
-    x = np.asarray(positions)
-    rows = F.np_exp[np.multiply.outer(F.np_log[x % q], np.arange(d + 1)) % (q - 1)]
-    rows[x == 0, 1:] = 0  # 0^0 = 1 is already in place
-    at_inf = x == q
-    rows[at_inf] = 0
-    rows[at_inf, d] = 1
-    return rows
-
-
-def prs_codeword(F, g, k):
-    """Evaluation word of a degree-<=k coefficient list: affine values in
-    canonical order, then the degree-k coefficient at infinity."""
-    g = list(g) + [0] * (k + 1 - len(g))
-    return linalg.gf_matvec(F, _monomial_rows(F, range(F.order + 1), k), g).tolist()
-
 
 def _decode_stack(F, k, positions, ys):
     """Key-equation decoding of a stack of B projective RS reads.
@@ -82,8 +61,9 @@ def _decode_stack(F, k, positions, ys):
     B, s = ys.shape
     t = (s - k - 1) // 2
     neg_y = F.np_sub[0][ys]
-    A = np.concatenate([_monomial_rows(F, positions, k + t),
-                        F.np_mul[neg_y[..., None], _monomial_rows(F, positions, t)]], axis=2)
+    # x0^(d-j) x1^j, j = 0..d, at the reads: PRS_q(d)'s generator, rows reversed
+    N, E = (make_code("PRS", F, 1, d).G[::-1].T[positions] for d in (k + t, t))
+    A = np.concatenate([N, F.np_mul[neg_y[..., None], E]], axis=2)
     sols, ok = linalg.null_vectors(F, A)
     g = np.zeros((B, k + 1), dtype=F.dtype)
     for b in ok.nonzero()[0].tolist():
@@ -101,8 +81,7 @@ def prs_decode(y, k, F):
     """Unique codeword within t = floor((s-k-1)/2) errors of y on its s
     non-erased positions, or None: the one-slice call of _decode_stack."""
     vals = list(y.values) if isinstance(y, Word) else list(y)
-    q = F.order
-    if len(vals) != q + 1:
+    if len(vals) != F.order + 1:
         raise ValueError("projective RS words have length q+1")
     non_erased = [i for i, v in enumerate(vals) if v is not None]
     s = len(non_erased)
@@ -110,7 +89,7 @@ def prs_decode(y, k, F):
         raise ValueError(f"need at least k+1 = {k + 1} readable positions, got {s}")
     ys = np.array([[vals[i] for i in non_erased]], dtype=F.dtype)
     g, ok = _decode_stack(F, k, np.array([non_erased]), ys)
-    return prs_codeword(F, g[0].tolist(), k) if ok[0] else None
+    return encode(make_code("PRS", F, 1, k), g[0, ::-1]).values if ok[0] else None
 
 
 def prs_decode_bruteforce(y, k, F):
@@ -188,18 +167,15 @@ def _draw_line(C, P, s, rng):
 def _symbol_from_reads(C, L, dom_positions, reads):
     """Symbol at the line's point at infinity decoded from the values read at
     dom_positions (None where the word itself is erased), or None."""
-    F = C.field
-    q = F.order
-    lams = L.lams.tolist()
-    y1 = [None] * (q + 1)
-    for i, val in zip(dom_positions, reads):
-        if val is not None:
-            y1[i] = F.div(val, F.pow(lams[i], C.v))
-    if sum(1 for v in y1 if v is not None) < C.k + 1:
+    F, k = C.field, C.k
+    live = [i for i, val in enumerate(reads) if val is not None]
+    if len(live) < k + 1:
         return None  # erased input positions left too few reads
-    cw = prs_decode(y1, C.k, F)
-    # P is the image of the point at infinity, with lambda one
-    return None if cw is None else cw[q]
+    dom = np.array(dom_positions)[live]
+    ys = strip_weights(F, C.v, np.array([reads[i] for i in live], dtype=F.dtype), L.lams[dom])
+    g, ok = _decode_stack(F, k, dom[None], ys[None])
+    # P is the image of the point at infinity, where the codeword reads g_k
+    return int(g[0, k]) if ok[0] else None
 
 
 def local_correct(y, P, C, cfg, rng):
@@ -267,15 +243,6 @@ def corrupt_word(word, delta, rng):
 _CHUNK = 256  # trials per stacked decode; mc_experiment's docstring bounds its memory
 
 
-def _strip_weights(F, v, vals, lams):
-    """vals / lams^v elementwise, by one log gather; zero stays zero."""
-    n = F.order - 1
-    logs = F.np_log[vals].astype(np.int64) - (v % n) * F.np_log[lams].astype(np.int64)
-    out = F.np_exp[logs % n]
-    out[vals == 0] = 0
-    return out
-
-
 def mc_experiment(C, cfg, trials, seed=None):
     """Per trial: uniform codeword, exact floor(delta*n) corruption, uniform
     target point, one corrector call.  Fully reproducible from the seed;
@@ -284,14 +251,14 @@ def mc_experiment(C, cfg, trials, seed=None):
     Each trial makes exactly the draws of encode, corrupt_word and
     local_correct in their order.  Then, for up to _CHUNK trials at a time,
     one product evaluates the codewords at the s queried positions and the
-    target only, one gather strips the line weights, and one stacked key
-    equation decodes every trial's reads.
+    target only, one strip_weights call strips the line weights, and one
+    stacked key equation decodes every trial's reads.
 
     The chunk bounds memory: its largest arrays are the codeword product,
     _CHUNK * (s+1) * dim field elements (8t bytes each in gf_sum's digit
-    sums for odd p), and the key-equation monomials, _CHUNK * s * (k+t+1)
-    int64 exponents, with s <= q.  At q = 32, s = 32, k = 16 and dim = 153
-    a full chunk allocates at most 4.6 MB at once (tracemalloc peak).
+    sums for odd p), and the key-equation matrix, _CHUNK * s * (k+2t+2)
+    field elements, with s <= q.  At q = 32, s = 32, k = 16 and dim = 153
+    a full chunk allocates at most 4.0 MB at once (tracemalloc peak).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -321,7 +288,7 @@ def mc_experiment(C, cfg, trials, seed=None):
         reads = np.array([_corrupt(row, queried, errs) for row, queried, errs
                           in zip(vals[:, :s].tolist(), cols[:, :s].tolist(), errors)],
                          dtype=F.dtype)
-        g, ok = _decode_stack(F, k, np.array(doms), _strip_weights(F, C.v, reads, np.array(lams)))
+        g, ok = _decode_stack(F, k, np.array(doms), strip_weights(F, C.v, reads, np.array(lams)))
         right = ok & (g[:, k] == truth)
         successes += int(right.sum())
         wrong += int((ok & ~right).sum())

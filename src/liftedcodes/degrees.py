@@ -312,20 +312,6 @@ def pdeg_direct(m, k, q):
 # Reed-Solomon membership definitionally.
 # ---------------------------------------------------------------------------
 
-def _rs_syndrome_ok(F, values_by_t, k):
-    # full-length RS membership: sum_t c_t t^j = 0 for j = 0..q-2-k
-    q = F.order
-    for j in range(q - 1 - k):
-        acc = 0
-        for t in range(q):
-            c = values_by_t[t]
-            if c:
-                acc = F.add(acc, F.mul(c, F.pow(t, j)))
-        if acc != 0:
-            return False
-    return True
-
-
 def monomial_membership_oracle(d, k, q, space, exhaustive=None):
     """Definitional membership of one monomial in the lifted code.
 
@@ -336,11 +322,12 @@ def monomial_membership_oracle(d, k, q, space, exhaustive=None):
     otherwise (restrictions along the same line differ by a degree-
     preserving substitution, so membership is line-invariant).
     """
+    from liftedcodes.codes import make_code  # lazy: codes imports degrees
     F = GF(q)
     d = tuple(d)
     m = len(d) if space == "affine" else len(d) - 1
     if space == "affine":
-        q_ = F.order
+        rs = make_code("RS", F, 1, k)
         sup = enumerate_points(F, m, "affine")
         seen = set()
         dirs = enumerate_points(F, m - 1, "projective").points if m > 1 else [(1,)]
@@ -350,19 +337,18 @@ def monomial_membership_oracle(d, k, q, space, exhaustive=None):
                 if key in seen:
                     continue
                 seen.add(key)
-                vals = [0] * q_
-                for t in range(q_):
+                vals = [0] * q
+                for t in range(q):
                     pt = tuple(F.add(b, F.mul(t, dd)) for b, dd in zip(base, direction))
                     acc = 1
                     for c, e in zip(pt, d):
                         acc = F.mul(acc, F.pow(c, e))
                     vals[t] = acc
-                if not _rs_syndrome_ok(F, vals, k):
+                if not rs.contains(vals):
                     return False
         return True
 
     if space == "projective":
-        from liftedcodes.codes import make_code  # lazy: codes imports degrees
         if exhaustive is None:
             exhaustive = q <= 4
         if exhaustive:

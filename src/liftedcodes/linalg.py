@@ -198,17 +198,21 @@ def inverse(F, M):
     return R[:, n:]
 
 
+def _row_pair(F, A, B):
+    """A and B as matrices, an empty row list taking the other's width."""
+    A, B = as_matrix(A, F.dtype), as_matrix(B, F.dtype)
+    return (A if len(A) else A.reshape(0, B.shape[1]),
+            B if len(B) else B.reshape(0, A.shape[1]))
+
+
 def rowspace_contains(F, A, B):
     """True iff every row of B lies in the row space of A."""
-    A = as_matrix(A, F.dtype)
-    B = as_matrix(B, F.dtype)
-    r = rank(F, A)
-    return rank(F, np.vstack([A, B])) == r
+    A, B = _row_pair(F, A, B)
+    return rank(F, np.vstack([A, B])) == rank(F, A)
 
 
 def rowspace_equal(F, A, B):
-    A = as_matrix(A, F.dtype)
-    B = as_matrix(B, F.dtype)
+    A, B = _row_pair(F, A, B)
     if A.shape[1] != B.shape[1]:
         return False
     ra, rb = rank(F, A), rank(F, B)

@@ -6,6 +6,7 @@ import pytest
 
 from liftedcodes import linalg
 from liftedcodes.analysis import (
+    SWEEP_LIMIT,
     _omega_power_points,
     design_dual_report,
     distance_report,
@@ -169,8 +170,9 @@ def test_prs_distance_mds():
 
 def test_exact_distance_guard():
     C = make_code("PLift", 16, 2, 15)
+    assert 16 ** C.dim > SWEEP_LIMIT
     with pytest.raises(ValueError):
-        exact_distance(C, limit=10 ** 6)
+        exact_distance(C)
 
 
 def test_design_duality():

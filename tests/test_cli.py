@@ -171,6 +171,14 @@ def test_usage_errors_exit_2(capsys):
         assert_one_line_usage_error(code, err)
         assert limit in err and out == ""
 
+    # Reed-Muller codes name m when it is below 1
+    for argv, msg in (("--kind RM --q 4 --m 0 --k 0", "RM needs m >= 1, got m=0"),
+                      ("--kind RM --q 4 --m -1 --k 0", "RM needs m >= 1, got m=-1"),
+                      ("--kind PRM --q 4 --m 0 --k 1", "PRM needs m >= 1, got m=0")):
+        code, out, err = run_cli(capsys, "encode", *argv.split(), "--msg-file", "nope.txt")
+        assert_one_line_usage_error(code, err)
+        assert (out, err) == ("", f"error: {msg}\n")
+
 
 def test_extension_field_above_limit_exits_2(capsys):
     # qc needs GF(64^4), past the 2^20 limit on extension fields

@@ -19,6 +19,7 @@ from liftedcodes.codes import (
     restrict_to_line,
     rm_dimension,
     shorten_at_infinity,
+    strip_weights,
     word_from_text,
     word_to_text,
 )
@@ -330,3 +331,25 @@ def test_evaluate_monomials_matches_scalar_powers(q):
                 want = F.mul(want, F.pow(xi, e))
             assert G[r, c] == want, (d, x)
     np.testing.assert_array_equal(evaluate_monomials(F, exps, points[5]), G[:, 5:6])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 32, 257])
+def test_strip_weights_matches_scalar_division(q):
+    # every (val, lam) pair, or a sample of them at q = 257, and an (r, n)
+    # matrix broadcast against n lambdas
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    if q <= 32:
+        vals, lams = (a.ravel() for a in np.meshgrid(np.arange(q), np.arange(1, q)))
+    else:
+        vals, lams = rng.integers(q, size=5000), rng.integers(1, q, size=5000)
+    vals, lams = vals.astype(F.dtype), lams.astype(F.dtype)
+    M = rng.integers(q, size=(4, len(lams))).astype(F.dtype)
+    for v in (0, 1, q - 1, q, 3 * q + 2):
+        got = strip_weights(F, v, vals, lams)
+        assert got.dtype == F.dtype
+        assert got.tolist() == [F.div(a, F.pow(lam, v))
+                                for a, lam in zip(vals.tolist(), lams.tolist())]
+        want = [[F.div(a, F.pow(lam, v)) for a, lam in zip(row, lams.tolist())]
+                for row in M.tolist()]
+        assert strip_weights(F, v, M, lams).tolist() == want

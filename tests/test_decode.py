@@ -15,7 +15,6 @@ from liftedcodes.decode import (
     corrupt_word,
     local_correct,
     mc_experiment,
-    prs_codeword,
     prs_decode,
     prs_decode_bruteforce,
     query_gen,
@@ -204,7 +203,7 @@ def test_planted_codeword_over_gf257():
     k, s, nerr = 5, 30, 12
     rng = np.random.default_rng(257)
     g = [int(c) for c in rng.integers(257, size=k + 1)]
-    cw = prs_codeword(F, g, k)
+    cw = encode(make_code("PRS", F, 1, k), g[::-1]).values
     read = sorted(int(i) for i in rng.choice(258, size=s, replace=False))
     y = [None] * 258
     for i in read:
@@ -212,6 +211,44 @@ def test_planted_codeword_over_gf257():
     for i in rng.choice(read, size=nerr, replace=False):
         y[int(i)] = F.add(y[int(i)], int(rng.integers(1, 257)))
     assert prs_decode(y, k, F) == cw
+
+
+def _monomial_rows(F, positions, d):
+    # the decoder's former row builder, kept as the reference: x0^(d-j) x1^j,
+    # j = 0..d, at the standard points of the line positions, along a new
+    # last axis: x^j at (1 : x) for x < q, and the unit vector at j = d at
+    # (0 : 1)
+    q = F.order
+    x = np.asarray(positions)
+    rows = F.np_exp[np.multiply.outer(F.np_log[x % q], np.arange(d + 1)) % (q - 1)]
+    rows[x == 0, 1:] = 0  # 0^0 = 1 is already in place
+    at_inf = x == q
+    rows[at_inf] = 0
+    rows[at_inf, d] = 1
+    return rows
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 27, 32, 257])
+def test_key_equation_rows_equal_monomial_reference(q, monkeypatch):
+    # capture the stacked key equations the decoder hands to null_vectors
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    seen = []
+    null_vectors = decode.linalg.null_vectors
+    monkeypatch.setattr(decode.linalg, "null_vectors",
+                        lambda F, A: seen.append(A.copy()) or null_vectors(F, A))
+    for k in sorted({0, q // 2, q - 1}):
+        for s in sorted({k + 1, (k + q + 2) // 2, q + 1}):
+            positions = np.array([np.sort(rng.choice(q + 1, size=s, replace=False))
+                                  for _ in range(3)])
+            ys = rng.integers(q, size=positions.shape).astype(F.dtype)
+            decode._decode_stack(F, k, positions, ys)
+            t = (s - k - 1) // 2
+            neg_y = F.np_sub[0][ys]
+            want = np.concatenate([_monomial_rows(F, positions, k + t),
+                                   F.np_mul[neg_y[..., None], _monomial_rows(F, positions, t)]],
+                                  axis=2)
+            assert np.array_equal(seen.pop(), want), (k, s)
 
 
 def test_decode_failure_is_distinct_from_wrong_answer():

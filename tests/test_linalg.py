@@ -254,3 +254,13 @@ def test_rank_and_rref_against_the_enumerated_span(q):
             assert np.array_equal(R[:, pivots], np.eye(len(pivots), dtype=F.dtype)), A
             checked += 1
     assert checked >= 30
+
+
+def test_empty_row_list_is_the_zero_space():
+    F = GF(4)
+    assert linalg.rowspace_equal(F, [], [[0, 0, 0]])
+    assert linalg.rowspace_equal(F, [[0, 0, 0]], [])
+    assert not linalg.rowspace_equal(F, [], [[1, 2, 3]])
+    assert linalg.rowspace_contains(F, [], [[0, 0, 0]])
+    assert not linalg.rowspace_contains(F, [], [[1, 2, 3]])
+    assert linalg.rowspace_contains(F, [[1, 2, 3]], [])
