@@ -208,20 +208,6 @@ def exact_distance(C):
     return best
 
 
-def mds_exact_distance(C):
-    """Exact distance of a maximum-distance-separable candidate, by column
-    exhaustion: if every dim-subset of generator columns has full rank then
-    no codeword has more than dim-1 zeros, pinning d = n - dim + 1."""
-    F = C.field
-    n, kd = C.length, C.dim
-    for cols in itertools.combinations(range(n), kd):
-        if linalg.rank(F, C.G[:, list(cols)]) < kd:
-            raise AssertionError("code is not MDS; exhaustive sweep required")
-    # an explicit word of weight n - dim + 1 exists: a polynomial with
-    # dim-1 distinct roots
-    return n - kd + 1
-
-
 # ---------------------------------------------------------------------------
 # Design duality
 # ---------------------------------------------------------------------------

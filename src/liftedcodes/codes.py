@@ -31,12 +31,6 @@ def _binom(n, r):
     return math.comb(n, r)
 
 
-def rm_dimension(m, d, q):
-    """Dimension of the order-m Reed-Muller code of total degree <= d."""
-    return sum((-1) ** j * _binom(m, j) * _binom(i - j * q + m - 1, i - j * q)
-               for i in range(d + 1) for j in range(m + 1))
-
-
 def prm_dimension(m, v, q):
     """Dimension of the projective Reed-Muller code of degree v."""
     total = 0
@@ -84,9 +78,6 @@ class Word:
     def __getitem__(self, i):
         return self.values[i]
 
-    def copy(self):
-        return Word(self.support, list(self.values))
-
     def __eq__(self, other):
         return (isinstance(other, Word) and self.support == other.support
                 and self.values == other.values)
@@ -116,13 +107,6 @@ class LinearCode:
         if self._H is None:
             self._H = linalg.nullspace(self.field, self.G)
         return self._H
-
-    def contains(self, values):
-        H = self.parity_check()
-        if H.size == 0:
-            return True
-        v = np.asarray(values, dtype=self.field.dtype)
-        return not linalg.gf_matvec(self.field, H, v).any()
 
 
 class MonomialCode(LinearCode):
@@ -241,19 +225,6 @@ def _strip_reads(word, positions, lams, v):
     return [None if val is None else out for val, out in zip(reads, vals.tolist())]
 
 
-def restrict_to_line(word, L, v):
-    """Divide out the homogenization weights to read a line restriction.
-
-    For a degree-v evaluation word c and embedding L this is the evaluation
-    of the restricted polynomial on the projective line: q+1 coordinate
-    reads, erasures pass through.
-    """
-    F = L.field
-    if word.support != enumerate_points(F, L.m, "projective"):
-        raise ValueError(f"{L!r} does not map into {word.support!r}")
-    return Word(enumerate_points(F, 1, "projective"), _strip_reads(word, L.positions, L.lams, v))
-
-
 def shorten_at_infinity(C):
     """Restrict the subcode vanishing on the hyperplane at infinity to A^m."""
     F = C.field
@@ -318,16 +289,6 @@ def apply_affine_action(M, b, word):
 # element per line ("?" marks an erasure).
 # ---------------------------------------------------------------------------
 
-def generator_matrix_text(C):
-    """Row-major text export: one generator row per line, elements in the
-    coefficient-list format."""
-    F = C.field
-    lines = []
-    for row in C.G:
-        lines.append(" ".join(F.format_element(int(x)) for x in row))
-    return "\n".join(lines) + "\n"
-
-
 def word_to_text(C, word):
     lines = [json.dumps(C.descriptor(), sort_keys=True)]
     for v in word.values:
@@ -337,7 +298,10 @@ def word_to_text(C, word):
 
 def word_from_text(text):
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    desc = json.loads(lines[0]) if lines else None
+    try:
+        desc = json.loads(lines[0]) if lines else None
+    except json.JSONDecodeError:
+        desc = None
     if not isinstance(desc, dict):
         raise ValueError("word file must start with a JSON header object")
     missing = [key for key in ("kind", "q", "m", "k", "v", "dim", "length")

@@ -9,8 +9,8 @@ homogeneous Berlekamp-Welch key equations on P^1, N = y E at every read
 point with N a form of degree k+t and E a form of degree t, solved by one
 lockstep Gauss-Jordan over all slices (linalg.null_vectors), so the point at
 infinity is read like any other; its rows are read off the generators of
-PRS_q(k+t) and PRS_q(t).  prs_decode is its one-slice call; a brute-force
-nearest-codeword oracle pins it at small q.
+PRS_q(k+t) and PRS_q(t).  prs_decode is its one-slice call; the brute-force
+nearest-codeword oracle reference.prs_decode_bruteforce pins it at small q.
 
 The Monte-Carlo engine makes each trial's draws on its own seeded stream in
 the order of encode, corrupt_word and local_correct, sharing the line draw
@@ -92,23 +92,6 @@ def prs_decode(y, k, F):
     return encode(make_code("PRS", F, 1, k), g[0, ::-1]).values if ok[0] else None
 
 
-def prs_decode_bruteforce(y, k, F):
-    """Nearest-codeword search over all q^(k+1) messages (small q only)."""
-    q = F.order
-    if q ** (k + 1) > 300_000:
-        raise ValueError("brute-force oracle restricted to small parameters")
-    vals = list(y.values) if isinstance(y, Word) else list(y)
-    non_erased = [i for i, v in enumerate(vals) if v is not None]
-    s = len(non_erased)
-    t = (s - k - 1) // 2
-    C = make_code("PRS", F, 1, k)
-    words = linalg.span_all(F, C.G)
-    # argmin keeps the first nearest word in span_all order
-    dist = (words[:, non_erased] != [vals[i] for i in non_erased]).sum(axis=1)
-    best = int(dist.argmin())
-    return words[best].tolist() if dist[best] <= t else None
-
-
 # ---------------------------------------------------------------------------
 # Query generation and the local corrector
 # ---------------------------------------------------------------------------
@@ -127,7 +110,7 @@ def query_gen(P, L, s, rng):
     n = theta(L.m, q)
     if not 1 <= s <= q:
         raise ValueError(f"query budget must satisfy 1 <= s <= q, got s={s}")
-    images = L._located[0]
+    images = L.points
     P = np.asarray(P)
     hits = (images == P).all(axis=1).nonzero()[0] if P.shape == images.shape[1:] else ()
     if len(hits) == 0:
@@ -246,7 +229,8 @@ _CHUNK = 256  # trials per stacked decode; mc_experiment's docstring bounds its 
 def mc_experiment(C, cfg, trials, seed=None):
     """Per trial: uniform codeword, exact floor(delta*n) corruption, uniform
     target point, one corrector call.  Fully reproducible from the seed;
-    trials use deterministically derived substreams.
+    trials use the streams of SeedSequence(seed).spawn(trials), spawned one
+    chunk at a time so that no cost grows with the trial count up front.
 
     Each trial makes exactly the draws of encode, corrupt_word and
     local_correct in their order.  Then, for up to _CHUNK trials at a time,
@@ -267,12 +251,12 @@ def mc_experiment(C, cfg, trials, seed=None):
         raise ValueError("a seed is required for reproducibility")
     F = C.field
     n, s, k = len(C.support), cfg.s, C.k
-    children = np.random.SeedSequence(seed).spawn(trials)
+    root = np.random.SeedSequence(seed)  # spawn keys continue from call to call
     hist = np.zeros(n, dtype=np.int64)
     successes = wrong = 0
     for lo in range(0, trials, _CHUNK):
         msgs, errors, cols, doms, lams = [], [], [], [], []
-        for child in children[lo:lo + _CHUNK]:
+        for child in root.spawn(min(_CHUNK, trials - lo)):
             rng = np.random.default_rng(child)
             msgs.append(rng.integers(F.order, size=C.dim))
             errors.append(_draw_errors(n, cfg.delta, F.order, rng))

@@ -1,17 +1,18 @@
 """Exponent-tuple calculus for monomial evaluation codes.
 
-Provides the digitwise partial order on exponents, the two reduction maps
-that make evaluation injective (subtract q-1 from a large coordinate for
-affine supports; move q-1 one coordinate to the left for projective ones),
-and the degree sets of affine and projective lifted codes.
+Provides the two reduction maps that make evaluation injective (subtract
+q-1 from a large coordinate for affine supports; move q-1 one coordinate
+to the left for projective ones), and the degree sets of affine and
+projective lifted codes.
 
 A monomial's evaluations along every line lie in a fixed Reed-Solomon code
 exactly when every digitwise shadow of its exponent has low reduced weight;
 `adeg` and `pdeg` enumerate those exponents.  The shadow weights of d are
 exactly the sums sum_j c_j p^j with 0 <= c_j <= D_j, where D_j is the sum of
 base-p digit j over d's coordinates, so the largest reduced shadow weight
-depends on the column digit sums D alone.  `monomial_membership_oracle`
-is the definitional brute force used to pin both down in tests.
+depends on the column digit sums D alone.  The definitional brute force
+that pins both down (`monomial_membership_oracle`) and the direct scan
+(`pdeg_direct`) are in :mod:`liftedcodes.reference`.
 
 The dimensions are counted on that grid of digit sums, never on the box:
 the tuples of [0, p-1]^m with digit sum s number c_m(s), the m-fold
@@ -27,34 +28,11 @@ and counts to q^m < 2^63 so that int64 holds them exactly.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
 
 from liftedcodes.gf import GF, prime_power
-from liftedcodes.geometry import (
-    all_embeddings,
-    enumerate_points,
-    standard_line_embeddings,
-)
-
-
-def p_adic_leq(a, b, p):
-    """True iff every base-p digit of a is <= the matching digit of b.
-
-    Accepts integers or same-length tuples (compared componentwise).
-    """
-    if isinstance(a, tuple) or isinstance(b, tuple):
-        return all(p_adic_leq(x, y, p) for x, y in zip(a, b))
-    if a < 0 or b < 0:
-        raise ValueError("p-adic order is defined on nonnegative integers")
-    while a or b:
-        if a % p > b % p:
-            return False
-        a //= p
-        b //= p
-    return True
 
 
 def int_reduce(e, q):
@@ -77,10 +55,6 @@ def int_reduce(e, q):
 def a_reduce(d, q):
     """Reduce every coordinate into [0, q-1] by repeated q-1 subtractions."""
     return tuple(int_reduce(c, q) for c in d)
-
-
-def is_a_reduced(d, q):
-    return all(c <= q - 1 for c in d)
 
 
 def is_p_reduced(d, q):
@@ -112,21 +86,6 @@ def p_reduce(d, q):
                     d[j] -= q - 1
                     changed = True
     return tuple(d)
-
-
-def leftmost_nonzero(d):
-    return next(i for i, c in enumerate(d) if c)
-
-
-def lift_tuple(d, q):
-    """Add q-1 to the leftmost nonzero coordinate."""
-    i = leftmost_nonzero(d)
-    return d[:i] + (d[i] + q - 1,) + d[i + 1:]
-
-
-def eta(d):
-    """Suffix after the leading nonzero coordinate."""
-    return d[leftmost_nonzero(d) + 1:]
 
 
 MAX_GRID_CELLS = 2 ** 22
@@ -172,11 +131,6 @@ def _max_reduced_subweight_array(m, q):
     out = best.ravel()[flat]
     out.setflags(write=False)  # cached: shared by every caller
     return out
-
-
-def max_reduced_subweight(d, q):
-    """max over e <=_p d of int_reduce(|e|); d must lie in the box."""
-    return int(_max_reduced_subweight_array(len(d), q)[tuple(d)])
 
 
 def _check_affine(m, k, q):
@@ -266,114 +220,3 @@ def pdeg(m, k, q):
     P[np.arange(len(P)), (P != 0).argmax(axis=1)] += q - 1  # lift each row
     out = np.vstack([affine, np.column_stack([np.zeros(len(P), P.dtype), P])])
     return out[np.lexsort(out.T[::-1])]
-
-
-def _p_reduced_sphere(nvars, v, q):
-    """All reduced tuples of the given weight: either inside the box, or one
-    oversized leading coordinate followed by a boxed tail."""
-    out = []
-    # fully boxed tuples summing to v
-    def boxed(n, s, prefix):
-        if n == 0:
-            if s == 0:
-                out.append(prefix)
-            return
-        for c in range(min(q - 1, s), -1, -1):
-            boxed(n - 1, s - c, prefix + (c,))
-    boxed(nvars, v, ())
-    # one oversized coordinate at position i, zeros before, boxed tail after
-    for i in range(nvars):
-        tailn = nvars - i - 1
-        for tail in itertools.product(range(q), repeat=tailn):
-            head = v - sum(tail)
-            if head >= q:
-                out.append((0,) * i + (head,) + tail)
-    return out
-
-
-def pdeg_direct(m, k, q):
-    """Same array as pdeg, by scanning reduced weight-v tuples and testing
-    the shadow condition on the suffix after the leading coordinate."""
-    if not 1 <= k <= q - 1:
-        raise ValueError(f"projective lifting needs 1 <= k <= q-1, got k={k}")
-    v = lifting_degree(m, k, q)
-    mrw = _max_reduced_subweight_array(m, q)  # suffixes have length <= m
-    out = set()
-    for d in _p_reduced_sphere(m + 1, v, q):
-        tail = eta(d)
-        padded = tail + (0,) * (m - len(tail))
-        if mrw[padded] <= k - 1:
-            out.add(d)
-    return np.array(sorted(out), dtype=np.intp).reshape(-1, m + 1)
-
-
-# ---------------------------------------------------------------------------
-# Ground-truth oracle: restrict the monomial to every line and test
-# Reed-Solomon membership definitionally.
-# ---------------------------------------------------------------------------
-
-def monomial_membership_oracle(d, k, q, space, exhaustive=None):
-    """Definitional membership of one monomial in the lifted code.
-
-    Evaluates the monomial along lines and tests Reed-Solomon membership:
-    affine uses one embedding per line (translates of a direction agree up
-    to reparametrization), projective defaults to every embedding up to
-    scalar where that is affordable and to one representative per line
-    otherwise (restrictions along the same line differ by a degree-
-    preserving substitution, so membership is line-invariant).
-    """
-    from liftedcodes.codes import make_code  # lazy: codes imports degrees
-    F = GF(q)
-    d = tuple(d)
-    m = len(d) if space == "affine" else len(d) - 1
-    if space == "affine":
-        rs = make_code("RS", F, 1, k)
-        sup = enumerate_points(F, m, "affine")
-        seen = set()
-        dirs = enumerate_points(F, m - 1, "projective").points if m > 1 else [(1,)]
-        for direction in dirs:
-            for base in sup.points:
-                key = _affine_line_key(F, base, direction)
-                if key in seen:
-                    continue
-                seen.add(key)
-                vals = [0] * q
-                for t in range(q):
-                    pt = tuple(F.add(b, F.mul(t, dd)) for b, dd in zip(base, direction))
-                    acc = 1
-                    for c, e in zip(pt, d):
-                        acc = F.mul(acc, F.pow(c, e))
-                    vals[t] = acc
-                if not rs.contains(vals):
-                    return False
-        return True
-
-    if space == "projective":
-        if exhaustive is None:
-            exhaustive = q <= 4
-        if exhaustive:
-            embeddings = all_embeddings(F, m)
-        else:
-            embeddings = standard_line_embeddings(F, m)
-        dom = enumerate_points(F, 1, "projective").points
-        for L in embeddings:
-            vals = []
-            for x in dom:
-                raw = L.map_raw(x)
-                acc = 1
-                for c, e in zip(raw, d):
-                    acc = F.mul(acc, F.pow(c, e))
-                vals.append(acc)
-            if not make_code("PRS", F, 1, k).contains(vals):
-                return False
-        return True
-
-    raise ValueError(f"unknown space {space!r}")
-
-
-def _affine_line_key(F, base, direction):
-    # canonicalize an affine line (base + t*direction) by its point set
-    pts = []
-    for t in range(F.order):
-        pts.append(tuple(F.add(b, F.mul(t, dd)) for b, dd in zip(base, direction)))
-    return frozenset(pts)

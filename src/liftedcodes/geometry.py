@@ -16,9 +16,10 @@ texts joined by ":" in parentheses, e.g. "([1,0]:[0,1]:[0,0])" over GF(4)
 (`Support.format_point` / `Support.parse_point`).
 
 A line embedding is a rank-2 linear map F_q^2 -> F_q^(m+1), kept as its two
-columns.  Its images, in P^1 support order, are read as support `positions`
-and standardizing scalars `lams`: restricting an evaluation vector along the
-embedding divides out the homogenization weights lambda^v.
+columns.  Its images, in P^1 support order, are read as standard `points`,
+support `positions` and standardizing scalars `lams`: restricting an
+evaluation vector along the embedding divides out the homogenization
+weights lambda^v.
 """
 
 from __future__ import annotations
@@ -190,27 +191,20 @@ class LineEmbedding:
                 and len(set(locate(field, [self.col0, self.col1])[2].tolist())) == 2):
             raise ValueError("embedding matrix must have rank 2")
 
-    @classmethod
-    def from_rows(cls, field, rows):
-        cols = list(zip(*rows))
-        return cls(field, cols[0], cols[1])
-
-    def map_raw(self, x):
-        """Image vector of a P^1 representative x = (x0, x1), unnormalized."""
-        F = self.field
-        x0, x1 = x
-        return tuple(F.add(F.mul(x0, a), F.mul(x1, b))
-                     for a, b in zip(self.col0, self.col1))
-
     @cached_property
     def _located(self):
         """`locate` of the q+1 images in P^1 support order; computed on first
         use, as the membership oracle builds many embeddings and reads only
-        map_raw."""
+        their columns."""
         F = self.field
         dom = _support_cached(F, 1, "projective").coords
         return locate(F, linalg.gf_add(F, F.np_mul[dom[:, :1], np.array(self.col0)],
                                        F.np_mul[dom[:, 1:], np.array(self.col1)]))
+
+    @property
+    def points(self):
+        """The images' standard points, a (q+1, m+1) array in P^1 support order."""
+        return self._located[0]
 
     @property
     def lams(self):
@@ -221,17 +215,6 @@ class LineEmbedding:
     def positions(self):
         """The images' support positions, an array in P^1 support order."""
         return self._located[2]
-
-    def image_points(self):
-        return tuple(map(tuple, self._located[0].tolist()))
-
-    def weight_vector(self, v):
-        """(q+1)-tuple of lambda^v in P^1 support order; v >= 1."""
-        if v < 1:
-            raise ValueError("weight vector needs a positive degree")
-        F = self.field
-        e = (v - 1) % (F.order - 1) + 1  # v > 0 mapped into [1, q-1]
-        return tuple(F.pow(lam, e) for lam in self.lams.tolist())
 
     def __repr__(self):
         return f"LineEmbedding(cols={self.col0}x{self.col1})"
@@ -263,23 +246,6 @@ def all_lines(support):
     return list(map(tuple, _all_lines_cached(support.field, support.m)[0].tolist()))
 
 
-def lines_through(P, support):
-    """All projective lines through P, as sorted tuples of support positions.
-
-    There are theta(m-1, q) of them and they partition P^m minus P.
-    """
-    lines = _all_lines_cached(support.field, support.m)[0]
-    hit = (lines == support.position(P)).any(axis=1)
-    return list(map(tuple, lines[hit].tolist()))
-
-
-@lru_cache(maxsize=None)
-def standard_line_embeddings(field, m):
-    """One weight-free embedding per line of P^m, in all_lines order."""
-    _, R1, R2 = _all_lines_cached(field, m)
-    return tuple(LineEmbedding(field, a, b) for a, b in zip(R1.tolist(), R2.tolist()))
-
-
 def random_embedding_through(P, F, rng):
     """Uniform embedding with the point at infinity mapping to P.
 
@@ -299,28 +265,3 @@ def random_embedding_through(P, F, rng):
             return LineEmbedding(F, cand, P)
         except ValueError:  # cand lies in span(P)
             continue
-
-
-def standard_line_embedding(F, line_points):
-    """An embedding of the given line whose weight vector is all ones.
-
-    Its columns are the line's reduced echelon basis: the point with the
-    latest leading one, which sorts first, as the second column and the
-    next point in sorted order as the first.
-    """
-    pts = sorted(line_points)
-    return LineEmbedding(F, pts[1], pts[0])
-
-
-def all_embeddings(F, m):
-    """All rank-2 maps F_q^2 -> F_q^(m+1), one per scalar class.
-
-    The first column runs over standard representatives, the second over
-    all vectors outside its span: the nonzero vectors located elsewhere.
-    """
-    proj = enumerate_points(F, m, "projective")
-    vectors = enumerate_points(F, m + 1, "affine").coords[1:]
-    located_at = locate(F, vectors)[2]
-    for i, a in enumerate(proj.points):
-        for b in vectors[located_at != i].tolist():
-            yield LineEmbedding(F, a, b)

@@ -241,9 +241,6 @@ class _FieldBase:
         n = self.order - 1
         return self._exp[(n - self._log[a]) % n]
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, n):
         """a^n with the exponent reduced mod q-1 for nonzero a; 0^0 = 1."""
         if a == 0:
@@ -556,10 +553,6 @@ class ExtensionIso:
             self._to_coords = linalg.gf_matmul(base, post_map, self._to_coords)
             self._from_coords = linalg.gf_matmul(
                 base, self._from_coords, linalg.inverse(base, post_map))
-
-    def forward(self, x):
-        """phi(x): coordinates of an extension element over the base field."""
-        return tuple(self.forward_many([x])[0].tolist())
 
     def forward_many(self, indices):
         """phi of each extension index: an (N, m) array over the base field."""

@@ -1,0 +1,271 @@
+"""Brute-force references that the tests and `selftest` judge the library by.
+
+The library never imports this module.  It keeps the definitions as
+literal as they are slow: the line-restriction membership oracle (the
+lifting definition of Guo, Kopparty and Sudan), the direct degree-set
+scan, nearest-codeword PRS decoding, the Reed-Muller dimension formula,
+parity-check membership, line restriction and the MDS column certificate.
+"""
+
+from __future__ import annotations
+
+import itertools
+from functools import lru_cache
+
+import numpy as np
+
+from liftedcodes import linalg
+from liftedcodes.codes import Word, _binom, _strip_reads, make_code
+from liftedcodes.degrees import _max_reduced_subweight_array, lifting_degree
+from liftedcodes.geometry import LineEmbedding, _all_lines_cached, enumerate_points, locate
+from liftedcodes.gf import GF
+
+
+# ---------------------------------------------------------------------------
+# Degree sets by direct scan
+# ---------------------------------------------------------------------------
+
+def p_adic_leq(a, b, p):
+    """True iff every base-p digit of a is <= the matching digit of b.
+
+    Accepts integers or same-length tuples (compared componentwise).
+    """
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return all(p_adic_leq(x, y, p) for x, y in zip(a, b))
+    if a < 0 or b < 0:
+        raise ValueError("p-adic order is defined on nonnegative integers")
+    while a or b:
+        if a % p > b % p:
+            return False
+        a //= p
+        b //= p
+    return True
+
+
+def leftmost_nonzero(d):
+    return next(i for i, c in enumerate(d) if c)
+
+
+def lift_tuple(d, q):
+    """Add q-1 to the leftmost nonzero coordinate."""
+    i = leftmost_nonzero(d)
+    return d[:i] + (d[i] + q - 1,) + d[i + 1:]
+
+
+def eta(d):
+    """Suffix after the leading nonzero coordinate."""
+    return d[leftmost_nonzero(d) + 1:]
+
+
+def _p_reduced_sphere(nvars, v, q):
+    """All reduced tuples of the given weight: either inside the box, or one
+    oversized leading coordinate followed by a boxed tail."""
+    out = []
+    # fully boxed tuples summing to v
+    def boxed(n, s, prefix):
+        if n == 0:
+            if s == 0:
+                out.append(prefix)
+            return
+        for c in range(min(q - 1, s), -1, -1):
+            boxed(n - 1, s - c, prefix + (c,))
+    boxed(nvars, v, ())
+    # one oversized coordinate at position i, zeros before, boxed tail after
+    for i in range(nvars):
+        tailn = nvars - i - 1
+        for tail in itertools.product(range(q), repeat=tailn):
+            head = v - sum(tail)
+            if head >= q:
+                out.append((0,) * i + (head,) + tail)
+    return out
+
+
+def pdeg_direct(m, k, q):
+    """Same array as pdeg, by scanning reduced weight-v tuples and testing
+    the shadow condition on the suffix after the leading coordinate."""
+    if not 1 <= k <= q - 1:
+        raise ValueError(f"projective lifting needs 1 <= k <= q-1, got k={k}")
+    v = lifting_degree(m, k, q)
+    mrw = _max_reduced_subweight_array(m, q)  # suffixes have length <= m
+    out = set()
+    for d in _p_reduced_sphere(m + 1, v, q):
+        tail = eta(d)
+        padded = tail + (0,) * (m - len(tail))
+        if mrw[padded] <= k - 1:
+            out.add(d)
+    return np.array(sorted(out), dtype=np.intp).reshape(-1, m + 1)
+
+
+# ---------------------------------------------------------------------------
+# Ground-truth oracle: restrict the monomial to every line and test
+# Reed-Solomon membership definitionally.
+# ---------------------------------------------------------------------------
+
+def map_raw(L, x):
+    """Image vector of a P^1 representative x = (x0, x1) under the
+    embedding L, unnormalized."""
+    F = L.field
+    x0, x1 = x
+    return tuple(F.add(F.mul(x0, a), F.mul(x1, b))
+                 for a, b in zip(L.col0, L.col1))
+
+
+@lru_cache(maxsize=None)
+def standard_line_embeddings(field, m):
+    """One weight-free embedding per line of P^m, in all_lines order."""
+    _, R1, R2 = _all_lines_cached(field, m)
+    return tuple(LineEmbedding(field, a, b) for a, b in zip(R1.tolist(), R2.tolist()))
+
+
+def standard_line_embedding(F, line_points):
+    """An embedding of the given line whose weight vector is all ones.
+
+    Its columns are the line's reduced echelon basis: the point with the
+    latest leading one, which sorts first, as the second column and the
+    next point in sorted order as the first.
+    """
+    pts = sorted(line_points)
+    return LineEmbedding(F, pts[1], pts[0])
+
+
+def all_embeddings(F, m):
+    """All rank-2 maps F_q^2 -> F_q^(m+1), one per scalar class.
+
+    The first column runs over standard representatives, the second over
+    all vectors outside its span: the nonzero vectors located elsewhere.
+    """
+    proj = enumerate_points(F, m, "projective")
+    vectors = enumerate_points(F, m + 1, "affine").coords[1:]
+    located_at = locate(F, vectors)[2]
+    for i, a in enumerate(proj.points):
+        for b in vectors[located_at != i].tolist():
+            yield LineEmbedding(F, a, b)
+
+
+def monomial_membership_oracle(d, k, q, space, exhaustive=None):
+    """Definitional membership of one monomial in the lifted code.
+
+    Evaluates the monomial along lines and tests Reed-Solomon membership:
+    affine uses one embedding per line (translates of a direction agree up
+    to reparametrization), projective defaults to every embedding up to
+    scalar where that is affordable and to one representative per line
+    otherwise (restrictions along the same line differ by a degree-
+    preserving substitution, so membership is line-invariant).
+    """
+    F = GF(q)
+    d = tuple(d)
+    m = len(d) if space == "affine" else len(d) - 1
+    if space == "affine":
+        rs = make_code("RS", F, 1, k)
+        sup = enumerate_points(F, m, "affine")
+        seen = set()
+        dirs = enumerate_points(F, m - 1, "projective").points if m > 1 else [(1,)]
+        for direction in dirs:
+            for base in sup.points:
+                key = _affine_line_key(F, base, direction)
+                if key in seen:
+                    continue
+                seen.add(key)
+                vals = [0] * q
+                for t in range(q):
+                    pt = tuple(F.add(b, F.mul(t, dd)) for b, dd in zip(base, direction))
+                    acc = 1
+                    for c, e in zip(pt, d):
+                        acc = F.mul(acc, F.pow(c, e))
+                    vals[t] = acc
+                if not contains(rs, vals):
+                    return False
+        return True
+
+    if space == "projective":
+        if exhaustive is None:
+            exhaustive = q <= 4
+        if exhaustive:
+            embeddings = all_embeddings(F, m)
+        else:
+            embeddings = standard_line_embeddings(F, m)
+        dom = enumerate_points(F, 1, "projective").points
+        for L in embeddings:
+            vals = []
+            for x in dom:
+                raw = map_raw(L, x)
+                acc = 1
+                for c, e in zip(raw, d):
+                    acc = F.mul(acc, F.pow(c, e))
+                vals.append(acc)
+            if not contains(make_code("PRS", F, 1, k), vals):
+                return False
+        return True
+
+    raise ValueError(f"unknown space {space!r}")
+
+
+def _affine_line_key(F, base, direction):
+    # canonicalize an affine line (base + t*direction) by its point set
+    pts = []
+    for t in range(F.order):
+        pts.append(tuple(F.add(b, F.mul(t, dd)) for b, dd in zip(base, direction)))
+    return frozenset(pts)
+
+
+# ---------------------------------------------------------------------------
+# Codes, decoding and distance
+# ---------------------------------------------------------------------------
+
+def rm_dimension(m, d, q):
+    """Dimension of the order-m Reed-Muller code of total degree <= d."""
+    return sum((-1) ** j * _binom(m, j) * _binom(i - j * q + m - 1, i - j * q)
+               for i in range(d + 1) for j in range(m + 1))
+
+
+def contains(C, values):
+    """Whether the word lies in the code C: its parity checks all vanish."""
+    H = C.parity_check()
+    if H.size == 0:
+        return True
+    v = np.asarray(values, dtype=C.field.dtype)
+    return not linalg.gf_matvec(C.field, H, v).any()
+
+
+def restrict_to_line(word, L, v):
+    """Divide out the homogenization weights to read a line restriction.
+
+    For a degree-v evaluation word c and embedding L this is the evaluation
+    of the restricted polynomial on the projective line: q+1 coordinate
+    reads, erasures pass through.
+    """
+    F = L.field
+    if word.support != enumerate_points(F, L.m, "projective"):
+        raise ValueError(f"{L!r} does not map into {word.support!r}")
+    return Word(enumerate_points(F, 1, "projective"), _strip_reads(word, L.positions, L.lams, v))
+
+
+def prs_decode_bruteforce(y, k, F):
+    """Nearest-codeword search over all q^(k+1) messages (small q only)."""
+    q = F.order
+    if q ** (k + 1) > 300_000:
+        raise ValueError("brute-force oracle restricted to small parameters")
+    vals = list(y.values) if isinstance(y, Word) else list(y)
+    non_erased = [i for i, v in enumerate(vals) if v is not None]
+    s = len(non_erased)
+    t = (s - k - 1) // 2
+    C = make_code("PRS", F, 1, k)
+    words = linalg.span_all(F, C.G)
+    # argmin keeps the first nearest word in span_all order
+    dist = (words[:, non_erased] != [vals[i] for i in non_erased]).sum(axis=1)
+    best = int(dist.argmin())
+    return words[best].tolist() if dist[best] <= t else None
+
+
+def mds_exact_distance(C):
+    """Exact distance of a maximum-distance-separable candidate, by column
+    exhaustion: if every dim-subset of generator columns has full rank then
+    no codeword has more than dim-1 zeros, pinning d = n - dim + 1."""
+    F = C.field
+    n, kd = C.length, C.dim
+    for cols in itertools.combinations(range(n), kd):
+        if linalg.rank(F, C.G[:, list(cols)]) < kd:
+            raise AssertionError("code is not MDS; exhaustive sweep required")
+    # an explicit word of weight n - dim + 1 exists: a polynomial with
+    # dim-1 distinct roots
+    return n - kd + 1

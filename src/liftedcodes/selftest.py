@@ -1,5 +1,7 @@
 """Fast invariant suites runnable without pytest; the CI entry point behind
-`liftedcodes selftest`.  Each suite prints one PASS/FAIL line."""
+`liftedcodes selftest`.  Each suite prints one PASS/FAIL line.  The one
+module of the package that imports `reference`; the CLI imports it only
+when the selftest command runs."""
 
 from __future__ import annotations
 
@@ -13,13 +15,14 @@ from liftedcodes.analysis import (
     qc_certificate,
     rate_table_csv,
 )
-from liftedcodes.codes import code_equal, encode, make_code, puncture_to_infinity, \
+from liftedcodes.codes import code_equal, make_code, puncture_to_infinity, \
     random_codeword, shorten_at_infinity
 from liftedcodes.decode import CorrectionConfig, local_correct, prs_decode, \
-    prs_decode_bruteforce, query_position_sample
-from liftedcodes.degrees import a_reduce, adeg, is_p_reduced, monomial_membership_oracle, \
-    p_reduce, pdeg, pdeg_direct
+    query_position_sample
+from liftedcodes.degrees import a_reduce, adeg, is_p_reduced, p_reduce, pdeg
 from liftedcodes.gf import GF
+from liftedcodes.reference import monomial_membership_oracle, pdeg_direct, \
+    prs_decode_bruteforce
 
 
 def _suite_field_identities():

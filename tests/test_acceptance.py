@@ -18,7 +18,6 @@ from liftedcodes.analysis import (
     distance_report,
     exact_distance,
     information_set_check,
-    mds_exact_distance,
     plift_plane_dimension_formula,
     qc_certificate,
     rate_table_csv,
@@ -34,14 +33,14 @@ from liftedcodes.codes import (
     shorten_at_infinity,
 )
 from liftedcodes.decode import CorrectionConfig, mc_experiment, query_position_sample
-from liftedcodes.degrees import (
-    _p_reduced_sphere,
-    adeg,
-    lifting_degree,
-    monomial_membership_oracle,
-    pdeg,
-)
+from liftedcodes.degrees import adeg, lifting_degree, pdeg
 from liftedcodes.gf import GF
+from liftedcodes.reference import (
+    _p_reduced_sphere,
+    contains,
+    mds_exact_distance,
+    monomial_membership_oracle,
+)
 
 PRIME_POWERS_LE_16 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
@@ -287,15 +286,15 @@ def test_criterion_08_automorphism_invariance():
     for _ in range(100):
         M = _random_invertible(plift.field, 3, rng)
         c = random_codeword(plift, rng)
-        assert plift.contains(apply_projective_action(M, c, plift.v).values)
+        assert contains(plift, apply_projective_action(M, c, plift.v).values)
         c2 = random_codeword(prm, rng)
-        assert prm.contains(apply_projective_action(M, c2, prm.v).values)
+        assert contains(prm, apply_projective_action(M, c2, prm.v).values)
     rm = make_code("RM", 8, 2, 3)
     for _ in range(100):
         M = _random_invertible(rm.field, 2, rng)
         b = [int(x) for x in rng.integers(8, size=2)]
         c = random_codeword(rm, rng)
-        assert rm.contains(apply_affine_action(M, b, c).values)
+        assert contains(rm, apply_affine_action(M, b, c).values)
     _report(8, "100 random projective actions preserve PLift_4(2,3) and "
                "PRM_4(2,2); 100 random affine maps preserve RM_8(2,3)")
 

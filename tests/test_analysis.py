@@ -15,7 +15,6 @@ from liftedcodes.analysis import (
     incidence_matrix,
     information_set,
     information_set_check,
-    mds_exact_distance,
     plift_plane_dimension_formula,
     qc_certificate,
     rate_table,
@@ -24,6 +23,7 @@ from liftedcodes.analysis import (
 from liftedcodes.codes import make_code
 from liftedcodes.degrees import adeg
 from liftedcodes.gf import GF, ExtensionIso
+from liftedcodes.reference import mds_exact_distance
 
 
 def test_information_set_lift_4_2_2():

@@ -255,6 +255,17 @@ def test_bad_word_header_exits_2(tmp_path, capsys, old, new, key):
     assert key in err
 
 
+@pytest.mark.parametrize("header", ["not json", "[1, 2]", ""])
+def test_word_header_that_is_no_json_object_exits_2(tmp_path, capsys, header):
+    lines = _plift_word_file(tmp_path, capsys).read_text().splitlines()
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join([header] + lines[1:]) + "\n")
+    code, _, err = run_cli(capsys, "corrupt", "--in", str(bad), "--delta", "0.05",
+                           "--seed", "1")
+    assert_one_line_usage_error(code, err)
+    assert err == "error: word file must start with a JSON header object\n"
+
+
 @pytest.mark.parametrize("new", ['"q": "4", ', '"q": 4.0, ', '"q": true, '])
 def test_word_header_value_of_wrong_type_exits_2(tmp_path, capsys, new):
     lines = _plift_word_file(tmp_path, capsys).read_text().splitlines()
@@ -276,6 +287,9 @@ def test_word_header_value_of_wrong_type_exits_2(tmp_path, capsys, new):
     ("encode --kind PRS --q 4 --m 1 --k 2 --msg-file {dir}", "Is a directory"),
     ("table --q 65537 --m 1", "exceeds the supported limit"),
     ("table --q 4096 --m 1", "exceeds the supported limit"),
+    ("corrupt --in {dir} --delta 0.1 --seed -1", "--seed"),
+    ("local-correct --in {dir} --point ([1]:[0]:[0]) --s 4 --seed -2", "--seed"),
+    ("experiment --q 4 --m 2 --k 3 --s 4 --delta 0.1 --trials 3 --seed -1", "--seed"),
 ])
 def test_bad_sizes_and_paths_exit_2(tmp_path, capsys, argv, says):
     code, out, err = run_cli(capsys, *argv.format(dir=tmp_path).split())

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from liftedcodes import decode
-from liftedcodes.codes import Word, encode, make_code, random_codeword, restrict_to_line
+from liftedcodes.codes import encode, make_code, random_codeword
 from liftedcodes.decode import (
     CorrectionConfig,
     ExperimentReport,
@@ -16,17 +16,12 @@ from liftedcodes.decode import (
     local_correct,
     mc_experiment,
     prs_decode,
-    prs_decode_bruteforce,
     query_gen,
     query_position_sample,
 )
 from liftedcodes.gf import GF
-from liftedcodes.geometry import (
-    enumerate_points,
-    random_embedding_through,
-    standard_line_embedding,
-    theta,
-)
+from liftedcodes.geometry import enumerate_points, random_embedding_through, theta
+from liftedcodes.reference import prs_decode_bruteforce, restrict_to_line, standard_line_embedding
 
 
 def _random_prs_word(F, k, rng):
@@ -289,7 +284,7 @@ def test_query_gen_size_and_bounds():
         query_gen(P, random_embedding_through(P, F, rng), 4, rng)  # s > q
     L = random_embedding_through(P, F, rng)
     off_line = next(p for p in enumerate_points(F, 2, "projective").points
-                    if p not in L.image_points())
+                    if p not in map(tuple, L.points.tolist()))
     for bad in (off_line, (1, 0), (1, 0, 0, 0)):
         with pytest.raises(ValueError, match="does not lie on the embedded line"):
             query_gen(bad, L, 2, rng)
@@ -299,7 +294,7 @@ def test_query_gen_equals_tuple_search_reference():
     """The preimage found by array comparison gives the draws and positions
     of a search through the image tuples, on the same generator state."""
     def reference(P, L, s, rng):
-        images = L.image_points()
+        images = list(map(tuple, L.points.tolist()))
         p_pre = images.index(tuple(P))
         others = [i for i in range(len(images)) if i != p_pre]
         if rng.random() < s / theta(L.m, L.field.order):
@@ -317,7 +312,7 @@ def test_query_gen_equals_tuple_search_reference():
         for trial in range(60):
             # P anywhere on the line, not only at the image of infinity
             L = random_embedding_through(pts[int(rng.integers(len(pts)))], F, rng)
-            P = L.image_points()[int(rng.integers(q + 1))]
+            P = tuple(L.points[int(rng.integers(q + 1))].tolist())
             s = int(rng.integers(1, q + 1))
             a, b = np.random.default_rng(trial), np.random.default_rng(trial)
             assert query_gen(P, L, s, a) == reference(P, L, s, b)
@@ -335,7 +330,7 @@ def test_query_gen_target_inclusion_rate():
     for _ in range(draws):
         L = random_embedding_through(P, F, rng)
         S = query_gen(P, L, s, rng)
-        images = L.image_points()
+        images = list(map(tuple, L.points.tolist()))
         if any(images[i] == P for i in S):
             hits += 1
     expected = s / n
@@ -399,16 +394,16 @@ def test_local_correct_standard_embedding_matches_general():
         L = random_embedding_through(P, F, rng_b)
         queried = set(L.positions[query_gen(P, L, cfg.s, rng_b)].tolist())
         assert queried == set(q_a)
-        Ls = standard_line_embedding(F, L.image_points())
+        Ls = standard_line_embedding(F, map(tuple, L.points.tolist()))
         symbols = []
         for emb in (L, Ls):
             read = [v if pos in queried else None
                     for v, pos in zip(restrict_to_line(y, emb, C.v).values,
                                       emb.positions.tolist())]
             cw = prs_decode(read, C.k, F)
-            at = emb.image_points().index(P)
+            at = list(map(tuple, emb.points.tolist())).index(P)
             symbols.append(None if cw is None
-                           else F.mul(emb.weight_vector(C.v)[at], cw[at]))
+                           else F.mul(F.pow(int(emb.lams[at]), C.v), cw[at]))
         assert symbols[0] == symbols[1] == sym_a
 
 
@@ -509,6 +504,27 @@ def test_mc_experiment_equals_per_trial_pipeline_across_a_chunk_boundary():
     cfg = CorrectionConfig(s=4, delta=0.25, seed=424)
     trials = decode._CHUNK + 3
     assert mc_experiment(C, cfg, trials=trials).to_dict() == _per_trial_experiment(C, cfg, trials)
+
+
+def test_mc_experiment_spawns_one_chunk_of_streams_at_a_time(monkeypatch):
+    # spawning every trial's stream up front costs memory and time linear in
+    # the trial count before the first trial runs; spawn keys continue from
+    # one call to the next, so per-chunk spawns give the streams of one spawn
+    asked, keys = [], []
+
+    class Recording(np.random.SeedSequence):
+        def spawn(self, n_children):
+            asked.append(n_children)
+            children = super().spawn(n_children)
+            keys.extend(child.spawn_key for child in children)
+            return children
+
+    monkeypatch.setattr(np.random, "SeedSequence", Recording)
+    C = make_code("PLift", 4, 2, 1)
+    trials = 2 * decode._CHUNK + 3
+    mc_experiment(C, CorrectionConfig(s=4, delta=0.25, seed=424), trials=trials)
+    assert max(asked) <= decode._CHUNK
+    assert keys == [(i,) for i in range(trials)]
 
 
 def test_mc_experiment_equals_per_trial_pipeline_q32():

@@ -11,16 +11,14 @@ from scipy.stats import chisquare
 from liftedcodes.gf import GF
 from liftedcodes.geometry import (
     LineEmbedding,
-    all_embeddings,
     all_lines,
     enumerate_points,
-    lines_through,
     locate,
     random_embedding_through,
-    standard_line_embedding,
     standardize,
     theta,
 )
+from liftedcodes.reference import all_embeddings, map_raw, standard_line_embedding
 
 
 def eval_monomial(F, point, d):
@@ -70,11 +68,16 @@ def test_standardize_worked_values():
         standardize(F, (0, 0, 0))
 
 
+def _lines_through(P, sup):
+    pos = sup.position(P)
+    return [line for line in all_lines(sup) if pos in line]
+
+
 def test_lines_through_counts_and_partition():
     F = GF(3)
     sup = enumerate_points(F, 2, "projective")
     P = (1, 1, 1)
-    lines = lines_through(P, sup)
+    lines = _lines_through(P, sup)
     assert len(lines) == 4  # theta(1, 3)
     pos_p = sup.position(P)
     residues = [set(line) - {pos_p} for line in lines]
@@ -83,7 +86,7 @@ def test_lines_through_counts_and_partition():
     assert len(union) == sum(len(r) for r in residues) == len(sup) - 1
 
     sup4 = enumerate_points(GF(4), 3, "projective")
-    assert len(lines_through((1, 0, 0, 0), sup4)) == 21  # theta(2, 4)
+    assert len(_lines_through((1, 0, 0, 0), sup4)) == 21  # theta(2, 4)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -125,8 +128,8 @@ def test_all_lines_count():
 
 def test_worked_embedding_rank():
     F = GF(3)
-    L = LineEmbedding.from_rows(F, [(1, 1), (0, 1), (1, 0)])
-    assert L.col0 == (1, 0, 1) and L.col1 == (1, 1, 0)
+    L = LineEmbedding(F, (1, 0, 1), (1, 1, 0))  # rows (1,1), (0,1), (1,0)
+    assert L.m == 2 and len(set(L.positions.tolist())) == 4
     with pytest.raises(ValueError):
         LineEmbedding(F, (1, 0, 1), (2, 0, 2))  # rank 1
 
@@ -134,8 +137,8 @@ def test_worked_embedding_rank():
 def test_worked_weight_vector_point_indexed():
     # weights of a fully worked F_3 embedding, compared point-by-point
     F = GF(3)
-    L = LineEmbedding.from_rows(F, [(1, 1), (0, 1), (1, 0)])
-    w = L.weight_vector(1)
+    L = LineEmbedding(F, (1, 0, 1), (1, 1, 0))  # rows (1,1), (0,1), (1,0)
+    w = L.lams.tolist()  # lambda^1
     dom = enumerate_points(F, 1, "projective").points
     by_domain_point = {dom[i]: w[i] for i in range(4)}
     assert by_domain_point[(1, 1)] == 2
@@ -143,7 +146,7 @@ def test_worked_weight_vector_point_indexed():
     assert by_domain_point[(1, 0)] == 1
     assert by_domain_point[(0, 1)] == 1
     # the images, standardized, match the worked example
-    img = {dom[i]: L.image_points()[i] for i in range(4)}
+    img = {dom[i]: tuple(L.points[i].tolist()) for i in range(4)}
     assert img[(1, 1)] == (1, 2, 2)
     assert img[(1, 2)] == (0, 1, 2)
     assert img[(1, 0)] == (1, 0, 1)
@@ -156,8 +159,8 @@ def test_weight_vector_all_ones_for_standard_embedding():
     for line in all_lines(sup)[:6]:
         pts = [sup[i] for i in line]
         L = standard_line_embedding(F, pts)
-        assert set(L.weight_vector(3)) == {1}
-        assert set(L.image_points()) == set(pts)
+        assert set(L.lams.tolist()) == {1}
+        assert set(map(tuple, L.points.tolist())) == set(pts)
 
 
 def test_subword_property_random_polys():
@@ -173,11 +176,10 @@ def test_subword_property_random_polys():
         P = (1, int(rng.integers(4)), int(rng.integers(4)))
         L = random_embedding_through(P, F, rng)
         dom = enumerate_points(F, 1, "projective").points
-        for x, img, lam, wt in zip(dom, L.image_points(), L.lams.tolist(), L.weight_vector(v)):
+        for x, img, lam in zip(dom, L.points.tolist(), L.lams.tolist()):
             lhs = eval_poly(F, img, terms)
-            rhs = F.mul(F.pow(lam, v), eval_poly(F, L.map_raw(x), terms))
+            rhs = F.mul(F.pow(lam, v), eval_poly(F, map_raw(L, x), terms))
             assert lhs == rhs
-            assert lhs == F.mul(wt, eval_poly(F, L.map_raw(x), terms))
 
 
 def test_random_embedding_through_contract():
@@ -187,11 +189,11 @@ def test_random_embedding_through_contract():
     for _ in range(50):
         L = random_embedding_through(P, F, rng)
         assert L.col1 == P
-        assert L.image_points()[-1] == P  # infinity maps to P
+        assert tuple(L.points[-1].tolist()) == P  # infinity maps to P
 
     # |L(P^1)| = q + 1 for every rank-2 embedding
     for L in list(all_embeddings(F, 2))[:100]:
-        assert len(set(L.image_points())) == 4
+        assert len(set(map(tuple, L.points.tolist()))) == 4
 
 
 @pytest.mark.parametrize("P", [(1,), (2,), (0, 0, 0)])
@@ -206,7 +208,7 @@ def test_random_embedding_line_uniformity():
     F = GF(3)
     sup = enumerate_points(F, 2, "projective")
     P = (1, 1, 1)
-    expected_lines = lines_through(P, sup)
+    expected_lines = _lines_through(P, sup)
     rng = np.random.default_rng(42)
     counts = {line: 0 for line in expected_lines}
     n_draws = 10_000
