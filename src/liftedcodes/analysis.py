@@ -42,29 +42,20 @@ def information_set(C, rng=None):
         if not 0 <= C.k <= q - 2:
             raise ValueError("affine information sets need k <= q-2")
         iso = _draw_iso(F, C.m, rng)
-        pts = _omega_power_points(iso, C.dim)
-        return pts
+        return list(map(tuple, iso.powers(range(1, C.dim + 1)).tolist()))
     if kind in ("PLift", "PRS"):
         out = [(0,) * C.m + (1,)]
         for i in range(1, C.m + 1):
             dim_i = adim(i, C.k - 1, q)
             iso = _draw_iso(F, i, rng)
-            for aff in _omega_power_points(iso, dim_i):
-                out.append((0,) * (C.m - i) + (1,) + aff)
+            for aff in iso.powers(range(1, dim_i + 1)).tolist():
+                out.append((0,) * (C.m - i) + (1,) + tuple(aff))
         return out
     raise ValueError(f"no information-set construction for kind {kind!r}")
 
 
 def _draw_iso(F, m, rng):
     return ExtensionIso.random(F, m, rng) if rng is not None else ExtensionIso(F, m)
-
-
-def _omega_power_points(iso, count):
-    """Coordinates of Omega, Omega^2, ..., Omega^count."""
-    E = iso.ext
-    e, n = E._log[iso.omega_index], E.order - 1
-    powers = [E._exp[e * j % n] for j in range(1, count + 1)]
-    return list(map(tuple, iso.forward_many(powers).tolist()))
 
 
 def information_set_check(C, points=None, rng=None):
@@ -115,12 +106,9 @@ def qc_certificate(F, m, C):
     if math.gcd(nd, q - 1) != 1:
         return None
 
-    iso = ExtensionIso(F, m + 1)
-    E = iso.ext
     # u_(i, j) = omega^i * beta_d^(j+1), beta_d = omega^((q-1) d)
     step = (q - 1) * d
-    u_idx = [E._exp[(i + step * (j + 1)) % (E.order - 1)] for i in range(d) for j in range(nd)]
-    U = iso.forward_many(u_idx)
+    U = ExtensionIso(F, m + 1).powers([i + step * (j + 1) for i in range(d) for j in range(nd)])
 
     _, lams, positions = locate(F, U)
     if len(set(positions.tolist())) != n:
@@ -243,10 +231,6 @@ def design_dual_report(q, m):
     else:
         report["passed"] = bool(equal)
     return report
-
-
-def design_dual_check(q, m):
-    return design_dual_report(q, m)["passed"]
 
 
 def plift_plane_dimension_formula(p, t):

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from liftedcodes.gf import GF, prime_power
+from liftedcodes.gf import prime_power
 
 
 def int_reduce(e, q):
@@ -118,13 +118,13 @@ def _max_reduced_subweight_array(m, q):
     d), the maximum over all digitwise shadows e of d of int_reduce(|e|):
     `_digit_sum_grid` gathered at each d's column digit sums D.
     """
-    F = GF(q)
-    t = F.t
+    p, t = prime_power(q)
     best = _digit_sum_grid(m, q)
     side = best.shape[0]
     # column digit sums never carry, so the flat grid position of D is the
     # sum over coordinates of each coordinate's own position
-    pos = F.np_digits.astype(np.intp) @ (side ** np.arange(t - 1, -1, -1))
+    digits = np.arange(q, dtype=np.intp)[:, None] // p ** np.arange(t) % p
+    pos = digits @ (side ** np.arange(t - 1, -1, -1))
     flat = np.zeros((), dtype=np.intp)
     for _ in range(m):
         flat = np.add.outer(flat, pos)

@@ -17,19 +17,19 @@ multiplication by omega is GF(p)-linear on an index's base-p digits, so
 the exp table is the orbit of 1 under that d x d matrix, filled by
 doubling (powers L..2L-1 are powers 0..L-1 times the matrix's L-th power).
 Scalar products and inverses then read the exp/log lists, scalar sums and
-differences work on the base-p digits, and the numpy product, sum and
-difference tables are read off the powers of omega and the base-p digits.
-The tables never leak into the observable representation.  The field order
-is limited to q <= MAX_ORDER = 2048, as the tables grow as q^2.
+differences read the numpy sum and difference tables (index XOR in
+characteristic 2), and the numpy product, sum and difference tables are
+read off the powers of omega and the base-p digits.  The tables never leak
+into the observable representation.  The field order is limited to
+q <= MAX_ORDER = 2048, as the tables grow as q^2.
 
-Extension fields GF(q^m) over an already-built GF(q) are supported through
-:class:`ExtensionField` together with the coordinate isomorphism
-GF(q^m) -> GF(q)^m exposed as :class:`ExtensionIso`.  An extension's
-index is its base-q digits, each the base-p digits of a base-field index,
-so the same doubling builds its exp table, and one digit codec serves both
-classes: digits over the field underneath (GF(p) or the base GF(q)),
-summed digitwise there.  Extension orders are limited to 2^20, as its
-exp/log lists grow as q^m.
+The extension GF(q^m) over an already-built GF(q) is not a second field
+class but a table: :class:`ExtensionIso`, the coordinate isomorphism
+GF(q^m) -> GF(q)^m, holds the extension's modulus and the read-only
+exp/log arrays of its primitive element.  An extension index is its
+base-q digits, each the base-p digits of a base-field index, so the same
+doubling (`_power_tables`) fills those arrays.  Extension orders are
+limited to MAX_EXTENSION_ORDER = 2^20, as the arrays grow as q^m.
 """
 
 from __future__ import annotations
@@ -175,206 +175,58 @@ def is_irreducible(F, poly):
 
 
 # ---------------------------------------------------------------------------
+# Powers of a primitive element
+# ---------------------------------------------------------------------------
+
+def _power_tables(p, times_omega):
+    """exp/log of omega in a field of order p^d whose indices are their d
+    base-p digits; times_omega[i] is the index of omega * p^i.
+
+    Multiplying by omega is GF(p)-linear on the d base-p digits of an
+    index, so with A the d x d matrix of omega on the unit digit vectors,
+    digit rows times A^L are the orbit shifted by L powers: D[L:2L] =
+    D[:L] A^L, and A^2L = A^L A^L.  Returns (exp, log) as int32 arrays,
+    log -1 at zero.
+    """
+    d = len(times_omega)
+    q, n = p ** d, p ** d - 1
+    powers = p ** np.arange(d, dtype=np.int64)
+    # the smallest dtype that holds a digit row times A before the mod
+    dt = np.min_scalar_type(d * (p - 1) ** 2)
+    A = (np.array(times_omega, dtype=np.int64)[:, None] // powers % p).astype(dt)
+    D = np.zeros((n, d), dtype=dt)
+    D[0, 0] = 1
+    L = 1
+    while L < n:
+        k = min(L, n - L)
+        np.matmul(D[:k], A, out=D[L:L + k])
+        D[L:L + k] %= p
+        A = A @ A % p
+        L += k
+    exp = np.zeros(n, dtype=np.int32)
+    for j in reversed(range(d)):
+        exp *= p
+        exp += D[:, j]
+    del D  # d bytes per power: freed before log is allocated
+    log = np.full(q, -1, dtype=np.int32)
+    log[exp] = np.arange(n, dtype=np.int32)
+    return exp, log
+
+
+# ---------------------------------------------------------------------------
 # Fields
 # ---------------------------------------------------------------------------
 
-class _FieldBase:
-    """Shared machinery for finite fields whose elements are integer indices.
+class FiniteField:
+    """GF(p^t) with a verified irreducible modulus and deterministic omega.
 
-    Subclasses provide: order, p, modulus and _over, the field their
-    polynomial arithmetic runs over (None for a prime field).  An index is
-    its little-endian digits over _over, base p in GF(p^t) and base q in
-    GF(q^m); the one digit codec below converts both ways, and add/sub
-    work digitwise in _over (index XOR in characteristic 2, integers mod p
-    in a prime field).  _build_logs is the one construction: omega is the
-    first element in the canonical enumeration whose multiplicative order
-    is q - 1, and its powers are the orbit of 1 under the GF(p)-linear map
-    "times omega" on the base-p digits, doubled from the first power up;
-    every table is read off them.  It also sets the scalar mul, which with
-    inv and pow reads the exp/log lists.
+    An index is its t little-endian base-p digits.  omega is the first
+    element in the canonical enumeration whose multiplicative order is
+    q - 1, found by the polynomial arithmetic of the definition; every
+    table is read off its powers (`_power_tables`).  Scalar mul, inv and
+    pow read the exp/log lists; scalar add and sub read the numpy sum and
+    difference tables (index XOR in characteristic 2).
     """
-
-    # -- index-level arithmetic ------------------------------------------
-
-    @property
-    def _radix(self):
-        return self.p if self._over is None else self._over.order
-
-    def index_to_coeffs(self, i):
-        r, w = self._radix, 1
-        out = []
-        while w < self.order:
-            out.append(i % r)
-            i //= r
-            w *= r
-        return tuple(out)
-
-    def coeffs_to_index(self, coeffs):
-        r = self._radix
-        i = 0
-        for c in reversed(coeffs):
-            i = i * r + c
-        return i
-
-    def add(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        if self._over is None:
-            return (a + b) % self.p
-        return self.coeffs_to_index([self._over.add(x, y) for x, y in
-                                     zip(self.index_to_coeffs(a), self.index_to_coeffs(b))])
-
-    def sub(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        if self._over is None:
-            return (a - b) % self.p
-        return self.coeffs_to_index([self._over.sub(x, y) for x, y in
-                                     zip(self.index_to_coeffs(a), self.index_to_coeffs(b))])
-
-    def neg(self, a):
-        return self.sub(0, a)
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("division by zero in finite field")
-        n = self.order - 1
-        return self._exp[(n - self._log[a]) % n]
-
-    def pow(self, a, n):
-        """a^n with the exponent reduced mod q-1 for nonzero a; 0^0 = 1."""
-        if a == 0:
-            if n == 0:
-                return 1
-            if n < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return 0
-        e = n % (self.order - 1)
-        if e == 0:
-            return 1
-        return self._exp[(self._log[a] * e) % (self.order - 1)]
-
-    def order_of(self, a):
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative order")
-        n = self.order - 1
-        o = n
-        for ell in prime_factors(n):
-            while o % ell == 0 and self.pow(a, o // ell) == 1:
-                o //= ell
-        return o
-
-    # -- construction: the only arithmetic that does not read the tables --
-
-    def _poly_mul(self, a, b):
-        """a*b from the definition: polynomials over self._over modulo the
-        modulus, or integers mod p in a prime field (self._over is None)."""
-        if self._over is None:
-            return a * b % self.p
-        return self.coeffs_to_index(poly_mulmod(
-            self._over, self.index_to_coeffs(a), self.index_to_coeffs(b), self.modulus))
-
-    def _poly_pow(self, a, e):
-        """a^e from the definition, as _poly_mul."""
-        if self._over is None:
-            return pow(a, e, self.p)
-        return self.coeffs_to_index(poly_powmod(
-            self._over, self.index_to_coeffs(a), e, self.modulus))
-
-    def _is_primitive(self, a):
-        """a has order q-1: a^((q-1)/ell) != 1 for each prime ell | q-1."""
-        n = self.order - 1
-        return all(self._poly_pow(a, n // ell) != 1 for ell in prime_factors(n))
-
-    def _build_logs(self):
-        """omega is the first primitive index; exp/log are its orbit on 1.
-
-        Multiplying by omega is GF(p)-linear on the d base-p digits of an
-        index, so with A the d x d matrix of omega on the unit digit
-        vectors, digit rows times A^L are the orbit shifted by L powers:
-        D[L:2L] = D[:L] A^L, and A^2L = A^L A^L.  Returns (exp, log) as
-        int32 arrays, log -1 at zero.
-        """
-        p, q, n = self.p, self.order, self.order - 1
-        # indices below the order of the field under this one are its
-        # elements, whose orders divide that order minus one < q - 1
-        start = 1 if self._over is None or self._over.order == q else self._over.order
-        self.omega_index = w = next(a for a in range(start, q) if self._is_primitive(a))
-        d = 1  # q = p^d
-        while p ** d < q:
-            d += 1
-        powers = p ** np.arange(d, dtype=np.int64)
-        # the smallest dtype that holds a digit row times A before the mod
-        dt = np.min_scalar_type(d * (p - 1) ** 2)
-        A = (np.array([self._poly_mul(w, int(u)) for u in powers])[:, None]
-             // powers % p).astype(dt)
-        D = np.zeros((n, d), dtype=dt)
-        D[0, 0] = 1
-        L = 1
-        while L < n:
-            k = min(L, n - L)
-            np.matmul(D[:k], A, out=D[L:L + k])
-            D[L:L + k] %= p
-            A = A @ A % p
-            L += k
-        exp = np.zeros(n, dtype=np.int32)
-        for j in reversed(range(d)):
-            exp *= p
-            exp += D[:, j]
-        del D  # freed before the lists, which set the peak at large q
-        log = np.full(q, -1, dtype=np.int32)
-        log[exp] = np.arange(n, dtype=np.int32)
-        self._exp = exp.tolist()
-        self._log = log.tolist()
-        # scalar mul: the logs of two nonzero elements sum below 2(q-1),
-        # where exp repeats; zero's log here is 2(q-1), so any sum with it
-        # lands in a run of zeros.  A closure rather than a method: the
-        # corrector makes about 22k products per 8-trial batch, and a
-        # method's attribute lookups, zero test and modulo added about 7%
-        # to that batch's time.
-        zlog = [2 * n] + self._log[1:]
-        # filled in place: `exp + exp + zeros` made 64 MB of temporaries at q = 2^20
-        prod = [0] * (4 * n + 1)
-        prod[:n] = prod[n:2 * n] = self._exp
-
-        def mul(a, b):
-            return prod[zlog[a] + zlog[b]]
-
-        self.mul = mul
-        return exp, log
-
-    # -- element text ----------------------------------------------------
-
-    def format_element(self, i):
-        """The textual form "[c0,c1,...]" of index i (little-endian digits)."""
-        return "[" + ",".join(map(str, self.index_to_coeffs(i))) + "]"
-
-    def parse_element(self, text):
-        """The index of the textual form "[c0,c1,...]"; trailing zero digits
-        may be given or left out."""
-        text = text.strip()
-        if not (text.startswith("[") and text.endswith("]")):
-            raise ValueError(f"bad element literal: {text!r}")
-        coeffs = [int(s) for s in text[1:-1].split(",") if s.strip() != ""]
-        if not all(0 <= c < self._radix for c in coeffs):
-            raise ValueError(f"coefficient out of range in element literal {text!r}")
-        i = self.coeffs_to_index(coeffs)
-        # digits in range: an index past the field is a nonzero digit past t
-        if i >= self.order:
-            raise ValueError(f"coefficient vector too long for this field: {text!r}")
-        return i
-
-    def random_primitive_index(self, rng):
-        """Uniform draws from 1..q-1 until one is primitive: a = omega^i
-        has order q-1 iff gcd(i, q-1) = 1."""
-        while True:
-            a = int(rng.integers(1, self.order))
-            if math.gcd(self._log[a], self.order - 1) == 1:
-                return a
-
-
-class FiniteField(_FieldBase):
-    """GF(p^t) with a verified irreducible modulus and deterministic omega."""
 
     def __init__(self, p, t, modulus=None):
         if t < 1:
@@ -384,7 +236,8 @@ class FiniteField(_FieldBase):
             raise ValueError(f"characteristic {p} is not prime")
         self.p = p
         self.t = t
-        self.order = p ** t
+        self.order = q = p ** t
+        n = q - 1
         if modulus is None:
             modulus = IRREDUCIBLE_POLYS.get((p, t))
             if modulus is None:
@@ -395,11 +248,26 @@ class FiniteField(_FieldBase):
         if len(modulus) != t + 1 or modulus[-1] != 1:
             raise ValueError(f"modulus must be monic of degree {t}")
         self.modulus = modulus
-        self._over = GF(p) if t > 1 else None
-        if t > 1 and not is_irreducible(self._over, modulus):
+        if t > 1 and not is_irreducible(GF(p), modulus):
             raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
-        exp, log = self._build_logs()
-        q, n = self.order, self.order - 1
+        self.omega_index = w = next(a for a in range(1, q) if self._is_primitive(a))
+        exp, log = _power_tables(p, [self._poly_mul(w, p ** i) for i in range(t)])
+        self._exp = exp.tolist()
+        self._log = log.tolist()
+        # scalar mul: the logs of two nonzero elements sum below 2(q-1),
+        # where exp repeats; zero's log here is 2(q-1), so any sum with it
+        # lands in a run of zeros.  A closure rather than a method: the
+        # corrector's poly_divmod makes about 500 products per 8-trial
+        # PLift_32(2,16) batch, and a closure skips a method's attribute
+        # lookups, zero test and modulo on each.
+        zlog = [2 * n] + self._log[1:]
+        prod = [0] * (4 * n + 1)
+        prod[:n] = prod[n:2 * n] = self._exp
+
+        def mul(a, b):
+            return prod[zlog[a] + zlog[b]]
+
+        self.mul = mul
         self.dtype = dt = np.dtype(np.uint8 if q <= 256 else np.uint16)
         self.np_exp = exp.astype(dt)
         self.np_log = log  # -1 at zero
@@ -426,6 +294,92 @@ class FiniteField(_FieldBase):
             return (0, 1)
         prime = GF(p)
         return tuple(next(c for c in monic_polys(prime, t) if is_irreducible(prime, c)))
+
+    # -- construction: the only arithmetic that does not read the tables --
+
+    def _poly_mul(self, a, b):
+        """a*b from the definition: polynomials over GF(p) modulo the
+        modulus, or integers mod p in a prime field."""
+        if self.t == 1:
+            return a * b % self.p
+        return self.coeffs_to_index(poly_mulmod(
+            GF(self.p), self.index_to_coeffs(a), self.index_to_coeffs(b), self.modulus))
+
+    def _poly_pow(self, a, e):
+        """a^e from the definition, as _poly_mul."""
+        if self.t == 1:
+            return pow(a, e, self.p)
+        return self.coeffs_to_index(poly_powmod(
+            GF(self.p), self.index_to_coeffs(a), e, self.modulus))
+
+    def _is_primitive(self, a):
+        """a has order q-1: a^((q-1)/ell) != 1 for each prime ell | q-1."""
+        n = self.order - 1
+        return all(self._poly_pow(a, n // ell) != 1 for ell in prime_factors(n))
+
+    # -- index-level arithmetic ------------------------------------------
+
+    def index_to_coeffs(self, i):
+        return tuple(i // self.p ** j % self.p for j in range(self.t))
+
+    def coeffs_to_index(self, coeffs):
+        i = 0
+        for c in reversed(coeffs):
+            i = i * self.p + c
+        return i
+
+    def add(self, a, b):
+        if self.p == 2:
+            return a ^ b
+        return self.np_add.item(a, b)
+
+    def sub(self, a, b):
+        if self.p == 2:
+            return a ^ b
+        return self.np_sub.item(a, b)
+
+    def neg(self, a):
+        return self.sub(0, a)
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("division by zero in finite field")
+        n = self.order - 1
+        return self._exp[(n - self._log[a]) % n]
+
+    def pow(self, a, n):
+        """a^n with the exponent reduced mod q-1 for nonzero a; 0^0 = 1."""
+        if a == 0:
+            if n == 0:
+                return 1
+            if n < 0:
+                raise ZeroDivisionError("negative power of zero")
+            return 0
+        e = n % (self.order - 1)
+        if e == 0:
+            return 1
+        return self._exp[(self._log[a] * e) % (self.order - 1)]
+
+    # -- element text ----------------------------------------------------
+
+    def format_element(self, i):
+        """The textual form "[c0,c1,...]" of index i (little-endian digits)."""
+        return "[" + ",".join(map(str, self.index_to_coeffs(i))) + "]"
+
+    def parse_element(self, text):
+        """The index of the textual form "[c0,c1,...]"; trailing zero digits
+        may be given or left out."""
+        text = text.strip()
+        if not (text.startswith("[") and text.endswith("]")):
+            raise ValueError(f"bad element literal: {text!r}")
+        coeffs = [int(s) for s in text[1:-1].split(",") if s.strip() != ""]
+        if not all(0 <= c < self.p for c in coeffs):
+            raise ValueError(f"coefficient out of range in element literal {text!r}")
+        i = self.coeffs_to_index(coeffs)
+        # digits in range: an index past the field is a nonzero digit past t
+        if i >= self.order:
+            raise ValueError(f"coefficient vector too long for this field: {text!r}")
+        return i
 
     def __eq__(self, other):
         return (isinstance(other, FiniteField) and self.p == other.p
@@ -465,68 +419,57 @@ def GF(q):
 
 
 # ---------------------------------------------------------------------------
-# Extension fields GF(q^m) over a base GF(q)
+# The extension GF(q^m) over a base GF(q), as coordinates and tables
 # ---------------------------------------------------------------------------
 
-class ExtensionField(_FieldBase):
-    """GF(q^m) built over a base field, elements encoded base-q digitwise.
+MAX_EXTENSION_ORDER = 1 << 20  # desk scale guard
+
+
+@lru_cache(maxsize=8)
+def _extension_tables(base, m):
+    """(modulus, exp, log) of GF(q^m) over the base field.
 
     For m >= 2 the modulus is the first monic polynomial of degree m over
-    the base (in canonical index order) whose root z has order q^m - 1,
-    which makes it irreducible and z both the polynomial-basis generator
-    and the field's omega.  For m = 1 it is x.
+    the base (in canonical index order) whose root z has order q^m - 1.
+    A reducible modulus leaves fewer than q^m - 1 units, so this makes it
+    irreducible and z both the polynomial-basis generator and the
+    primitive element whose powers exp lists; z = x sits at index q.  For
+    m = 1 the modulus is x and the tables are the base field's.  exp and
+    log are read-only arrays, log -1 at zero, shared by every caller.
     """
-
-    _MAX_ORDER = 1 << 20  # desk scale guard
-
-    def __init__(self, base, m):
-        if m < 1:
-            raise ValueError("extension dimension must be >= 1")
-        self.base = base
-        self.m = m
-        self.p = base.p
-        self.order = base.order ** m
-        if self.order > self._MAX_ORDER:
-            raise ValueError(f"extension field order {self.order} exceeds the supported "
-                             f"limit 2^20 = {self._MAX_ORDER}")
-        self._over = base
-        # modulus coefficients are base-field indices; the root z = x of the
-        # modulus sits at index q.  A reducible modulus leaves fewer than
-        # q^m - 1 units, so z has order exactly q^m - 1 iff the modulus is
-        # irreducible and z primitive.  For m = 1 every modulus is
-        # irreducible and the first, x, is taken.
-        self.modulus = (0, 1)
-        if m > 1:
-            n = self.order - 1
-            for cand in monic_polys(base, m):
-                self.modulus = tuple(cand)
-                if self._poly_pow(base.order, n) == 1 and self._is_primitive(base.order):
-                    break
-        self._build_logs()
-
-    def __eq__(self, other):
-        return (isinstance(other, ExtensionField) and self.base == other.base
-                and self.m == other.m and self.modulus == other.modulus)
-
-    def __hash__(self):
-        return hash((self.base, self.m, self.modulus))
-
-    def __repr__(self):
-        return f"GF({self.base.order}^{self.m})"
-
-
-@lru_cache(maxsize=None)
-def _extension_field(base, m):
-    return ExtensionField(base, m)
+    q = base.order
+    order = q ** m
+    if order > MAX_EXTENSION_ORDER:
+        raise ValueError(f"extension field order {order} exceeds the supported "
+                         f"limit 2^20 = {MAX_EXTENSION_ORDER}")
+    if m == 1:
+        modulus, exp, log = (0, 1), base.np_exp.view(), base.np_log.view()
+    else:
+        n = order - 1
+        one, z = [1] + [0] * (m - 1), [0, 1] + [0] * (m - 2)
+        for modulus in monic_polys(base, m):
+            if poly_powmod(base, z, n, modulus) == one and all(
+                    poly_powmod(base, z, n // ell, modulus) != one for ell in prime_factors(n)):
+                break
+        modulus = tuple(modulus)
+        # z times each base-p unit digit vector p^i, as m base-q digits
+        times_z = [poly_mulmod(base, [u // q ** j % q for j in range(m)], z, modulus)
+                   for u in (base.p ** i for i in range(base.t * m))]
+        exp, log = _power_tables(base.p, [sum(c * q ** j for j, c in enumerate(v))
+                                          for v in times_z])
+    exp.flags.writeable = log.flags.writeable = False
+    return modulus, exp, log
 
 
 class ExtensionIso:
     """Coordinate isomorphism phi: GF(q^m) -> GF(q)^m.
 
-    Coordinates are taken with respect to the basis {Omega^0..Omega^(m-1)}
-    for a primitive Omega (the extension's canonical one by default), with
-    an optional invertible post-map over GF(q) so randomized isomorphisms
-    can be drawn for the structural checks.
+    An extension element is its index: its m base-q digits in the
+    polynomial basis of `modulus`.  Coordinates are taken with respect to
+    the basis {Omega^0..Omega^(m-1)} for a primitive Omega (z, the root of
+    the modulus, by default), with an optional invertible post-map over
+    GF(q) so randomized isomorphisms can be drawn for the structural
+    checks.  `exp` lists the powers of z and `log` their exponents.
     """
 
     def __init__(self, base, m, omega_index=None, post_map=None):
@@ -534,25 +477,24 @@ class ExtensionIso:
             raise ValueError("extension dimension must be >= 1")
         self.base = base
         self.m = m
-        self.ext = _extension_field(base, m)
-        self.omega_index = self.ext.omega_index if omega_index is None else omega_index
-        if self.ext.order_of(self.omega_index) != self.ext.order - 1:
+        self.modulus, self.exp, self.log = _extension_tables(base, m)
+        n = len(self.exp)  # q^m - 1
+        # the default omega is z = exp[1]; exp[0] when n = 1, in GF(2)
+        self.omega_index = int(self.exp[1 % n]) if omega_index is None else omega_index
+        if not 1 <= self.omega_index <= n:
+            raise ValueError(f"omega index must lie in 1..{n}, got {self.omega_index}")
+        # Omega = z^e is primitive iff gcd(e, q^m - 1) = 1
+        self._omega_log = e = int(self.log[self.omega_index])
+        if math.gcd(e, n) != 1:
             raise ValueError("omega is not primitive in the extension field")
         # columns = polynomial-basis digits of Omega^j
-        cols = []
-        w = 1
-        for _ in range(m):
-            cols.append(self.ext.index_to_coeffs(w))
-            w = self.ext.mul(w, self.omega_index)
-        B = [[cols[j][i] for j in range(m)] for i in range(m)]
+        q = base.order
+        cols = self.exp[np.arange(m) * e % n].astype(np.int64)[:, None] // q ** np.arange(m) % q
         self.post_map = post_map
-        # forward: digits -> post_map . B^-1 . digits; inverse undoes both
-        self._to_coords = linalg.inverse(base, B)
-        self._from_coords = linalg.as_matrix(B, base.dtype)
+        # forward: digits -> post_map . B^-1 . digits
+        self._to_coords = linalg.inverse(base, cols.T)
         if post_map is not None:
             self._to_coords = linalg.gf_matmul(base, post_map, self._to_coords)
-            self._from_coords = linalg.gf_matmul(
-                base, self._from_coords, linalg.inverse(base, post_map))
 
     def forward_many(self, indices):
         """phi of each extension index: an (N, m) array over the base field."""
@@ -560,16 +502,21 @@ class ExtensionIso:
         digits = np.asarray(indices, dtype=np.int64).reshape(-1, 1) // q ** np.arange(self.m) % q
         return linalg.gf_matmul(self.base, digits, self._to_coords.T)
 
-    def inverse(self, coords):
-        # x = sum coords_j * Omega^j, read off in the polynomial basis
-        digits = linalg.gf_matvec(self.base, self._from_coords, coords)
-        return self.ext.coeffs_to_index(digits.tolist())
+    def powers(self, exponents):
+        """phi(Omega^e) for each exponent e: an (N, m) array over the base field."""
+        e = np.asarray(exponents, dtype=np.int64) * self._omega_log % len(self.exp)
+        return self.forward_many(self.exp[e])
 
     @staticmethod
     def random(base, m, rng):
-        """Random primitive omega and random invertible post-map."""
-        ext = _extension_field(base, m)
-        om = ext.random_primitive_index(rng)
+        """Random primitive omega and random invertible post-map.  Omega is
+        drawn uniformly from 1..q^m-1 until one is primitive."""
+        _, _, log = _extension_tables(base, m)
+        n = len(log) - 1
+        while True:
+            om = int(rng.integers(1, n + 1))
+            if math.gcd(int(log[om]), n) == 1:
+                break
         while True:
             M = [[int(rng.integers(base.order)) for _ in range(m)] for _ in range(m)]
             try:
@@ -578,4 +525,3 @@ class ExtensionIso:
             except ValueError:
                 continue
         return ExtensionIso(base, m, omega_index=om, post_map=M)
-

@@ -9,7 +9,7 @@ import numpy as np
 
 from liftedcodes import linalg
 from liftedcodes.analysis import (
-    design_dual_check,
+    design_dual_report,
     distance_report,
     information_set_check,
     qc_certificate,
@@ -147,7 +147,7 @@ def _suite_structure():
     rep = distance_report(C, exact=True)
     if not rep.lower <= rep.exact <= rep.upper:
         return "distance sandwich violated"
-    if not design_dual_check(4, 2):
+    if not design_dual_report(4, 2)["passed"]:
         return "design duality failed"
     return None
 

@@ -7,7 +7,6 @@ import pytest
 from liftedcodes import linalg
 from liftedcodes.analysis import (
     SWEEP_LIMIT,
-    _omega_power_points,
     design_dual_report,
     distance_report,
     exact_distance,
@@ -22,7 +21,8 @@ from liftedcodes.analysis import (
 )
 from liftedcodes.codes import make_code
 from liftedcodes.degrees import adeg
-from liftedcodes.gf import GF, ExtensionIso
+from liftedcodes.geometry import standardize
+from liftedcodes.gf import GF, ExtensionIso, poly_mulmod, poly_powmod
 from liftedcodes.reference import mds_exact_distance
 
 
@@ -67,14 +67,23 @@ def test_information_set_random_draws():
                 assert information_set_check(C, rng=rng), (kind, q, m, kk)
 
 
+def _digits(iso, a):
+    """The polynomial-basis digits over the base of an extension index."""
+    q = iso.base.order
+    return [a // q ** j % q for j in range(iso.m)]
+
+
+def _coords(iso, digits):
+    return tuple(linalg.gf_matvec(iso.base, iso._to_coords, digits).tolist())
+
+
 def _omega_powers_by_steps(iso, count):
-    """Coordinates of Omega, ..., Omega^count, one product and one
-    gf_matvec per element."""
-    E, F = iso.ext, iso.base
-    out, w = [], 1
+    """Coordinates of Omega, ..., Omega^count, one poly_mulmod over the
+    base modulo the extension's modulus and one gf_matvec per element."""
+    omega, w, out = _digits(iso, iso.omega_index), _digits(iso, 1), []
     for _ in range(count):
-        w = E.mul(w, iso.omega_index)
-        out.append(tuple(linalg.gf_matvec(F, iso._to_coords, E.index_to_coeffs(w)).tolist()))
+        w = poly_mulmod(iso.base, w, omega, iso.modulus)
+        out.append(_coords(iso, w))
     return out
 
 
@@ -83,7 +92,11 @@ def test_omega_power_points_equal_stepwise(q, m):
     F = GF(q)
     count = min(q ** m - 1, 60)
     for iso in (ExtensionIso(F, m), ExtensionIso.random(F, m, np.random.default_rng(q * m))):
-        assert _omega_power_points(iso, count) == _omega_powers_by_steps(iso, count)
+        assert list(map(tuple, iso.powers(range(1, count + 1)).tolist())) == \
+            _omega_powers_by_steps(iso, count)
+    # the affine information set is the first dim C of them, from the default iso
+    C = make_code("Lift", q, m, min(2, q - 2))
+    assert information_set(C) == _omega_powers_by_steps(ExtensionIso(F, m), C.dim)
 
 
 @pytest.mark.parametrize("q, m", [(4, 2), (4, 3), (3, 2), (9, 2), (8, 2), (5, 2)])
@@ -92,18 +105,21 @@ def test_qc_vectors_and_twist_equal_stepwise(q, m):
     C = make_code("PLift", q, m, 2)
     cert = qc_certificate(F, m, C)
     iso = ExtensionIso(F, m + 1)
-    E = iso.ext
-    # u_(i, j) = omega^i * beta_d^(j+1), coordinates and twist element by element
-    beta_d = E.pow(E.pow(E.omega_index, q - 1), cert.d)
+    # u_(i, j) = omega^i * beta_d^(j+1), coordinates and twist element by
+    # element, products by poly_mulmod over GF(q) modulo the modulus
+    omega = _digits(iso, iso.omega_index)
+    beta_d = poly_powmod(F, omega, (q - 1) * cert.d, iso.modulus)
     u = []
     for i in range(cert.d):
-        cur = E.pow(E.omega_index, i)
+        cur = poly_powmod(F, omega, i, iso.modulus)
         for _ in range(cert.n // cert.d):
-            cur = E.mul(cur, beta_d)
-            u.append(tuple(linalg.gf_matvec(F, iso._to_coords, E.index_to_coeffs(cur)).tolist()))
+            cur = poly_mulmod(F, cur, beta_d, iso.modulus)
+            u.append(_coords(iso, cur))
     assert cert.u_vectors == u
     lead = [next(c for c in vec if c) for vec in u]
     assert cert.twist == lead  # u = twist * (standard point with leading one)
+    where = {tuple(pt): i for i, pt in enumerate(C.support.coords.tolist())}
+    assert cert.support_positions == [where[standardize(F, vec)[0]] for vec in u]
     assert cert.verified
 
 

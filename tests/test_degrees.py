@@ -2,6 +2,10 @@
 with the definitional line-restriction oracle."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +69,16 @@ def test_int_reduce():
             r = int_reduce(e, q)
             for a in range(q):
                 assert F.pow(a, e) == F.pow(a, r)
+
+
+def test_degree_sets_build_no_field():
+    # the digits come from prime_power(q): no GF(q) and its q^2 tables
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("from liftedcodes import degrees, gf; degrees.adeg(2, 3, 49); "
+            "print(gf.GF.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "0\n"
 
 
 def test_reductions():

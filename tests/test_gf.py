@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from liftedcodes import linalg
 from liftedcodes.gf import (
     GF,
-    ExtensionField,
     ExtensionIso,
     FiniteField,
     is_irreducible,
@@ -26,6 +25,14 @@ from liftedcodes.gf import (
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 16]
 
 
+def _order(F, a):
+    """The multiplicative order of a nonzero a, one power at a time."""
+    k, v = 1, a
+    while v != 1:
+        v, k = F.mul(v, a), k + 1
+    return k
+
+
 def test_gf4_defining_relation():
     F = FiniteField(2, 2, (1, 1, 1))  # x^2 + x + 1
     w = F.omega_index
@@ -36,12 +43,12 @@ def test_gf4_defining_relation():
 def test_gf3_omega_is_two():
     F = FiniteField(3, 1)
     assert F.omega_index == 2
-    assert F.order_of(F.omega_index) == 2
+    assert _order(F, F.omega_index) == 2
 
 
 def test_gf16_omega_order_exhaustive():
     F = GF(16)
-    orders = {a: F.order_of(a) for a in range(1, 16)}
+    orders = {a: _order(F, a) for a in range(1, 16)}
     assert orders[F.omega_index] == 15
     # omega is the first element of full order in canonical enumeration
     first = min(a for a, o in orders.items() if o == 15)
@@ -175,41 +182,38 @@ def test_element_text_roundtrip_random_fields(data):
         assert F.parse_element(text) == i
 
 
-_CODEC_FIELDS = [(q, 1) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)] + [(4, 2), (9, 2), (8, 3)]
+_CODEC_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 
-@pytest.mark.parametrize("q, m", _CODEC_FIELDS, ids=[f"{q}^{m}" for q, m in _CODEC_FIELDS])
-def test_digit_codec_matches_definition(q, m):
-    # add/sub/neg are digitwise mod p on the base-p digits of an index, and
-    # an index is its digits over the field underneath: GF(p), or GF(q) for
-    # the extension GF(q^m)
-    F = GF(q) if m == 1 else ExtensionField(GF(q), m)
-    radix, n = (F.p, F.t) if m == 1 else (q, m)
-    p, N, d = F.p, F.order, GF(q).t * m  # N = p^d
-    dig = np.arange(N)[:, None] // p ** np.arange(d) % p
-    w = p ** np.arange(d)
-    assert [[F.add(a, b) for b in range(N)] for a in range(N)] == \
+@pytest.mark.parametrize("q", _CODEC_Q, ids=[f"{q}^1" for q in _CODEC_Q])
+def test_digit_codec_matches_definition(q):
+    # add/sub/neg are digitwise mod p on the base-p digits of an index
+    F = GF(q)
+    p, t = F.p, F.t
+    dig = np.arange(q)[:, None] // p ** np.arange(t) % p
+    w = p ** np.arange(t)
+    assert [[F.add(a, b) for b in range(q)] for a in range(q)] == \
         ((dig[:, None] + dig[None]) % p @ w).tolist()
-    assert [[F.sub(a, b) for b in range(N)] for a in range(N)] == \
+    assert [[F.sub(a, b) for b in range(q)] for a in range(q)] == \
         ((dig[:, None] - dig[None]) % p @ w).tolist()
-    assert [F.neg(a) for a in range(N)] == (-dig % p @ w).tolist()
-    coeffs = [tuple(i // radix ** j % radix for j in range(n)) for i in range(N)]
-    assert [F.index_to_coeffs(i) for i in range(N)] == coeffs
-    assert [F.coeffs_to_index(c) for c in coeffs] == list(range(N))
+    assert [F.neg(a) for a in range(q)] == (-dig % p @ w).tolist()
+    coeffs = list(map(tuple, dig.tolist()))
+    assert [F.index_to_coeffs(i) for i in range(q)] == coeffs
+    assert [F.coeffs_to_index(c) for c in coeffs] == list(range(q))
 
 
 def test_shipped_moduli_all_construct():
     for (p, t) in IRREDUCIBLE_POLYS:
         F = FiniteField(p, t)
         assert F.order == p ** t
-        assert F.order_of(F.omega_index) == F.order - 1
+        assert _order(F, F.omega_index) == F.order - 1
 
 
 def test_searched_modulus_fallback():
     # (17, 2) is not in the shipped table; deterministic search must kick in
     F = FiniteField(17, 2)
     assert F.order == 289
-    assert F.order_of(F.omega_index) == 288
+    assert _order(F, F.omega_index) == 288
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +251,23 @@ def _assert_tables_match_definition(F, over, ndig):
     assert [[F.add(a, b) for b in range(q)] for a in range(q)] == add
     assert [[F.sub(a, b) for b in range(q)] for a in range(q)] == sub
     assert [F.inv(a) for a in range(1, q)] == [mul[a].index(1) for a in range(1, q)]
+    omega, powers, log = _powers_from_table(mul)
+    assert F.omega_index == omega
+    assert [F.pow(omega, i) for i in range(q - 1)] == powers
+    assert F.np_mul.tolist() == mul
+    assert F.np_add.tolist() == add
+    assert F.np_sub.tolist() == sub
+    assert F.np_digits.tolist() == dig
+    assert F.np_exp.tolist() == powers
+    assert F.np_log.tolist() == log
+    for arr in (F.np_mul, F.np_add, F.np_sub, F.np_exp, F.np_digits):
+        assert arr.dtype == F.dtype
+
+
+def _powers_from_table(mul):
+    """(omega, exp, log) read off a full product table: omega is the first
+    index of order q - 1, exp its powers, log -1 at zero."""
+    q = len(mul)
 
     def order(a):
         k, v = 1, a
@@ -255,23 +276,13 @@ def _assert_tables_match_definition(F, over, ndig):
         return k
 
     omega = next(a for a in range(1, q) if order(a) == q - 1)
-    assert F.omega_index == omega
     powers = [1]
     while len(powers) < q - 1:
         powers.append(mul[powers[-1]][omega])
-    assert [F.pow(omega, i) for i in range(q - 1)] == powers
-    if isinstance(F, FiniteField):
-        log = [-1] * q
-        for i, v in enumerate(powers):
-            log[v] = i
-        assert F.np_mul.tolist() == mul
-        assert F.np_add.tolist() == add
-        assert F.np_sub.tolist() == sub
-        assert F.np_digits.tolist() == dig
-        assert F.np_exp.tolist() == powers
-        assert F.np_log.tolist() == log
-        for arr in (F.np_mul, F.np_add, F.np_sub, F.np_exp, F.np_digits):
-            assert arr.dtype == F.dtype
+    log = [-1] * q
+    for i, v in enumerate(powers):
+        log[v] = i
+    return omega, powers, log
 
 
 @pytest.mark.parametrize("make", [
@@ -287,10 +298,44 @@ def test_field_tables_match_definition(make):
     _assert_tables_match_definition(F, _ModP(F.p), F.t)
 
 
+def _ext_digits(q, m, a):
+    """The m base-q digits of an extension index: its polynomial-basis
+    coefficients over GF(q)."""
+    return [a // q ** j % q for j in range(m)]
+
+
+def _ext_index(q, digits):
+    return sum(c * q ** j for j, c in enumerate(digits))
+
+
+def _ext_mul(iso, a, b):
+    """a*b in GF(q^m) from the definition: poly_mulmod over the base
+    modulo the extension's modulus."""
+    q, m = iso.base.order, iso.m
+    return _ext_index(q, poly_mulmod(iso.base, _ext_digits(q, m, a), _ext_digits(q, m, b),
+                                     iso.modulus))
+
+
+def _ext_add(iso, a, b):
+    """a+b in GF(q^m): digitwise in the base field."""
+    q, m = iso.base.order, iso.m
+    return _ext_index(q, map(iso.base.add, _ext_digits(q, m, a), _ext_digits(q, m, b)))
+
+
 @pytest.mark.parametrize("q, m", [(4, 3), (9, 2)])
 def test_extension_tables_match_definition(q, m):
-    E = ExtensionIso(GF(q), m).ext
-    _assert_tables_match_definition(E, E.base, m)
+    # the full product table by poly_mulmod; omega is its first index of
+    # order q^m - 1, and exp/log are its powers
+    iso = ExtensionIso(GF(q), m)
+    N = q ** m
+    mul = [[0] * N for _ in range(N)]
+    for a in range(N):
+        for b in range(a, N):  # products commute: fill both triangles at once
+            mul[a][b] = mul[b][a] = _ext_mul(iso, a, b)
+    omega, powers, log = _powers_from_table(mul)
+    assert iso.omega_index == omega == q  # z = x, at index q
+    assert iso.exp.tolist() == powers
+    assert iso.log.tolist() == log
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +381,26 @@ def test_doubling_logs_match_sequential_custom_modulus():
     _assert_logs_match_sequential(F)
 
 
+def _sequential_extension_logs(base, m, modulus):
+    """(omega, exp, log) of GF(q^m) = GF(q)[x]/(modulus) one power at a
+    time: omega is the first index passing the primitivity test, and each
+    power is the last one times omega, both by polynomial arithmetic over
+    the base."""
+    q, n = base.order, base.order ** m - 1
+    one = [1] + [0] * (m - 1)
+    omega = next(a for a in range(1, n + 1)
+                 if all(poly_powmod(base, _ext_digits(q, m, a), n // ell, modulus) != one
+                        for ell in prime_factors(n)))
+    w = _ext_digits(q, m, omega)
+    exp = [1] * n
+    for i in range(1, n):
+        exp[i] = _ext_index(q, poly_mulmod(base, _ext_digits(q, m, exp[i - 1]), w, modulus))
+    log = [-1] * (n + 1)
+    for i, v in enumerate(exp):
+        log[v] = i
+    return omega, exp, log
+
+
 def _trial_division_modulus(base, m):
     """The extension modulus as chosen by trial division: the first monic
     irreducible whose root z (index q; -c0 for m = 1) passes the
@@ -355,25 +420,50 @@ _EXTENSIONS = [(q, m) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 @pytest.mark.parametrize("q, m", _EXTENSIONS, ids=[f"{q}^{m}" for q, m in _EXTENSIONS])
 def test_extension_construction_matches_trial_division(q, m):
-    E = ExtensionField(GF(q), m)
-    assert E.modulus == _trial_division_modulus(GF(q), m)
-    _assert_logs_match_sequential(E)
+    iso = ExtensionIso(GF(q), m)
+    assert iso.modulus == _trial_division_modulus(GF(q), m)
+    omega, exp, log = _sequential_extension_logs(GF(q), m, iso.modulus)
+    assert iso.omega_index == omega
+    assert iso.exp.tolist() == exp
+    assert iso.log.tolist() == log
+    assert not (iso.exp.flags.writeable or iso.log.flags.writeable)
 
 
-@pytest.mark.parametrize("make", [lambda: ExtensionField(GF(4), 2),
-                                  lambda: ExtensionField(GF(9), 2),
-                                  lambda: ExtensionField(GF(8), 3),
-                                  lambda: FiniteField(2, 9)],
-                         ids=["4^2", "9^2", "8^3", "2^9"])
-def test_log_gcd_primitivity_matches_order_test(make):
-    F = make()
-    n = F.order - 1
-    assert [math.gcd(F._log[a], n) == 1 for a in range(1, F.order)] == \
-        [F._is_primitive(a) for a in range(1, F.order)]
+_GCD_CASES = [(4, 2), (9, 2), (8, 3), (2, 9)]
 
 
-# (q, m, seed) -> (omega, post-map) drawn by ExtensionIso.random: how
-# random_primitive_index tests a draw must not change which draws it takes
+@pytest.mark.parametrize("q, m", _GCD_CASES, ids=[f"{q}^{m}" for q, m in _GCD_CASES])
+def test_log_gcd_primitivity_matches_order_test(q, m):
+    # z^i is primitive iff gcd(i, q^m - 1) = 1, and exactly the primitive
+    # indices are accepted as omega
+    base = GF(q)
+    iso = ExtensionIso(base, m)
+    n, one = q ** m - 1, [1] + [0] * (m - 1)
+    primitive = [all(poly_powmod(base, _ext_digits(q, m, a), n // ell, iso.modulus) != one
+                     for ell in prime_factors(n)) for a in range(1, n + 1)]
+    assert [math.gcd(int(iso.log[a]), n) == 1 for a in range(1, n + 1)] == primitive
+
+    def accepted(a):
+        try:
+            ExtensionIso(base, m, omega_index=a)
+        except ValueError:
+            return False
+        return True
+
+    assert [accepted(a) for a in range(1, n + 1)] == primitive
+
+
+def test_omega_index_out_of_range_rejected():
+    base = GF(4)
+    for bad in (-1, 0, 16):
+        with pytest.raises(ValueError, match=rf"^omega index must lie in 1\.\.15, got {bad}$"):
+            ExtensionIso(base, 2, omega_index=bad)
+    with pytest.raises(ValueError, match="^omega is not primitive in the extension field$"):
+        ExtensionIso(base, 2, omega_index=3)  # a base element: its order divides 3
+
+
+# (q, m, seed) -> (omega, post-map) drawn by ExtensionIso.random: how it
+# tests a draw for primitivity must not change which draws it takes
 _RANDOM_ISOS = {
     (4, 2, 0): (5, [[0, 3], [2, 3]]),
     (4, 2, 1): (12, [[3, 0], [0, 3]]),
@@ -400,39 +490,38 @@ def test_random_iso_draws_pinned(q, m, seed):
 @pytest.mark.parametrize("q, m", [(4, 2), (3, 2), (9, 2), (8, 3)])
 def test_forward_many_equals_per_element_forward(q, m):
     F = GF(q)
+    N = q ** m
     for iso in (ExtensionIso(F, m), ExtensionIso.random(F, m, np.random.default_rng(q + m))):
-        E = iso.ext
         # per element: the polynomial-basis digits times the coordinate matrix
-        ref = [tuple(linalg.gf_matvec(F, iso._to_coords, E.index_to_coeffs(a)).tolist())
-               for a in range(E.order)]
-        many = iso.forward_many(range(E.order))
-        assert many.shape == (E.order, m) and many.dtype == F.dtype
+        ref = [tuple(linalg.gf_matvec(F, iso._to_coords, _ext_digits(q, m, a)).tolist())
+               for a in range(N)]
+        many = iso.forward_many(range(N))
+        assert many.shape == (N, m) and many.dtype == F.dtype
         assert list(map(tuple, many.tolist())) == ref
-        assert [tuple(iso.forward_many([a])[0].tolist()) for a in range(E.order)] == ref
+        assert [tuple(iso.forward_many([a])[0].tolist()) for a in range(N)] == ref
 
 
 def test_ext_iso_identity_for_m1():
     F = GF(2)
     iso = ExtensionIso(F, 1)
     assert iso.forward_many(range(2)).tolist() == [[0], [1]]
-    for a in range(2):
-        assert iso.inverse((a,)) == a
+    assert iso.modulus == (0, 1)
+    assert (iso.exp.tolist(), iso.log.tolist()) == (F.np_exp.tolist(), F.np_log.tolist())
 
 
 def test_ext_iso_gf4_linearity_random():
     F = GF(4)
     iso = ExtensionIso(F, 2)
-    E = iso.ext
-    phi = list(map(tuple, iso.forward_many(range(E.order)).tolist()))
+    phi = list(map(tuple, iso.forward_many(range(16)).tolist()))
     rng = np.random.default_rng(11)
     for _ in range(100):
         a, b = int(rng.integers(16)), int(rng.integers(16))
         fa, fb = phi[a], phi[b]
-        fsum = phi[E.add(a, b)]
+        fsum = phi[_ext_add(iso, a, b)]
         assert fsum == tuple(F.add(x, y) for x, y in zip(fa, fb))
         lam = int(rng.integers(4))
         # scalar action: lambda * a with lambda embedded as a constant
-        fla = phi[E.mul(lam, a)]
+        fla = phi[_ext_mul(iso, lam, a)]
         assert fla == tuple(F.mul(lam, x) for x in fa)
 
 
@@ -441,30 +530,28 @@ def test_ext_iso_gf3_bijective_exhaustive():
     iso = ExtensionIso(F, 2)
     phi = list(map(tuple, iso.forward_many(range(9)).tolist()))
     assert len(set(phi)) == 9
-    for a in range(9):
-        assert iso.inverse(phi[a]) == a
+    # Omega^0, Omega^1 is the coordinate basis
+    assert iso.powers(range(2)).tolist() == [[1, 0], [0, 1]]
 
 
 def test_ext_iso_random_draw_is_isomorphism():
     F = GF(4)
     rng = np.random.default_rng(3)
     iso = ExtensionIso.random(F, 2, rng)
-    E = iso.ext
-    phi = list(map(tuple, iso.forward_many(range(E.order)).tolist()))
-    assert len(set(phi)) == E.order
+    phi = list(map(tuple, iso.forward_many(range(16)).tolist()))
+    assert len(set(phi)) == 16
     for _ in range(50):
-        a, b = int(rng.integers(E.order)), int(rng.integers(E.order))
+        a, b = int(rng.integers(16)), int(rng.integers(16))
         fa, fb = phi[a], phi[b]
-        assert phi[E.add(a, b)] == tuple(F.add(x, y) for x, y in zip(fa, fb))
-        assert iso.inverse(phi[a]) == a
+        assert phi[_ext_add(iso, a, b)] == tuple(F.add(x, y) for x, y in zip(fa, fb))
 
 
 def test_extension_field_frobenius():
+    # a^(q^m) = a for every a of GF(16) = GF(4)[x]/(modulus)
     F = GF(4)
     iso = ExtensionIso(F, 2)
-    E = iso.ext
-    for a in range(E.order):
-        assert E.pow(a, E.order) == a
+    for a in range(16):
+        assert poly_powmod(F, _ext_digits(4, 2, a), 16, iso.modulus) == _ext_digits(4, 2, a)
 
 
 # ---------------------------------------------------------------------------
