@@ -151,7 +151,9 @@ class Support:
         try:
             self.position(point)
         except ValueError:
-            hint = (f"affine points take {self.m} coordinates" if self.space == "affine"
+            width = self.coords.shape[1]
+            hint = (f"{self.space} points take {width} coordinates"
+                    if self.space == "affine" or len(point) != width
                     else "projective points take leading nonzero coordinate [1]")
             raise ValueError(f"{text!r} is not a point of {self!r} ({hint})") from None
         return point
@@ -186,9 +188,14 @@ class LineEmbedding:
         if len(self.col0) != len(self.col1):
             raise ValueError("columns of unequal length")
         self.m = len(self.col0) - 1
-        # rank 2: both columns are nonzero and located at different positions
-        if not (any(self.col0) and any(self.col1)
-                and len(set(locate(field, [self.col0, self.col1])[2].tolist())) == 2):
+        # rank 2: both columns are nonzero and col0 is no multiple of col1.
+        # The only multiple that can equal col0 is col0[i]/col1[i] * col1,
+        # with i the lead of col1.
+        if not (any(self.col0) and any(self.col1)):
+            raise ValueError("embedding matrix must have rank 2")
+        i = next(j for j, c in enumerate(self.col1) if c)
+        ratio = field.mul(self.col0[i], field.inv(self.col1[i]))
+        if all(field.mul(ratio, b) == a for a, b in zip(self.col0, self.col1)):
             raise ValueError("embedding matrix must have rank 2")
 
     @cached_property

@@ -7,7 +7,9 @@ characteristic goes through the field's add/sub tables.  ``rref`` and
 ``rank`` share one pivot step (``_pivot``, then ``_clear``'s gathered row
 update): ``rref`` clears every other row, ``rank`` only the rows below.
 ``null_vectors`` runs Gauss-Jordan on a stack of same-shape matrices at
-once, for the many small systems of the Monte-Carlo corrector.  All are
+once, for the many small systems of the Monte-Carlo corrector; its
+lockstep row update gathers each product from the flattened multiplication
+table, so it touches only the stack's own entries whatever q is.  All are
 adequate at desk scale and deliberately free of structure shortcuts.
 """
 
@@ -161,6 +163,7 @@ def null_vectors(F, A):
     has = np.zeros(nslices, dtype=bool)
     live = np.arange(nslices)  # original index of each running slice
     inv = F.np_exp[(F.order - 1 - F.np_log) % (F.order - 1)]  # junk at zero, never read
+    mul = F.np_mul.ravel()  # mul[a*q + b] = a * b; q^2 <= 2^22 indexes in int32
     for c in range(ncols):
         below = A[:, c:, c] != 0  # (running, nrows - c); empty past the last row
         pivoted = below.any(axis=1)
@@ -179,10 +182,11 @@ def null_vectors(F, A):
         # rows from c down are zero left of c, so only columns c.. change
         row = F.np_mul[inv[row[:, :1]], row]
         A[:, c, c:] = row
-        factors = A[:, :, c].copy()
-        factors[:, c] = 0
-        updates = F.np_mul[factors[:, :, None], row[:, None, :]]
-        gf_isub(F, A[:, :, c:], updates)
+        # factor * q, where the factor's row of mul starts.  An int32 index
+        # is half an intp one, and numpy widens it in buffered chunks
+        offsets = np.multiply(A[:, :, c], F.order, dtype=np.int32)
+        offsets[:, c] = 0  # the pivot row stays
+        gf_isub(F, A[:, :, c:], mul[offsets[:, :, None] + row[:, None, :]])
     return X, has
 
 

@@ -310,13 +310,16 @@ def test_query_gen_equals_tuple_search_reference():
         pts = enumerate_points(F, m, "projective").points
         rng = np.random.default_rng(q)
         for trial in range(60):
-            # P anywhere on the line, not only at the image of infinity
             L = random_embedding_through(pts[int(rng.integers(len(pts)))], F, rng)
+            # P at the image of (0:1), where random_embedding_through puts
+            # the target, and anywhere on the line
+            at_infinity = tuple(L.points[q].tolist())
             P = tuple(L.points[int(rng.integers(q + 1))].tolist())
             s = int(rng.integers(1, q + 1))
-            a, b = np.random.default_rng(trial), np.random.default_rng(trial)
-            assert query_gen(P, L, s, a) == reference(P, L, s, b)
-            assert a.bit_generator.state == b.bit_generator.state
+            for target in (at_infinity, P):
+                a, b = np.random.default_rng(trial), np.random.default_rng(trial)
+                assert query_gen(target, L, s, a) == reference(target, L, s, b)
+                assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_query_gen_target_inclusion_rate():

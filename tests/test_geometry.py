@@ -134,6 +134,50 @@ def test_worked_embedding_rank():
         LineEmbedding(F, (1, 0, 1), (2, 0, 2))  # rank 1
 
 
+def _reference_rank_2(F, col0, col1):
+    """The rank test LineEmbedding made by `locate`: both columns are
+    nonzero and located at different positions."""
+    return bool(any(col0) and any(col1)
+                and len(set(locate(F, [col0, col1])[2].tolist())) == 2)
+
+
+def _assert_rank_test(F, col0, col1):
+    if _reference_rank_2(F, col0, col1):
+        LineEmbedding(F, col0, col1)
+    else:
+        with pytest.raises(ValueError, match="^embedding matrix must have rank 2$"):
+            LineEmbedding(F, col0, col1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("width", [2, 3])
+def test_embedding_rank_test_equals_locate_reference_on_every_pair(q, width):
+    F = GF(q)
+    vectors = list(itertools.product(range(q), repeat=width))
+    for col0, col1 in itertools.product(vectors, repeat=2):
+        _assert_rank_test(F, col0, col1)
+    with pytest.raises(ValueError, match="^columns of unequal length$"):
+        LineEmbedding(F, vectors[1], vectors[1] + (0,))
+
+
+@pytest.mark.parametrize("q", [9, 32, 257])
+def test_embedding_rank_test_equals_locate_reference_on_samples(q):
+    """Random pairs, and as many pairs with col0 a multiple of col1 (the
+    zero multiple included), which random pairs almost never are."""
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    proportional = 0
+    for _ in range(300):
+        width = int(rng.integers(2, 5))
+        col1 = tuple(rng.integers(q, size=width).tolist())
+        scalar = int(rng.integers(q))
+        multiple = tuple(F.mul(scalar, c) for c in col1)
+        for col0 in (tuple(rng.integers(q, size=width).tolist()), multiple):
+            proportional += not _reference_rank_2(F, col0, col1)
+            _assert_rank_test(F, col0, col1)
+    assert proportional >= 300
+
+
 def test_worked_weight_vector_point_indexed():
     # weights of a fully worked F_3 embedding, compared point-by-point
     F = GF(3)
@@ -237,7 +281,8 @@ def test_point_text_roundtrip():
 @pytest.mark.parametrize("space, text, hint", [
     ("affine", "([1,0])", "(affine points take 2 coordinates)"),
     ("affine", "([1,0]:[0,1]:[0,0])", "(affine points take 2 coordinates)"),
-    ("projective", "([1,0]:[0,1])", "(projective points take leading nonzero coordinate [1])"),
+    ("projective", "([1,0]:[0,1])", "(projective points take 3 coordinates)"),
+    ("projective", "([1,0]:[0,1]:[0,0]:[1,0])", "(projective points take 3 coordinates)"),
     ("projective", "([0,1]:[1,0]:[0,0])",
      "(projective points take leading nonzero coordinate [1])"),
 ])

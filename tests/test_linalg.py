@@ -112,12 +112,14 @@ def _null_vector_stack(F, rng, nslices, r, c):
     return A
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27, 32])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27, 32, 49, 81, 125, 256, 257])
 def test_null_vectors_equal_first_nullspace_row(q):
     F = GF(q)
     rng = np.random.default_rng(q)
     full_rank = 0
-    for r, c in [(4, 9), (3, 5), (6, 6), (8, 8), (11, 5), (9, 3), (1, 1), (0, 3), (3, 0)]:
+    # (32, 32) is the corrector's key-equation shape at q = s = 32, k = 16
+    for r, c in [(4, 9), (3, 5), (6, 6), (8, 8), (11, 5), (9, 3), (1, 1), (0, 3), (3, 0),
+                 (32, 32)]:
         A = _null_vector_stack(F, rng, 30, r, c)
         before = A.copy()
         X, has = linalg.null_vectors(F, A)
