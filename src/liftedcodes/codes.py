@@ -42,24 +42,36 @@ def prm_dimension(m, v, q):
     return total
 
 
+_EVAL_BLOCK_BYTES = 1 << 18  # evaluate_monomials' int64 temporary, per row block
+
+
 def evaluate_monomials(F, exponents, points):
     """Evaluation matrix: one row per exponent tuple, one column per point.
 
-    Exponents are reduced by `degrees.int_reduce`, and the matrix is
-    built one coordinate at a time from a q x q power table.
+    Exponents are reduced by `degrees.int_reduce`.  Each entry is computed
+    in the log domain, exp[(E @ log x^T) mod (q-1)]: a zero coordinate
+    gets a log so large that any positive exponent on it pushes the sum
+    past every sum of true logs, and those entries are zero (0^0 = 1).
+    Rows go in blocks whose int64 sums take at most 256 KiB.
     """
     pts = np.asarray(points, dtype=F.dtype)
     if pts.ndim == 1:
         pts = pts.reshape(1, -1)
     q = F.order
-    E = degrees.int_reduce(np.asarray(exponents, dtype=np.int64).reshape(-1, pts.shape[1]), q)
-    # power[a, e] = a^e for e in [0, q-1]; 0^0 = 1
-    power = F.np_exp[np.multiply.outer(F.np_log.astype(np.int64), np.arange(q)) % (q - 1)]
-    power[0] = 0
-    power[:, 0] = 1
-    G = np.ones((len(E), len(pts)), dtype=F.dtype)
-    for i in range(pts.shape[1]):
-        G = F.np_mul[G, power[pts[:, i], E[:, i, None]]]
+    npts, m = pts.shape
+    E = degrees.int_reduce(np.asarray(exponents, dtype=np.int64).reshape(-1, m), q)
+    # true logs are at most q-2 and reduced exponents at most q-1
+    big = m * (q - 1) ** 2 + 1
+    logs = np.where(pts == 0, big, F.np_log[pts]).T.astype(np.int64)  # (m, npts)
+    G = np.empty((len(E), npts), dtype=F.dtype)
+    step = max(1, _EVAL_BLOCK_BYTES // (8 * max(npts, 1)))
+    for lo in range(0, len(E), step):
+        S = E[lo:lo + step] @ logs
+        zero = S >= big
+        np.remainder(S, q - 1, out=S)
+        block = G[lo:lo + step]
+        F.np_exp.take(S, out=block, mode="clip")
+        block[zero] = 0
     return G
 
 

@@ -3,14 +3,21 @@
 Matrices are numpy arrays of canonical element indices of one FiniteField,
 in the field's element dtype ``F.dtype``.  Characteristic-2 fields add by
 XOR of indices, which keeps row elimination at memory bandwidth; odd
-characteristic goes through the field's add/sub tables.  ``rref`` and
-``rank`` share one pivot step (``_pivot``, then ``_clear``'s gathered row
-update): ``rref`` clears every other row, ``rank`` only the rows below.
-``null_vectors`` runs Gauss-Jordan on a stack of same-shape matrices at
-once, for the many small systems of the Monte-Carlo corrector; its
-lockstep row update gathers each product from the flattened multiplication
-table, so it touches only the stack's own entries whatever q is.  All are
-adequate at desk scale and deliberately free of structure shortcuts.
+characteristic reads the field's add/sub tables elementwise through
+``_lookup``, one gather from the flattened table.  Products of a
+column of factors with a row (``_multiples``) gather whole contiguous rows
+of a product table, never single elements: both ``_clear``'s row update
+and ``gf_matmul``'s rank-one updates go through it.  ``rref`` and the
+forward elimination ``_forward`` share one pivot step (``_pivot``, then
+``_clear``): ``rref`` clears every other row, ``_forward`` only the rows
+below and yields each pivot's source row.  ``rank`` counts those pivots,
+and the row-space tests eliminate [A; B] once and stop at the first pivot
+found in a row of B.  ``null_vectors`` runs Gauss-Jordan on a stack of
+same-shape matrices at once, for the many small systems of the
+Monte-Carlo corrector; its lockstep row update gathers each product from
+the flattened multiplication table through ``_lookup``, so it touches
+only the stack's own entries whatever q is.  All are adequate at desk
+scale and deliberately free of structure shortcuts.
 """
 
 from __future__ import annotations
@@ -25,10 +32,18 @@ def as_matrix(rows, dtype=np.uint8):
     return A
 
 
+def _lookup(F, table, A, B):
+    """table[A, B] for one of the field's q x q tables, gathered from the
+    flattened table through an int32 index (q^2 <= 2^22), not numpy's
+    slower 2-D fancy index.  The index is half an intp one, and numpy
+    widens it in buffered chunks; `take` would widen all of it at once."""
+    return table.ravel()[np.multiply(A, F.order, dtype=np.int32) + B]
+
+
 def gf_add(F, A, B):
     if F.p == 2:
         return A ^ B
-    return F.np_add[A, B]
+    return _lookup(F, F.np_add, A, B)
 
 
 def gf_isub(F, A, B):
@@ -36,7 +51,7 @@ def gf_isub(F, A, B):
     if F.p == 2:
         A ^= B
     else:
-        A[...] = F.np_sub[A, B]
+        A[...] = _lookup(F, F.np_sub, A, B)
 
 
 def gf_scale(F, c, A):
@@ -61,32 +76,51 @@ def gf_matvec(F, A, v):
     return gf_sum(F, prods, axis=1)
 
 
+def _multiples(F, factors, row):
+    """factors[i] * row[j] for every i, j: a (len(factors), len(row)) array.
+
+    Both ways gather whole contiguous rows of a product table instead of
+    single elements.  With at least as many factors as field elements, the
+    table of row's q multiples is built once, C-ordered by `take`, and
+    each factor picks its row of it.  With fewer factors than elements,
+    each factor's own row of `F.np_mul` is read and row is gathered from
+    it, so a large q never builds a q-row table for a few rows.
+    """
+    if len(factors) >= F.order:
+        return F.np_mul.take(row, axis=1)[factors]
+    return F.np_mul[factors].take(row, axis=1)
+
+
 def gf_matmul(F, A, B):
+    """A @ B over the field: one rank-one update per column of A."""
     A = as_matrix(A, F.dtype)
     B = as_matrix(B, F.dtype)
+    if A.shape[1] != B.shape[0]:
+        raise ValueError(f"inner dimensions differ: {A.shape} times {B.shape}")
     out = np.zeros((A.shape[0], B.shape[1]), dtype=F.dtype)
     for i in range(A.shape[1]):
         col = A[:, i]
         if not col.any():
             continue
-        out = gf_add(F, out, F.np_mul[col[:, None], B[i][None, :]])
+        out = gf_add(F, out, _multiples(F, col, B[i]))
     return out
 
 
 def _pivot(F, A, r, c):
     """Move the first nonzero entry at or below row r of column c into row r
-    and scale it to one; False if there is none.  Rows from r down are zero
-    left of c in both eliminations, so only columns c.. move."""
+    and scale it to one.  Returns the row the entry came from, or -1 if
+    there is none.  Rows from r down are zero left of c in both
+    eliminations, so only columns c.. move."""
     nz = A[r:, c].nonzero()[0]
     if nz.size == 0:
-        return False
+        return -1
     piv = r + int(nz[0])
     if piv != r:
         A[[r, piv], c:] = A[[piv, r], c:]
     lead = int(A[r, c])
     if lead != 1:
         A[r, c:] = F.np_mul[F.inv(lead)][A[r, c:]]
-    return True
+    return piv
 
 
 def _clear(F, A, rows, r, c):
@@ -94,9 +128,8 @@ def _clear(F, A, rows, r, c):
     one gathered update.  The pivot row is zero left of c, so only columns
     c.. change."""
     if rows.size:
-        updates = F.np_mul[:, A[r, c:]][A[rows, c]]  # factor -> factor * pivot row
         block = A[rows, c:]
-        gf_isub(F, block, updates)
+        gf_isub(F, block, _multiples(F, A[rows, c], A[r, c:]))
         A[rows, c:] = block
 
 
@@ -109,26 +142,33 @@ def rref(F, A):
         r = len(pivots)
         if r >= nrows:
             break
-        if _pivot(F, A, r, c):
+        if _pivot(F, A, r, c) >= 0:
             rows = A[:, c].nonzero()[0]
             _clear(F, A, rows[rows != r], r, c)
             pivots.append(c)
     return A[:len(pivots)], pivots
 
 
-def rank(F, A):
-    """Rank by forward elimination: each pivot clears only the rows below it,
-    so no pass touches a settled entry."""
-    A = as_matrix(A, F.dtype).copy()
+def _forward(F, A):
+    """Forward elimination of A in place, each pivot clearing only the rows
+    below it, so no pass touches a settled entry.  Yields, pivot by pivot,
+    the row the pivot was found in, before its rows are cleared: a caller
+    that stops early skips the rest."""
     nrows, ncols = A.shape
     r = 0
     for c in range(ncols):
         if r >= nrows:
             break
-        if _pivot(F, A, r, c):
+        src = _pivot(F, A, r, c)
+        if src >= 0:
+            yield src
             _clear(F, A, r + 1 + A[r + 1:, c].nonzero()[0], r, c)
             r += 1
-    return r
+
+
+def rank(F, A):
+    """Rank by forward elimination."""
+    return sum(1 for _ in _forward(F, as_matrix(A, F.dtype).copy()))
 
 
 def nullspace(F, A):
@@ -163,7 +203,6 @@ def null_vectors(F, A):
     has = np.zeros(nslices, dtype=bool)
     live = np.arange(nslices)  # original index of each running slice
     inv = F.np_exp[(F.order - 1 - F.np_log) % (F.order - 1)]  # junk at zero, never read
-    mul = F.np_mul.ravel()  # mul[a*q + b] = a * b; q^2 <= 2^22 indexes in int32
     for c in range(ncols):
         below = A[:, c:, c] != 0  # (running, nrows - c); empty past the last row
         pivoted = below.any(axis=1)
@@ -182,11 +221,9 @@ def null_vectors(F, A):
         # rows from c down are zero left of c, so only columns c.. change
         row = F.np_mul[inv[row[:, :1]], row]
         A[:, c, c:] = row
-        # factor * q, where the factor's row of mul starts.  An int32 index
-        # is half an intp one, and numpy widens it in buffered chunks
-        offsets = np.multiply(A[:, :, c], F.order, dtype=np.int32)
-        offsets[:, c] = 0  # the pivot row stays
-        gf_isub(F, A[:, :, c:], mul[offsets[:, :, None] + row[:, None, :]])
+        factors = A[:, :, c].copy()
+        factors[:, c] = 0  # the pivot row stays
+        gf_isub(F, A[:, :, c:], _lookup(F, F.np_mul, factors[:, :, None], row[:, None, :]))
     return X, has
 
 
@@ -209,20 +246,38 @@ def _row_pair(F, A, B):
             B if len(B) else B.reshape(0, A.shape[1]))
 
 
+def _rank_if_contains(F, A, B):
+    """rank(A) if every row of B lies in the row space of A, else None.
+
+    One forward elimination of [A; B], which stops at the first pivot
+    found in a row of B.  Until then every swap stays among A's rows, so
+    each row below them is a row of B minus a word of A's row space.  Such
+    a pivot leads at a column where no word of A's row space can lead: the
+    settled rows lead left of it, and A's remaining rows are zero up to
+    and in it.
+    """
+    r = 0
+    for src in _forward(F, np.vstack([A, B])):
+        if src >= len(A):
+            return None
+        r += 1
+    return r
+
+
 def rowspace_contains(F, A, B):
     """True iff every row of B lies in the row space of A."""
     A, B = _row_pair(F, A, B)
-    return rank(F, np.vstack([A, B])) == rank(F, A)
+    return _rank_if_contains(F, A, B) is not None
 
 
 def rowspace_equal(F, A, B):
+    """True iff A and B have the same row space: B's lies in A's and has
+    A's dimension."""
     A, B = _row_pair(F, A, B)
     if A.shape[1] != B.shape[1]:
         return False
-    ra, rb = rank(F, A), rank(F, B)
-    if ra != rb:
-        return False
-    return rank(F, np.vstack([A, B])) == ra
+    ra = _rank_if_contains(F, A, B)
+    return ra is not None and ra == rank(F, B)
 
 
 def span_all(F, G):

@@ -1,17 +1,20 @@
 """Code construction: dimensions against published tables, the worked
 encoding example, line restrictions, shortening/puncturing, automorphisms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liftedcodes import linalg
+from liftedcodes import degrees, linalg
 from liftedcodes.codes import (
     Word,
     apply_affine_action,
     apply_projective_action,
     code_equal,
     encode,
+    evaluate_monomials,
     make_code,
     prm_dimension,
     puncture_to_infinity,
@@ -293,7 +296,6 @@ def test_prs_codeword_over_gf257():
 def test_evaluate_monomials_matches_scalar_powers(q):
     # each entry is the product of scalar powers, exponents above q-1
     # included, with 0^0 = 1
-    from liftedcodes.codes import evaluate_monomials
     F = GF(q)
     rng = np.random.default_rng(q)
     exps = rng.integers(0, 3 * q, size=(12, 3))
@@ -310,6 +312,69 @@ def test_evaluate_monomials_matches_scalar_powers(q):
                 want = F.mul(want, F.pow(xi, e))
             assert G[r, c] == want, (d, x)
     np.testing.assert_array_equal(evaluate_monomials(F, exps, points[5]), G[:, 5:6])
+
+
+# Reference copy of evaluate_monomials as it was before it summed logs:
+# one coordinate at a time from a q x q power table.  A byte oracle for the
+# log-domain evaluator.
+
+def _reference_evaluate_monomials(F, exponents, points):
+    pts = np.asarray(points, dtype=F.dtype)
+    if pts.ndim == 1:
+        pts = pts.reshape(1, -1)
+    q = F.order
+    E = degrees.int_reduce(np.asarray(exponents, dtype=np.int64).reshape(-1, pts.shape[1]), q)
+    # power[a, e] = a^e for e in [0, q-1]; 0^0 = 1
+    power = F.np_exp[np.multiply.outer(F.np_log.astype(np.int64), np.arange(q)) % (q - 1)]
+    power[0] = 0
+    power[:, 0] = 1
+    G = np.ones((len(E), len(pts)), dtype=F.dtype)
+    for i in range(pts.shape[1]):
+        G = F.np_mul[G, power[pts[:, i], E[:, i, None]]]
+    return G
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 2039, 2048])
+def test_evaluate_monomials_matches_reference_loop(q):
+    """Exponents up to 3q, zeros against zero and positive exponents, no
+    exponent rows, and blocks cut at the 256 KiB boundary."""
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    for nexp, npts, m in [(12, 20, 3), (0, 7, 2), (5, 1, 1), (40, 9000, 2), (3, 0, 2)]:
+        E = rng.integers(0, 3 * q, size=(nexp, m))
+        E[::3] = rng.integers(0, 2, size=(len(E[::3]), m)) * (q - 1)  # 0 and q-1
+        pts = rng.integers(q, size=(npts, m)).astype(F.dtype)
+        pts[::4] = 0
+        pts[1::4, 0] = 0
+        got, want = evaluate_monomials(F, E, pts), _reference_evaluate_monomials(F, E, pts)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (nexp, npts, m)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_lift_generators_match_reference_loop(q):
+    F = GF(q)
+    for m in [1, 2, 3]:
+        for kind, space, ks, deg in [("Lift", "affine", range(q - 1), degrees.adeg),
+                                     ("PLift", "projective", range(1, q), degrees.pdeg)]:
+            pts = enumerate_points(F, m, space).coords
+            for k in ks:
+                E = deg(m, k, q)
+                assert np.array_equal(evaluate_monomials(F, E, pts),
+                                      _reference_evaluate_monomials(F, E, pts)), (kind, m, k)
+
+
+def test_evaluate_monomials_memory_is_its_output():
+    """PLift_16(3,11), 404 x 4369: an unblocked int64 sum would take 14 MB."""
+    F = GF(16)
+    E, pts = degrees.pdeg(3, 11, 16), enumerate_points(F, 3, "projective").coords
+    tracemalloc.start()
+    try:
+        G = evaluate_monomials(F, E, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.shape == (404, 4369)
+    assert peak < 2 * G.nbytes + 2 ** 20
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 32, 257])

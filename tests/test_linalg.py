@@ -266,3 +266,116 @@ def test_empty_row_list_is_the_zero_space():
     assert linalg.rowspace_contains(F, [], [[0, 0, 0]])
     assert not linalg.rowspace_contains(F, [], [[1, 2, 3]])
     assert linalg.rowspace_contains(F, [[1, 2, 3]], [])
+
+
+def test_matmul_rejects_differing_inner_dimensions():
+    F = GF(4)
+    with pytest.raises(ValueError):
+        linalg.gf_matmul(F, np.ones((2, 2), dtype=F.dtype), np.ones((3, 4), dtype=F.dtype))
+    with pytest.raises(ValueError):
+        linalg.gf_matmul(F, np.ones((2, 3), dtype=F.dtype), np.ones((2, 2), dtype=F.dtype))
+
+
+# Reference copy of gf_matmul as it was before its rank-one updates
+# gathered whole rows of the product table: one 2-D element gather per
+# column of A.  A byte oracle for both ways `_multiples` gathers.
+
+def _reference_matmul(F, A, B):
+    A = linalg.as_matrix(A, F.dtype)
+    B = linalg.as_matrix(B, F.dtype)
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=F.dtype)
+    for i in range(A.shape[1]):
+        col = A[:, i]
+        if not col.any():
+            continue
+        out = linalg.gf_add(F, out, F.np_mul[col[:, None], B[i][None, :]])
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 2039, 2048])
+def test_matmul_matches_reference_loop(q):
+    """Fewer and more rows than field elements, so both gathers run, and
+    empty inner, outer and zero-row shapes."""
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    for r, inner, c in [(3, 5, 7), (q + 3, 4, 6), (1, 1, 1), (9, 12, 2), (4, 0, 5),
+                        (0, 5, 3), (5, 3, 0), (0, 0, 0)]:
+        A = rng.integers(q, size=(r, inner)).astype(F.dtype)
+        B = rng.integers(q, size=(inner, c)).astype(F.dtype)
+        if r > 1:
+            A[1] = 0  # a zero row of the product
+        if inner > 1:
+            A[:, 0] = 0  # a skipped rank-one update
+        got, want = linalg.gf_matmul(F, A, B), _reference_matmul(F, A, B)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (r, inner, c)
+        assert got.shape == (r, c)
+
+
+def _rowspace_pairs(F, rng):
+    """(A, B) pairs of one width: the _rank_cases of that width against
+    each other, and B built from combinations of A's rows plus one row
+    that is in their span or drawn at random."""
+    q = F.order
+    cases = _rank_cases(F, rng)
+    pairs = [(A, B) for A in cases for B in cases if A.shape[1] == B.shape[1]]
+    for A in cases:
+        r, c = A.shape
+        for extra in ["in", "random", None]:
+            B = linalg.gf_matmul(F, rng.integers(q, size=(3, r)).astype(F.dtype), A)
+            if extra == "in":
+                row = linalg.gf_matmul(F, rng.integers(q, size=(1, r)).astype(F.dtype), A)
+                B = np.vstack([B, row])
+            elif extra == "random":
+                B = np.vstack([B, rng.integers(q, size=(1, c)).astype(F.dtype)])
+            pairs += [(A, B), (B, A), (A, B[rng.permutation(len(B))])]
+        pairs.append((A, A[rng.permutation(r)]))
+    # A pivots in its first three columns, so [A; B] has used up A's rows
+    # before it reaches the column where B's last row leads
+    A = np.hstack([np.eye(3, dtype=F.dtype), rng.integers(q, size=(3, 4)).astype(F.dtype)])
+    lead = np.zeros((1, 7), dtype=F.dtype)
+    lead[0, 5] = 1
+    B = np.vstack([linalg.gf_matmul(F, rng.integers(q, size=(2, 3)).astype(F.dtype), A), lead])
+    pairs += [(A, B), (B, A)]
+    return pairs
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 2039, 2048])
+def test_rowspace_tests_match_their_rank_definitions(q):
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    verdicts = set()
+    for A, B in _rowspace_pairs(F, rng):
+        ra, rb = linalg.rank(F, A), linalg.rank(F, B)
+        rab = linalg.rank(F, np.vstack([A, B]))
+        contains = linalg.rowspace_contains(F, A, B)
+        assert contains == (rab == ra), (A, B)
+        assert linalg.rowspace_equal(F, A, B) == (ra == rb == rab), (A, B)
+        verdicts.add(contains)
+    assert verdicts == {True, False}
+    for rows in [np.zeros((2, 5), dtype=F.dtype), rng.integers(1, q, size=(2, 5)).astype(F.dtype)]:
+        nonzero = bool(rows.any())
+        assert linalg.rowspace_contains(F, [], rows) == (not nonzero)
+        assert linalg.rowspace_contains(F, rows, [])
+        assert linalg.rowspace_equal(F, [], rows) == (not nonzero)
+        assert linalg.rowspace_equal(F, rows, []) == (not nonzero)
+
+
+@pytest.mark.parametrize("q", [3, 9, 25, 27, 2039])
+def test_odd_characteristic_add_and_sub_read_the_tables(q):
+    """gf_add and gf_isub against a plain 2-D lookup in the field's tables,
+    on every pair at small q and broadcast against one row."""
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    if q <= 27:
+        A, B = np.divmod(np.arange(q * q), q)
+        A, B = A.astype(F.dtype), B.astype(F.dtype)
+    else:
+        A, B = rng.integers(q, size=(2, 5000)).astype(F.dtype)
+    assert np.array_equal(linalg.gf_add(F, A, B), F.np_add[A, B])
+    D = A.copy()
+    linalg.gf_isub(F, D, B)
+    assert D.dtype == F.dtype and np.array_equal(D, F.np_sub[A, B])
+    M = rng.integers(q, size=(6, 7)).astype(F.dtype)
+    row = rng.integers(q, size=(1, 7)).astype(F.dtype)
+    assert np.array_equal(linalg.gf_add(F, M, row), F.np_add[M, row])
+    assert np.array_equal(linalg.gf_add(F, row, M), F.np_add[row, M])
