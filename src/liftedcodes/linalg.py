@@ -6,11 +6,16 @@ XOR of indices, which keeps row elimination at memory bandwidth; odd
 characteristic reads the field's add/sub tables elementwise through
 ``_lookup``, one gather from the flattened table.  Products of a
 column of factors with a row (``_multiples``) gather whole contiguous rows
-of a product table, never single elements: both ``_clear``'s row update
-and ``gf_matmul``'s rank-one updates go through it.  ``rref`` and the
-forward elimination ``_forward`` share one pivot step (``_pivot``, then
-``_clear``): ``rref`` clears every other row, ``_forward`` only the rows
-below and yields each pivot's source row.  ``rank`` counts those pivots,
+of a product table, never single elements: ``_clear``'s and
+``_clear_below``'s row updates and ``gf_matmul``'s rank-one updates go
+through it.  ``rref`` and the forward elimination ``_forward`` share one
+pivot step (``_pivot``, then a clear): ``rref`` clears every other row,
+``_forward`` only the rows below and yields each pivot's source row.
+``_clear`` gathers the rows with a nonzero factor, updates them and
+scatters them back; in characteristic 2 ``_forward`` instead XORs the
+whole contiguous block below the pivot (``_clear_below``) when more than
+half of its rows need clearing.  Odd characteristic and ``rref`` keep
+the gather; their docstrings say why.  ``rank`` counts the pivots,
 and the row-space tests eliminate [A; B] once and stop at the first pivot
 found in a row of B.  ``null_vectors`` runs Gauss-Jordan on a stack of
 same-shape matrices at once, for the many small systems of the
@@ -87,8 +92,8 @@ def _multiples(F, factors, row):
     it, so a large q never builds a q-row table for a few rows.
     """
     if len(factors) >= F.order:
-        return F.np_mul.take(row, axis=1)[factors]
-    return F.np_mul[factors].take(row, axis=1)
+        return F.np_mul.take(row, axis=1).take(factors, axis=0)
+    return F.np_mul.take(factors, axis=0).take(row, axis=1)
 
 
 def gf_matmul(F, A, B):
@@ -116,7 +121,9 @@ def _pivot(F, A, r, c):
         return -1
     piv = r + int(nz[0])
     if piv != r:
-        A[[r, piv], c:] = A[[piv, r], c:]
+        row = A[piv, c:].copy()
+        A[piv, c:] = A[r, c:]
+        A[r, c:] = row
     lead = int(A[r, c])
     if lead != 1:
         A[r, c:] = F.np_mul[F.inv(lead)][A[r, c:]]
@@ -133,8 +140,21 @@ def _clear(F, A, rows, r, c):
         A[rows, c:] = block
 
 
+def _clear_below(F, A, r, c):
+    """Characteristic 2 only: XOR into every row below r its column-c entry
+    times pivot row r, as one in-place update of the contiguous block
+    A[r+1:].  Rows below r are zero left of c, a zero factor XORs nothing
+    and the pivot row is not touched, so this equals `_clear` over the
+    nonzero rows without their gather and scatter."""
+    below = A[r + 1:]
+    below ^= _multiples(F, below[:, c], A[r])
+
+
 def rref(F, A):
-    """Reduced row echelon form; returns (R, pivot_columns)."""
+    """Reduced row echelon form; returns (R, pivot_columns).  It clears
+    with `_clear` in every characteristic: the rows above a pivot are
+    cleared too, and over wide, sparse generators most rows of a column
+    are zero, so gathering the nonzero ones beats updating all of them."""
     A = as_matrix(A, F.dtype).copy()
     nrows, ncols = A.shape
     pivots = []
@@ -153,7 +173,13 @@ def _forward(F, A):
     """Forward elimination of A in place, each pivot clearing only the rows
     below it, so no pass touches a settled entry.  Yields, pivot by pivot,
     the row the pivot was found in, before its rows are cleared: a caller
-    that stops early skips the rest."""
+    that stops early skips the rest.  In characteristic 2, when more than
+    half the rows below have a nonzero factor, the whole block below the
+    pivot is cleared by XOR (`_clear_below`).  Otherwise only the rows
+    with a nonzero factor are gathered (`_clear`): in odd characteristic
+    every updated entry is a `_lookup` table read, so skipping zero rows
+    pays, and in a wide, sparse generator few rows of a column are
+    nonzero, so gathering them moves less than the block would."""
     nrows, ncols = A.shape
     r = 0
     for c in range(ncols):
@@ -162,7 +188,11 @@ def _forward(F, A):
         src = _pivot(F, A, r, c)
         if src >= 0:
             yield src
-            _clear(F, A, r + 1 + A[r + 1:, c].nonzero()[0], r, c)
+            factors = A[r + 1:, c]
+            if F.p == 2 and 2 * np.count_nonzero(factors) > len(factors):
+                _clear_below(F, A, r, c)
+            else:
+                _clear(F, A, r + 1 + factors.nonzero()[0], r, c)
             r += 1
 
 
@@ -256,6 +286,8 @@ def _rank_if_contains(F, A, B):
     settled rows lead left of it, and A's remaining rows are zero up to
     and in it.
     """
+    if A.shape[1] != B.shape[1]:
+        return None  # no word of another length lies in A's row space
     r = 0
     for src in _forward(F, np.vstack([A, B])):
         if src >= len(A):
@@ -265,7 +297,8 @@ def _rank_if_contains(F, A, B):
 
 
 def rowspace_contains(F, A, B):
-    """True iff every row of B lies in the row space of A."""
+    """True iff every row of B lies in the row space of A; never when B's
+    rows have another length."""
     A, B = _row_pair(F, A, B)
     return _rank_if_contains(F, A, B) is not None
 
@@ -274,8 +307,6 @@ def rowspace_equal(F, A, B):
     """True iff A and B have the same row space: B's lies in A's and has
     A's dimension."""
     A, B = _row_pair(F, A, B)
-    if A.shape[1] != B.shape[1]:
-        return False
     ra = _rank_if_contains(F, A, B)
     return ra is not None and ra == rank(F, B)
 

@@ -215,26 +215,107 @@ def test_rref_and_rank_match_reference_loops(q):
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 2039, 2048])
 def test_pivot_step_clears_the_right_rows(q, monkeypatch):
     """rank clears only the rows below each pivot and rref every other row;
-    each update leaves the pivot column as that elimination needs it."""
+    each update leaves the pivot column as that elimination needs it.  In
+    characteristic 2 rank XORs the block below the pivot (`_clear_below`)
+    when more than half its rows need clearing and gathers the rows
+    (`_clear`) otherwise, as it always does in odd characteristic; rref
+    always gathers."""
     F = GF(q)
     rng = np.random.default_rng(q)
-    clear = linalg._clear
+    clear, clear_below = linalg._clear, linalg._clear_below
     calls = []
 
-    def spy(F, A, rows, r, c):
-        assert (rows > r).all() if forward else (rows != r).all()
-        clear(F, A, rows, r, c)
+    def checked(update, path, A, r, c):
+        settled = A[:r + 1].copy()
+        update()
         if forward:
+            assert np.array_equal(A[:r + 1], settled)  # only the rows below change
             assert not A[r + 1:, c].any()
         else:
             assert np.array_equal(A[:, c], np.eye(len(A), dtype=F.dtype)[r])
-        calls.append(forward)
+        calls.append((forward, path))
+
+    def spy(F, A, rows, r, c):
+        assert (rows > r).all() if forward else (rows != r).all()
+        checked(lambda: clear(F, A, rows, r, c), "gather", A, r, c)
+
+    def spy_below(F, A, r, c):
+        checked(lambda: clear_below(F, A, r, c), "block", A, r, c)
 
     monkeypatch.setattr(linalg, "_clear", spy)
+    monkeypatch.setattr(linalg, "_clear_below", spy_below)
     for A in _rank_cases(F, rng):
         for forward, eliminate in [(True, linalg.rank), (False, linalg.rref)]:
             eliminate(F, A)
-    assert True in calls and False in calls
+    forward_paths = {"block", "gather"} if F.p == 2 else {"gather"}
+    assert set(calls) == {(True, path) for path in forward_paths} | {(False, "gather")}
+
+
+# Reference copies of the forward elimination as it was before the rows
+# below a pivot were cleared as one block in characteristic 2: every clear
+# gathers the rows with a nonzero factor, updates them and scatters them
+# back.  Byte oracles for `_forward`'s yielded rows and eliminated matrix.
+
+def _reference_multiples(F, factors, row):
+    if len(factors) >= F.order:
+        return F.np_mul.take(row, axis=1)[factors]
+    return F.np_mul[factors].take(row, axis=1)
+
+
+def _reference_pivot(F, A, r, c):
+    nz = A[r:, c].nonzero()[0]
+    if nz.size == 0:
+        return -1
+    piv = r + int(nz[0])
+    if piv != r:
+        A[[r, piv], c:] = A[[piv, r], c:]
+    lead = int(A[r, c])
+    if lead != 1:
+        A[r, c:] = F.np_mul[F.inv(lead)][A[r, c:]]
+    return piv
+
+
+def _reference_clear(F, A, rows, r, c):
+    if rows.size:
+        block = A[rows, c:]
+        linalg.gf_isub(F, block, _reference_multiples(F, A[rows, c], A[r, c:]))
+        A[rows, c:] = block
+
+
+def _reference_forward(F, A):
+    nrows, ncols = A.shape
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        src = _reference_pivot(F, A, r, c)
+        if src >= 0:
+            yield src
+            _reference_clear(F, A, r + 1 + A[r + 1:, c].nonzero()[0], r, c)
+            r += 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 2039, 2048])
+def test_forward_matches_reference_loop(q):
+    """The same source rows in the same order and the same eliminated
+    matrix, byte for byte, on the rank cases and on wide, tall (more rows
+    than elements where q allows), all-zero, duplicate-row and zero-column
+    matrices."""
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    def rand(r, c):
+        return rng.integers(q, size=(r, c)).astype(F.dtype)
+    for _ in range(3):
+        cases = _rank_cases(F, rng)
+        A = rand(6, 9)
+        A[:, [0, 4, 8]] = 0  # zero columns, first, inner and last
+        B = rand(4, 7)
+        cases += [rand(3, 40), rand(min(q + 5, 60), 6), np.zeros((9, 4), dtype=F.dtype), A,
+                  np.vstack([B, B[::-1], B])[rng.permutation(12)]]
+        for M in cases:
+            got, want = M.copy(), M.copy()
+            assert list(linalg._forward(F, got)) == list(_reference_forward(F, want)), M
+            assert got.dtype == want.dtype and np.array_equal(got, want), M
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -266,6 +347,13 @@ def test_empty_row_list_is_the_zero_space():
     assert linalg.rowspace_contains(F, [], [[0, 0, 0]])
     assert not linalg.rowspace_contains(F, [], [[1, 2, 3]])
     assert linalg.rowspace_contains(F, [[1, 2, 3]], [])
+
+
+def test_rowspace_of_another_width_contains_nothing():
+    F = GF(4)
+    for A, B in [([[1, 0]], [[1, 0, 0]]), ([[1, 0, 0]], [[1, 0]]), ([[1, 2]], [[0, 0, 0]])]:
+        assert not linalg.rowspace_contains(F, A, B)
+        assert not linalg.rowspace_equal(F, A, B)
 
 
 def test_matmul_rejects_differing_inner_dimensions():
