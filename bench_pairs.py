@@ -2,22 +2,22 @@
 
 Usage, from the root of a checkout:
 
-  python3 bench_pairs.py --parent DIR [--change DIR] --out BENCH_20.json
-      [--pairs 10] [--seconds 35] [--seed 1] [--workloads mc-plane,table,analyze]
-      [--confirm-seed 2 --confirm-workloads analyze] [--trace-pair]
-      [--description TEXT] [--scratch DIR]
+  python3 bench_pairs.py --parent DIR --out BENCH_20.json [--pairs 10]
+      [--confirm-seed 2] [--trace-pair] [--description TEXT] [--scratch DIR]
 
-DIR is a checkout (or an exported copy) of one side; --change defaults to
-this checkout.  For every workload the script runs ``perfbench/run.py`` of
-each side, from that side's directory, alternating the sides pair by pair
-and starting every other pair with the change, so that a drift in machine
+DIR is a checkout (or an exported copy) of the parent commit; the change
+is this checkout.  For every workload in BENCHMARK.json the script runs
+``perfbench/run.py`` of each side, from that side's directory, at run.py's
+own default seed and length, alternating the sides pair by pair and
+starting every other pair with the change, so that a drift in machine
 speed falls on both.  Each run appends its record to a JSON-lines file
 under --scratch (default: a new temporary directory), never to the
 checkouts.  The output holds, per workload and side, the median, quartiles
 and runs of every end-to-end metric in BENCHMARK.json, the attempted and
 failed op counts and the source digest; per workload, in how many pairs
 the change read lower and ``perfbench/compare.py``'s verdict on the pairs.
-``--confirm-seed`` adds a second series at another seed, and
+``--confirm-seed`` adds a second series of the ``analyze`` workload at
+another seed, and
 ``--trace-pair`` one ``--trace 1`` pair per workload (its per-layer
 metrics, zeros omitted).  Walls timed outside the benchmark, such as a
 Tier-1 ``--durations`` pair, are added to the file's ``walls`` by hand.
@@ -39,13 +39,19 @@ ROOT = Path(__file__).resolve().parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from compare import quartiles, verdict  # noqa: E402
 
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+CONFIRM_WORKLOADS = ["analyze"]
 
-def run_once(side_dir, workload, seed, seconds, trace, out):
-    """One run.py run of one side; returns its record and exit code."""
+
+def run_once(side_dir, workload, seed, trace, out):
+    """One run.py run of one side (at run.py's default seed when seed is
+    None); returns its record and exit code."""
     before = out.read_text().count("\n") if out.exists() else 0
+    seed_args = [] if seed is None else ["--seed", str(seed)]
     res = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace), "--out", str(out)],
+        [sys.executable, "perfbench/run.py", "--workload", workload, *seed_args,
+         "--trace", str(trace), "--out", str(out)],
         cwd=side_dir, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     lines = out.read_text().splitlines() if out.exists() else []
     if len(lines) <= before:
@@ -61,7 +67,7 @@ def summary(values):
 
 def series(sides, workloads, seed, args, scratch, tag):
     """Alternating pairs per workload; returns (workloads block, all passed)."""
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics = BENCHMARK["end_to_end"]
     block, ok = {}, True
     for wl in workloads:
         recs = {"parent": [], "change": []}
@@ -69,7 +75,7 @@ def series(sides, workloads, seed, args, scratch, tag):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for side in order:
                 out = scratch / f"{tag}-{wl}-{side}.jsonl"
-                rec, code = run_once(sides[side], wl, seed, args.seconds, 0, out)
+                rec, code = run_once(sides[side], wl, seed, 0, out)
                 ok &= code == 0
                 recs[side].append(rec)
                 print(f"{tag} {wl} pair {i + 1}/{args.pairs} {side}: "
@@ -95,13 +101,13 @@ def series(sides, workloads, seed, args, scratch, tag):
     return block, ok
 
 
-def trace_pair(sides, workloads, seed, args, scratch):
+def trace_pair(sides, workloads, scratch):
     """One traced run per side and workload; returns (block, all passed)."""
     block, ok = {}, True
     for wl in workloads:
         block[wl] = {}
         for side in ["parent", "change"]:
-            rec, code = run_once(sides[side], wl, seed, args.seconds, 1,
+            rec, code = run_once(sides[side], wl, None, 1,
                                  scratch / f"trace-{wl}-{side}.jsonl")
             ok &= code == 0
             block[wl][side] = {k: round(v, 6) for k, v in rec["per_layer"].items() if v}
@@ -111,21 +117,15 @@ def trace_pair(sides, workloads, seed, args, scratch):
 def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, type=Path)
-    ap.add_argument("--change", default=ROOT, type=Path)
     ap.add_argument("--out", required=True, type=Path)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=35.0)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--workloads", default="mc-plane,table,analyze")
     ap.add_argument("--confirm-seed", type=int)
-    ap.add_argument("--confirm-workloads", default="analyze")
     ap.add_argument("--trace-pair", action="store_true")
     ap.add_argument("--description", default="")
     ap.add_argument("--scratch", type=Path, help="directory for the run records")
     args = ap.parse_args(argv)
-    for side in (args.parent, args.change):
-        if not (side / "perfbench" / "run.py").is_file():
-            ap.error(f"{side} has no perfbench/run.py")
+    if not (args.parent / "perfbench" / "run.py").is_file():
+        ap.error(f"{args.parent} has no perfbench/run.py")
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     return args
@@ -135,30 +135,31 @@ def main(argv=None):
     args = parse_args(argv)
     scratch = args.scratch or Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     scratch.mkdir(parents=True, exist_ok=True)
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    workloads = args.workloads.split(",")
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
     doc = {"description": args.description}
-    doc["workloads"], ok = series(sides, workloads, args.seed, args, scratch, "main")
+    doc["workloads"], ok = series(sides, WORKLOADS, None, args, scratch, "main")
     if args.confirm_seed is not None:
-        block, ok2 = series(sides, args.confirm_workloads.split(","), args.confirm_seed,
+        block, ok2 = series(sides, CONFIRM_WORKLOADS, args.confirm_seed,
                             args, scratch, "confirm")
         ok &= ok2
         doc[f"confirm_seed_{args.confirm_seed}"] = {
             "what": f"a second, later series at --seed {args.confirm_seed}",
             "workloads": block}
     if args.trace_pair:
-        block, ok2 = trace_pair(sides, workloads, args.seed, args, scratch)
+        block, ok2 = trace_pair(sides, WORKLOADS, scratch)
         ok &= ok2
         doc["trace_pair"] = {
-            "what": f"one --trace 1 pair per workload at --seed {args.seed}, parent first; "
+            "what": "one --trace 1 pair per workload at run.py's default seed, parent first; "
                     "per-layer metrics per op, zeros omitted",
             **block}
-    prov = json.loads((scratch / f"main-{workloads[0]}-change.jsonl").read_text()
-                       .splitlines()[-1])["provenance"]
+    last = json.loads((scratch / f"main-{WORKLOADS[0]}-change.jsonl").read_text()
+                      .splitlines()[-1])
+    prov = last["provenance"]
     doc["provenance"] = {
         **{k: prov[k] for k in ("python", "numpy", "scipy", "nproc", "cpu_model")},
         "date": datetime.date.today().isoformat(),
-        "seconds_per_run": args.seconds,
+        "seed": last["seed"],
+        "seconds_per_run": last["seconds"],
         "order": "pairs alternate which side runs first, parent first in pair 1",
         "parent_git_sha": subprocess.run(
             ["git", "-C", str(sides["parent"]), "rev-parse", "HEAD"],
