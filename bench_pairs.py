@@ -2,27 +2,31 @@
 
 Usage, from the root of a checkout:
 
-  python3 bench_pairs.py --parent DIR --out BENCH_20.json [--pairs 10]
-      [--confirm-seed 2] [--trace-pair] [--description TEXT] [--scratch DIR]
+  python3 bench_pairs.py --parent DIR --out BENCH_21.json [--pairs 10]
+      [--confirm-seed 2] [--trace-pair] [--tier1] [--description TEXT]
+      [--scratch DIR]
 
 DIR is a checkout (or an exported copy) of the parent commit; the change
-is this checkout.  For every workload in BENCHMARK.json the script runs
-``perfbench/run.py`` of each side, from that side's directory, at run.py's
-own default seed and length, alternating the sides pair by pair and
-starting every other pair with the change, so that a drift in machine
-speed falls on both.  Each run appends its record to a JSON-lines file
-under --scratch (default: a new temporary directory), never to the
-checkouts.  The output holds, per workload and side, the median, quartiles
-and runs of every end-to-end metric in BENCHMARK.json, the attempted and
-failed op counts and the source digest; per workload, in how many pairs
-the change read lower and ``perfbench/compare.py``'s verdict on the pairs.
-``--confirm-seed`` adds a second series of the ``analyze`` workload at
-another seed, and
-``--trace-pair`` one ``--trace 1`` pair per workload (its per-layer
-metrics, zeros omitted).  Walls timed outside the benchmark, such as a
-Tier-1 ``--durations`` pair, are added to the file's ``walls`` by hand.
-Exit code 0 when every run passed its checks, 1 when one failed, 2 on a
-usage error.
+is this checkout.  Both are copied under --scratch (default: a new
+temporary directory), without .git, bytecode and run outputs, and every
+run works in those copies: nothing is written into either checkout.  For
+every workload in BENCHMARK.json the script runs ``perfbench/run.py`` of
+each side, from that side's copy, at run.py's own default seed and
+length, alternating the sides pair by pair and starting every other pair
+with the change, so that a drift in machine speed falls on both.  Each run
+appends its record to a JSON-lines file under --scratch.  The output
+holds, per workload and side, the median, quartiles and runs of every
+end-to-end metric in BENCHMARK.json, the attempted and failed op counts
+and the source digest; per workload, in how many pairs the change read
+lower and ``perfbench/compare.py``'s verdict on the pairs.
+``--confirm-seed`` adds a second series of the ``mc-plane`` and
+``analyze`` workloads at another seed, and ``--trace-pair`` one ``--trace 1`` pair per workload
+(its per-layer metrics, zeros omitted).  ``--tier1`` first runs the
+Tier-1 suite with ``--durations=0`` on each side, parent first, and
+writes ``walls.tier1`` (pytest's wall time and counts) and
+``walls.acceptance_in_tier1`` (every acceptance test over 1 s).  Exit
+code 0 when every run passed its checks, 1 when one failed, 2 on a usage
+error.
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
+import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -41,7 +48,54 @@ from compare import quartiles, verdict  # noqa: E402
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
-CONFIRM_WORKLOADS = ["analyze"]
+CONFIRM_WORKLOADS = ["mc-plane", "analyze"]
+
+
+def copy_side(path, dest):
+    """A copy of a checkout's files for the runs to work in."""
+    shutil.copytree(path, dest, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", ".hypothesis", "out"))
+    return dest
+
+
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0"]
+CALL_DURATION = re.compile(r"^\s*([\d.]+)s call\s+(\S+)$", re.M)
+
+
+def tier1_pair(sides, scratch):
+    """The Tier-1 suite once per side, parent first, with PYTHONPATH=src as
+    ROADMAP.md states it; returns (walls block, both passed)."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, ["src", os.environ.get("PYTHONPATH")]))}
+    runs, calls, ok = {}, {}, True
+    for side in ["parent", "change"]:
+        res = subprocess.run([sys.executable, *TIER1, f"--basetemp={scratch / f'tier1-{side}-tmp'}"],
+                             cwd=sides[side], env=env, capture_output=True, text=True)
+        (scratch / f"tier1-{side}.txt").write_text(res.stdout + res.stderr)
+        ok &= res.returncode == 0
+        summary_line = res.stdout.strip().splitlines()[-1]
+        counts = {word: int(n) for n, word in
+                  re.findall(r"(\d+) (passed|failed|errors?)\b", summary_line)}
+        runs[side] = {"seconds": float(re.search(r" in ([\d.]+)s", summary_line).group(1)),
+                      "passed": counts.get("passed", 0),
+                      "failed": counts.get("failed", 0) + counts.get("error", 0)
+                      + counts.get("errors", 0)}
+        calls[side] = {node: float(sec) for sec, node in CALL_DURATION.findall(res.stdout)}
+        print(f"tier1 {side}: {runs[side]}", file=sys.stderr)
+    acceptance = sorted({node for side in calls.values() for node in side
+                         if "test_acceptance.py::" in node})
+    slow = {node.split("::")[-1]: [calls[side].get(node, 0.0) for side in ["parent", "change"]]
+            for node in acceptance
+            if max(calls["parent"].get(node, 0.0), calls["change"].get(node, 0.0)) > 1}
+    return {
+        "tier1": {"what": "PYTHONPATH=src python " + " ".join(TIER1)
+                          + ", parent first, then the change, before the benchmark series",
+                  **runs},
+        "acceptance_in_tier1": {
+            "what": "call seconds of every acceptance test over 1 s in the Tier-1 pair "
+                    "above, parent then change",
+            "parent_change": slow},
+    }, ok
 
 
 def run_once(side_dir, workload, seed, trace, out):
@@ -121,6 +175,7 @@ def parse_args(argv):
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--confirm-seed", type=int)
     ap.add_argument("--trace-pair", action="store_true")
+    ap.add_argument("--tier1", action="store_true")
     ap.add_argument("--description", default="")
     ap.add_argument("--scratch", type=Path, help="directory for the run records")
     args = ap.parse_args(argv)
@@ -135,9 +190,12 @@ def main(argv=None):
     args = parse_args(argv)
     scratch = args.scratch or Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     scratch.mkdir(parents=True, exist_ok=True)
-    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    checkouts = {"parent": args.parent.resolve(), "change": ROOT}
+    sides = {side: copy_side(path, scratch / f"tree-{side}") for side, path in checkouts.items()}
     doc = {"description": args.description}
-    doc["workloads"], ok = series(sides, WORKLOADS, None, args, scratch, "main")
+    walls, ok = tier1_pair(sides, scratch) if args.tier1 else ({}, True)
+    doc["workloads"], ok2 = series(sides, WORKLOADS, None, args, scratch, "main")
+    ok &= ok2
     if args.confirm_seed is not None:
         block, ok2 = series(sides, CONFIRM_WORKLOADS, args.confirm_seed,
                             args, scratch, "confirm")
@@ -162,9 +220,11 @@ def main(argv=None):
         "seconds_per_run": last["seconds"],
         "order": "pairs alternate which side runs first, parent first in pair 1",
         "parent_git_sha": subprocess.run(
-            ["git", "-C", str(sides["parent"]), "rev-parse", "HEAD"],
+            ["git", "-C", str(checkouts["parent"]), "rev-parse", "HEAD"],
             capture_output=True, text=True).stdout.strip() or None,
     }
+    if walls:
+        doc["walls"] = walls
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {args.out}; run records in {scratch}", file=sys.stderr)
     return 0 if ok else 1

@@ -135,11 +135,13 @@ def cmd_analyze(args):
         passed &= rep["passed"]
 
     if "shorten-puncture" in checks:
+        # the monomial code goes first: the row-space test ranks its second
+        # argument, and shorten and puncture return it already reduced
         S = codes.shorten_at_infinity(C)
-        ok_s = codes.code_equal(S, codes.make_code("Lift", q, m, k - 1))
+        ok_s = codes.code_equal(codes.make_code("Lift", q, m, k - 1), S)
         if m >= 2:
             P = codes.puncture_to_infinity(C)
-            ok_p = codes.code_equal(P, codes.make_code("PLift", q, m - 1, k))
+            ok_p = codes.code_equal(codes.make_code("PLift", q, m - 1, k), P)
         else:
             ok_p = codes.puncture_to_infinity(C).dim == 1
         report["shorten_puncture"] = {"shorten": ok_s, "puncture": ok_p,

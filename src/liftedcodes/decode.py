@@ -5,12 +5,16 @@ of its q+1 positions (chosen so that every individual query is uniform over
 all coordinates), strips the homogenization weights, and decodes the result
 as a projective Reed-Solomon word with q+1-s erasures and up to
 t = floor((s-k-1)/2) errors.  One decoder serves every caller: a stack of
-homogeneous Berlekamp-Welch key equations on P^1, N = y E at every read
-point with N a form of degree k+t and E a form of degree t, solved by one
-lockstep Gauss-Jordan over all slices (linalg.null_vectors), so the point at
-infinity is read like any other; its rows are read off the generators of
-PRS_q(k+t) and PRS_q(t).  prs_decode is its one-slice call; the brute-force
-nearest-codeword oracle reference.prs_decode_bruteforce pins it at small q.
+homogeneous Berlekamp-Welch key equations N = y E on P^1, with N a form of
+degree k+t and E a form of degree t, so the point at infinity is read like
+any other.  N's part is eliminated in closed form by the Lagrange basis of
+the first k+t+1 reads (products of 2x2 determinants, in the log domain),
+which leaves E's t+1 unknowns for one lockstep Gauss-Jordan over all slices
+(linalg.null_vectors); the codeword is then read in value form, by
+Lagrange interpolation through k+1 reads where E does not vanish.  E's rows
+are read off the generator of PRS_q(t).  prs_decode is its one-slice call;
+the brute-force nearest-codeword oracle reference.prs_decode_bruteforce
+pins it at small q.
 
 The Monte-Carlo engine makes each trial's draws on its own seeded stream in
 the order of encode, corrupt_word and local_correct, sharing the line draw
@@ -29,8 +33,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from liftedcodes import linalg
-from liftedcodes.codes import Word, encode, make_code, strip_weights
-from liftedcodes.gf import poly_divmod
+from liftedcodes.codes import Word, make_code, strip_weights
 from liftedcodes.geometry import random_embedding_through, theta
 
 
@@ -38,43 +41,125 @@ from liftedcodes.geometry import random_embedding_through, theta
 # Projective Reed-Solomon error-and-erasure decoding
 # ---------------------------------------------------------------------------
 
-def _decode_stack(F, k, positions, ys):
+def _log_dets(F, X, Y):
+    """int32 logs of det(P, R) = a_P b_R - b_P a_R for every P of X and R
+    of Y, where X (B, nx) and Y (B, ny) hold P^1 domain positions: position
+    x < q is (1 : x) and position q is (0 : 1).  Returns (B, nx, ny), -1
+    where P = R, the one zero."""
+    q = F.order
+    x, y = X[:, :, None], Y[:, None, :]
+    # a is 1 or 0 and b is x or 1, in the field's dtype before the two
+    # broadcast against each other
+    a_x, a_y = x < q, y < q
+    b_x = np.where(a_x, x, 1).astype(F.dtype)
+    b_y = np.where(a_y, y, 1).astype(F.dtype)
+    det = np.where(a_x, b_y, 0)
+    linalg.gf_isub(F, det, np.where(a_y, b_x, 0))
+    return F.np_log[det]
+
+
+def _lagrange(F, to_basis, basis):
+    """Logs of the Lagrange coefficients l_i(X) = prod_(m != i) det(X, P_m) /
+    det(P_i, P_m) on basis points P_i: to_basis (B, T, r) holds the log dets
+    of T targets X against the r basis points, basis (B, r, r) those of the
+    basis points against each other.  A target on a basis point gets junk
+    in its row."""
+    w = basis.sum(axis=2, dtype=np.int32) + 1  # the diagonal det(P_i, P_i) = 0 has log -1
+    coef = to_basis.sum(axis=2, dtype=np.int32, keepdims=True) - to_basis
+    coef -= w[:, None, :]
+    coef %= F.order - 1
+    return coef
+
+
+def _combine(F, coef, vals):
+    """sum_i l_i(X) vals_i at every target X: coef (B, T, r) are the
+    coefficients' logs, vals (B, r) field elements."""
+    logs = coef + F.np_log[vals][:, None, :]
+    logs %= F.order - 1
+    terms = F.np_exp[logs]
+    terms *= (vals != 0)[:, None, :]
+    return linalg.gf_sum(F, terms, axis=2)
+
+
+def _interpolate(F, to_basis, basis, vals):
+    """Values at the targets of the form of degree r-1 that reads vals at
+    the r basis points (arguments as `_lagrange`'s); a target on a basis
+    point reads that point's value."""
+    out = _combine(F, _lagrange(F, to_basis, basis), vals)
+    b, j, i = (to_basis < 0).nonzero()
+    out[b, j] = vals[b, i]
+    return out
+
+
+def _key_matrix(F, positions, yE, K):
+    """The reduced key equation M of `_decode_stack`, (B, s-K, t+1), from
+    the reads' positions and yE[b, j, u] = y_j E_u(P_j).  M is built one
+    column at a time, never as a (B, s-K, K, t+1) product."""
+    first = _log_dets(F, positions, positions[:, :K])  # (B, s, K)
+    coef = _lagrange(F, first[:, K:], first[:, :K])
+    M = np.empty((len(yE), yE.shape[1] - K, yE.shape[2]), dtype=F.dtype)
+    for u in range(yE.shape[2]):
+        col = _combine(F, coef, yE[:, :K, u])
+        linalg.gf_isub(F, col, yE[:, K:, u])
+        M[:, :, u] = col
+    return M
+
+
+def _decode_stack(F, k, positions, ys, at):
     """Key-equation decoding of a stack of B projective RS reads.
 
     positions and ys are (B, s) arrays: slice b read ys[b] at the ascending
-    line positions positions[b].  Returns (g, ok): g is (B, k+1), the
-    coefficients of the unique degree-<=k polynomial whose codeword lies
-    within t = floor((s-k-1)/2) of slice b on its reads, where ok[b].
+    line positions positions[b].  Returns (vals, ok): where ok[b], vals[b]
+    holds the values at the domain positions `at` of the unique PRS_q(k)
+    codeword within t = floor((s-k-1)/2) of slice b on its reads; ok[b] is
+    False exactly when there is no such codeword.
 
-    Each slice solves the homogeneous key equation N(a, b) = y E(a, b) at
-    its read standard points (a : b), with N a form of degree k+t and E a
-    form of degree t.  Every nonzero solution has N = f E for the same f
-    whenever a codeword lies within t (N1 E2 - N2 E1 has degree k+2t and
-    s > k+2t zeros), so any null vector decodes, the point at infinity
-    included; the degree and remainder checks reject everything else.  No
-    distance check is needed: a nonzero null vector has E != 0 (else N has
-    s > k+t zeros), and once N = f E with deg f <= k, f equals y at every
-    read where E is nonzero, while the nonzero degree-t form E vanishes at
-    no more than t points of P^1.  All slices share one linalg.null_vectors
-    call.
+    The Berlekamp-Welch key equation asks for forms N of degree k+t and E
+    of degree t, not both zero, with N(P_i) = y_i E(P_i) at every read
+    P_0..P_(s-1).  Let K = k+t+1.  N is fixed by its values at the first K
+    reads, so it is the Lagrange sum N = sum_(i<K) l_i y_i E(P_i), where l_i
+    is the degree-(K-1) form that is 1 at P_i and 0 at the other first K
+    reads: a product of 2x2 determinants det(X, P_m) / det(P_i, P_m),
+    computed in the log domain (`_lagrange`).  What is left of the key
+    equation is M e = 0 on E's t+1 coefficients e, one row per read j >= K:
+    M[j, u] = sum_(i<K) l_i(P_j) y_i E_u(P_i) - y_j E_u(P_j), with
+    E_u = x0^(t-u) x1^u read off PRS_q(t)'s generator.  One
+    linalg.null_vectors call on the (B, s-K, t+1) stack solves every slice
+    (M has no rows when s = K, and then e = (1)).
+
+    This keeps Berlekamp-Welch's meaning exactly:
+    - A nonzero null vector e of M lifts to a key-equation solution (N, E):
+      N is the Lagrange sum above, which equals y_j E(P_j) at the reads
+      j >= K because M e = 0.  Conversely every solution has E != 0, since
+      N = 0 would follow (N has degree k+t and s > k+t zeros), so the
+      solutions are exactly the null vectors of M.
+    - If a codeword f lies within t of the reads, then N = f E for every
+      solution: N1 E2 - N2 E1 of two solutions has degree k+2t and vanishes
+      at all s > k+2t reads, and (f E, E) is a solution for the E that
+      vanishes at the errors.  So f = y wherever E(P_j) != 0.
+    - E is a nonzero form of degree t, so it vanishes at no more than t
+      points of P^1: at least k+1 of the first K reads have E != 0.  Let f
+      be the form of degree k through y at the first k+1 of them.  If y
+      agrees with f at every read where E != 0, f lies within t of the
+      reads.  If not, no codeword does, by the point before.
+    So ok[b] is "e exists and f matches y wherever E != 0", and vals[b] is
+    f read at `at`: no polynomial division is needed.  A codeword within t
+    is unique, as two differ in at most 2t of s > k+2t reads.
     """
     B, s = ys.shape
     t = (s - k - 1) // 2
-    neg_y = F.np_sub[0][ys]
-    # x0^(d-j) x1^j, j = 0..d, at the reads: PRS_q(d)'s generator, rows reversed
-    N, E = (make_code("PRS", F, 1, d).G[::-1].T[positions] for d in (k + t, t))
-    A = np.concatenate([N, F.np_mul[neg_y[..., None], E]], axis=2)
-    sols, ok = linalg.null_vectors(F, A)
-    g = np.zeros((B, k + 1), dtype=F.dtype)
-    for b in ok.nonzero()[0].tolist():
-        sol = sols[b].tolist()
-        # dehomogenize at x0 = 1; E is a nonzero form, so E(1, x) is nonzero
-        quot, rem = poly_divmod(F, sol[:k + t + 1], sol[k + t + 1:])
-        if rem or len(quot) > k + 1:
-            ok[b] = False
-        else:
-            g[b, :len(quot)] = quot
-    return g, ok
+    K = k + t + 1
+    # x0^(t-u) x1^u, u = 0..t, at the reads: PRS_q(t)'s generator, rows reversed
+    E = make_code("PRS", F, 1, t).G[::-1].T[positions]
+    e, ok = linalg.null_vectors(F, _key_matrix(F, positions, F.np_mul[ys[..., None], E], K))
+    at_e = linalg.gf_sum(F, F.np_mul[E, e[:, None, :]], axis=2)  # E(P_j)
+    basis = np.argsort(at_e[:, :K] == 0, axis=1, kind="stable")[:, :k + 1]
+    targets = np.concatenate([positions, np.broadcast_to(at, (B, len(at)))], axis=1)
+    to_basis = _log_dets(F, targets, np.take_along_axis(positions, basis, axis=1))
+    f = _interpolate(F, to_basis, np.take_along_axis(to_basis, basis[:, :, None], axis=1),
+                     np.take_along_axis(ys, basis, axis=1))
+    ok &= ((f[:, :s] == ys) | (at_e == 0)).all(axis=1)
+    return f[:, s:], ok
 
 
 def prs_decode(y, k, F):
@@ -88,8 +173,8 @@ def prs_decode(y, k, F):
     if s < k + 1:
         raise ValueError(f"need at least k+1 = {k + 1} readable positions, got {s}")
     ys = np.array([[vals[i] for i in non_erased]], dtype=F.dtype)
-    g, ok = _decode_stack(F, k, np.array([non_erased]), ys)
-    return encode(make_code("PRS", F, 1, k), g[0, ::-1]).values if ok[0] else None
+    word, ok = _decode_stack(F, k, np.array([non_erased]), ys, np.arange(F.order + 1))
+    return word[0].tolist() if ok[0] else None
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +241,9 @@ def _symbol_from_reads(C, L, dom_positions, reads):
         return None  # erased input positions left too few reads
     dom = np.array(dom_positions)[live]
     ys = strip_weights(F, C.v, np.array([reads[i] for i in live], dtype=F.dtype), L.lams[dom])
-    g, ok = _decode_stack(F, k, dom[None], ys[None])
-    # P is the image of the point at infinity, where the codeword reads g_k
-    return int(g[0, k]) if ok[0] else None
+    # P is the image of the point at infinity (0 : 1), domain position q
+    val, ok = _decode_stack(F, k, dom[None], ys[None], [F.order])
+    return int(val[0, 0]) if ok[0] else None
 
 
 def local_correct(y, P, C, cfg, rng):
@@ -240,15 +325,18 @@ def mc_experiment(C, cfg, trials, seed=None):
 
     A trial keeps only the shifts at its s queried positions, not the dict
     of its floor(delta*n) errors: at PLift_256(2,2), s=3, delta=1/16, 256
-    trials peak at 1.7 MB under tracemalloc instead of 72 MB.  The chunk
-    bounds the rest of memory: its largest arrays are the codeword product,
-    _CHUNK * (s+1) * dim field elements (8t bytes each in gf_sum's digit
-    sums for odd p), and the key-equation matrix, _CHUNK * s * (k+2t+2)
-    field elements, with s <= q, whose elimination indexes its row updates
-    with an int32 array of the same shape.  At q = 32, s = 32, k = 16 and
-    dim = 153 a full chunk allocates at most 3.1 MB at once: its
-    tracemalloc peak is 3.03 MB (2.89 MiB), and 2.67 MB inside the
-    elimination.
+    trials peak at 1.65 MB under tracemalloc instead of 72 MB.  The chunk
+    bounds the rest of memory.  Its largest arrays are the codeword
+    product, _CHUNK * (s+1) * dim field elements (8t bytes each in gf_sum's
+    digit sums for odd p), and the decoder's int32 determinant logs: the
+    reads against the first K = k+t+1 reads, _CHUNK * s * K, then the
+    reads and the target against the k+1 interpolation points,
+    _CHUNK * (s+1) * (k+1), each with one or two int32 temporaries of its
+    shape; s <= q.  The key equation itself is only _CHUNK * (s-K) * (t+1)
+    field elements.  At q = 32, s = 32, k = 16 and dim = 153 a full chunk
+    peaks at 3.03 MB (2.89 MiB) under tracemalloc, in the codeword
+    product; the decoder's own peak is 2.88 MB.  At PLift_64(2,20), s = 64,
+    delta = 1/32, the peak is 8.42 MB.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -278,8 +366,9 @@ def mc_experiment(C, cfg, trials, seed=None):
         truth = vals[:, s]
         reads = np.array([_corrupt(row, sh) for row, sh in zip(vals[:, :s].tolist(), shifts)],
                          dtype=F.dtype)
-        g, ok = _decode_stack(F, k, np.array(doms), strip_weights(F, C.v, reads, np.array(lams)))
-        right = ok & (g[:, k] == truth)
+        at_target, ok = _decode_stack(F, k, np.array(doms),
+                                      strip_weights(F, C.v, reads, np.array(lams)), [F.order])
+        right = ok & (at_target[:, 0] == truth)
         successes += int(right.sum())
         wrong += int((ok & ~right).sum())
         hist += np.bincount(cols[:, :s].ravel(), minlength=n)

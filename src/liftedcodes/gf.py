@@ -257,9 +257,10 @@ class FiniteField:
         # scalar mul: the logs of two nonzero elements sum below 2(q-1),
         # where exp repeats; zero's log here is 2(q-1), so any sum with it
         # lands in a run of zeros.  A closure rather than a method: the
-        # corrector's poly_divmod makes about 500 products per 8-trial
-        # PLift_32(2,16) batch, and a closure skips a method's attribute
-        # lookups, zero test and modulo on each.
+        # polynomial helpers of the field construction and the extension's
+        # modulus search, and every corrector trial's rank test of its line
+        # embedding, make their products here one at a time, and a closure
+        # skips a method's attribute lookups, zero test and modulo on each.
         zlog = [2 * n] + self._log[1:]
         prod = [0] * (4 * n + 1)
         prod[:n] = prod[n:2 * n] = self._exp

@@ -270,10 +270,12 @@ def inverse(F, M):
 
 
 def _row_pair(F, A, B):
-    """A and B as matrices, an empty row list taking the other's width."""
+    """A and B as matrices.  An empty row list (shape (0, 0), as from a
+    Python []) takes the other's width; an empty matrix with a width of
+    its own, such as np.zeros((0, 3)), keeps it."""
     A, B = as_matrix(A, F.dtype), as_matrix(B, F.dtype)
-    return (A if len(A) else A.reshape(0, B.shape[1]),
-            B if len(B) else B.reshape(0, A.shape[1]))
+    return (A.reshape(0, B.shape[1]) if A.shape == (0, 0) else A,
+            B.reshape(0, A.shape[1]) if B.shape == (0, 0) else B)
 
 
 def _rank_if_contains(F, A, B):

@@ -257,15 +257,32 @@ def prs_decode_bruteforce(y, k, F):
     return words[best].tolist() if dist[best] <= t else None
 
 
+_MDS_CHUNK = 4096  # column subsets per null_vectors call
+
+
+def singular_column_blocks(C):
+    """One bool per dim-subset of generator columns, in
+    itertools.combinations order: True where that dim x dim block is
+    singular.  A square block is singular iff it has a null vector, so
+    each chunk of _MDS_CHUNK blocks is one (chunk, dim, dim) stack for
+    linalg.null_vectors, whose `has` is the verdict.  A chunk's stack holds
+    chunk x dim^2 field elements: 4,096 x 16^2 bytes = 1 MiB at dim = 16
+    for q <= 256, and the elimination indexes it with an int32 array of
+    the same shape (4 MiB)."""
+    subsets = itertools.combinations(range(C.length), C.dim)
+    verdicts = []
+    while chunk := list(itertools.islice(subsets, _MDS_CHUNK)):
+        verdicts.append(linalg.null_vectors(C.field, C.G[:, chunk].transpose(1, 0, 2))[1])
+    return np.concatenate(verdicts)
+
+
 def mds_exact_distance(C):
     """Exact distance of a maximum-distance-separable candidate, by column
-    exhaustion: if every dim-subset of generator columns has full rank then
-    no codeword has more than dim-1 zeros, pinning d = n - dim + 1."""
-    F = C.field
-    n, kd = C.length, C.dim
-    for cols in itertools.combinations(range(n), kd):
-        if linalg.rank(F, C.G[:, list(cols)]) < kd:
-            raise AssertionError("code is not MDS; exhaustive sweep required")
+    exhaustion: if every dim-subset of generator columns has full rank
+    (`singular_column_blocks`) then no codeword has more than dim-1 zeros,
+    pinning d = n - dim + 1."""
+    if singular_column_blocks(C).any():
+        raise AssertionError("code is not MDS; exhaustive sweep required")
     # an explicit word of weight n - dim + 1 exists: a polynomial with
     # dim-1 distinct roots
-    return n - kd + 1
+    return C.length - C.dim + 1

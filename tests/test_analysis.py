@@ -1,10 +1,12 @@
 """Structural checks: information sets, quasi-cyclicity certificates,
 distance bounds and sweeps, design duality, rate tables."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from liftedcodes import linalg
+from liftedcodes import linalg, reference
 from liftedcodes.analysis import (
     SWEEP_LIMIT,
     design_dual_report,
@@ -23,7 +25,7 @@ from liftedcodes.codes import make_code
 from liftedcodes.degrees import adeg
 from liftedcodes.geometry import standardize
 from liftedcodes.gf import GF, ExtensionIso, poly_mulmod, poly_powmod
-from liftedcodes.reference import mds_exact_distance
+from liftedcodes.reference import mds_exact_distance, singular_column_blocks
 
 
 def test_information_set_lift_4_2_2():
@@ -182,6 +184,26 @@ def test_prs_distance_mds():
     # order-1 projective lifting bounds collapse to the exact value
     rep = distance_report(make_code("PLift", 8, 1, 3), exact=True)
     assert rep.lower == rep.upper == rep.exact == 6
+
+
+@pytest.mark.parametrize("kind, q, m, k, mds", [
+    ("PRS", 4, 1, 2, True), ("PRS", 5, 1, 3, True), ("PRM", 3, 2, 2, False),
+    ("PLift", 3, 2, 1, False),
+])
+def test_stacked_column_certificate_equals_rank_per_subset(kind, q, m, k, mds, monkeypatch):
+    # a chunk of 7 makes several stacks and a partial last one
+    monkeypatch.setattr(reference, "_MDS_CHUNK", 7)
+    C = make_code(kind, q, m, k)
+    F = C.field
+    want = [linalg.rank(F, C.G[:, list(cols)]) < C.dim
+            for cols in itertools.combinations(range(C.length), C.dim)]
+    assert singular_column_blocks(C).tolist() == want
+    assert any(want) != mds
+    if mds:
+        assert mds_exact_distance(C) == C.length - C.dim + 1
+    else:
+        with pytest.raises(AssertionError, match="not MDS"):
+            mds_exact_distance(C)
 
 
 def test_exact_distance_guard():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
-from liftedcodes import decode
+from liftedcodes import decode, linalg
 from liftedcodes.codes import encode, make_code, random_codeword
 from liftedcodes.decode import (
     CorrectionConfig,
@@ -19,7 +19,7 @@ from liftedcodes.decode import (
     query_gen,
     query_position_sample,
 )
-from liftedcodes.gf import GF
+from liftedcodes.gf import GF, poly_divmod
 from liftedcodes.geometry import enumerate_points, random_embedding_through, theta
 from liftedcodes.reference import prs_decode_bruteforce, restrict_to_line, standard_line_embedding
 
@@ -223,9 +223,130 @@ def _monomial_rows(F, positions, d):
     return rows
 
 
+def _berlekamp_welch_matrix(F, positions, ys, k, t):
+    # the full homogeneous key equation N = y E on P^1, N of degree k+t in
+    # the first k+t+1 columns and E of degree t in the last t+1
+    neg_y = F.np_sub[0][ys]
+    return np.concatenate([_monomial_rows(F, positions, k + t),
+                           F.np_mul[neg_y[..., None], _monomial_rows(F, positions, t)]], axis=2)
+
+
+def _reference_decode_stack(F, k, positions, ys):
+    # the decoder before it reduced the key equation, kept as the reference:
+    # one null vector of the full Berlekamp-Welch system per slice, then
+    # N / E by polynomial division at x0 = 1.  Returns (g, ok): g holds the
+    # coefficients of f(1, x) where ok.
+    B, s = ys.shape
+    t = (s - k - 1) // 2
+    sols, ok = linalg.null_vectors(F, _berlekamp_welch_matrix(F, positions, ys, k, t))
+    g = np.zeros((B, k + 1), dtype=F.dtype)
+    for b in ok.nonzero()[0].tolist():
+        sol = sols[b].tolist()
+        quot, rem = poly_divmod(F, sol[:k + t + 1], sol[k + t + 1:])
+        if rem or len(quot) > k + 1:
+            ok[b] = False
+        else:
+            g[b, :len(quot)] = quot
+    return g, ok
+
+
+def _evaluate(F, positions, g):
+    # the forms with coefficient rows g (B, k+1) at the line positions
+    rows = _monomial_rows(F, positions, g.shape[1] - 1)
+    return linalg.gf_sum(F, F.np_mul[rows[None], g[:, None, :]], axis=2)
+
+
+def _random_reads(F, k, s, B, rng):
+    # B slices of s reads of planted PRS_q(k) codewords, slice b with
+    # b mod (t+4) errors; (0 : 1) is read in every other slice
+    q = F.order
+    t = (s - k - 1) // 2
+    positions = []
+    for b in range(B):
+        if b % 2 and s <= q:
+            chosen = np.append(rng.choice(q, size=s - 1, replace=False), q)
+        else:
+            chosen = rng.choice(q + 1, size=s, replace=False)
+        positions.append(np.sort(chosen))
+    positions = np.array(positions)
+    msgs = rng.integers(q, size=(B, k + 1)).astype(F.dtype)
+    ys = np.take_along_axis(_evaluate(F, np.arange(q + 1), msgs), positions, axis=1)
+    for b in range(B):
+        for i in rng.choice(s, size=min(s, b % (t + 4)), replace=False):
+            ys[b, i] = F.add(int(ys[b, i]), int(rng.integers(1, q)))
+    return positions, ys
+
+
+# the reference eliminates an s x (k+2t+2) matrix, about s (k+2t+2)^2
+# table reads a slice: one slice at q = 2048, k = q-1 took 25 s
+_REFERENCE_BUDGET = 4 * 10 ** 7
+
+
+def _reference_cost(k, s):
+    return s * (k + 2 * ((s - k - 1) // 2) + 2) ** 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27, 32, 257, 2039, 2048])
+def test_decode_stack_equals_berlekamp_welch_reference(q):
+    # every k in {0, q//2, q-1} and s in {k+1, mid, q+1}; where the
+    # reference would pass its budget, s shrinks until it fits, and k is
+    # left out when even s = k+1 does not (k >= q//2 at q >= 2039, which
+    # test_planted_codeword_at_large_q covers)
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    everywhere = np.arange(q + 1)
+    checked = 0
+    for k in sorted({0, q // 2, q - 1}):
+        for s in sorted({k + 1, (k + q + 2) // 2, q + 1}):
+            while s > k + 1 and _reference_cost(k, s) > _REFERENCE_BUDGET:
+                s = (s + k + 1) // 2
+            if _reference_cost(k, s) > _REFERENCE_BUDGET:
+                continue
+            B = max(2, min(12, _REFERENCE_BUDGET // _reference_cost(k, s)))
+            positions, ys = _random_reads(F, k, s, B, rng)
+            g, ok_ref = _reference_decode_stack(F, k, positions, ys.copy())
+            vals, ok = decode._decode_stack(F, k, positions, ys.copy(), everywhere)
+            assert np.array_equal(ok, ok_ref), (k, s)
+            assert np.array_equal(vals[ok], _evaluate(F, everywhere, g)[ok]), (k, s)
+            at_inf, ok_inf = decode._decode_stack(F, k, positions, ys.copy(), [q])
+            assert np.array_equal(ok_inf, ok) and np.array_equal(at_inf[ok, 0], g[ok, k])
+            checked += 1
+    assert checked >= (2 if q >= 2039 else 5)
+
+
+@pytest.mark.parametrize("q", [2039, 2048])
+def test_planted_codeword_at_large_q(q):
+    # k = q//2 and q-1, where the reference does not fit: up to t errors
+    # decode to the planted codeword; a full read at k = q-1 (distance 2)
+    # with one error has no codeword within t = 0.  s stays within k+10:
+    # at k = q//2 a full read (t = 512) takes the decoder seconds
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    for k in (q // 2, q - 1):
+        cw = _evaluate(F, np.arange(q + 1), rng.integers(q, size=(1, k + 1)).astype(F.dtype))
+        cw = cw[0].tolist()
+        for s in sorted({k + 1, min(k + 10, q + 1)}):
+            t = (s - k - 1) // 2
+            y = [None] * (q + 1)
+            read = rng.choice(q + 1, size=s, replace=False).tolist()
+            for i in read:
+                y[i] = cw[i]
+            for i in read[:t]:
+                y[i] = F.add(y[i], int(rng.integers(1, q)))
+            assert prs_decode(y, k, F) == cw, (k, s)
+    y = list(cw)
+    i = int(rng.integers(q + 1))
+    y[i] = F.add(y[i], 1)
+    assert prs_decode(y, q - 1, F) is None
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 27, 32, 257])
 def test_key_equation_rows_equal_monomial_reference(q, monkeypatch):
-    # capture the stacked key equations the decoder hands to null_vectors
+    # capture the reduced key equations M the decoder hands to
+    # null_vectors: the null space of each slice is the E-coordinates of
+    # the null space of the full Berlekamp-Welch matrix built from the
+    # monomial rows (projecting away N is injective on it, as E = 0
+    # forces N = 0)
     F = GF(q)
     rng = np.random.default_rng(q)
     seen = []
@@ -237,13 +358,14 @@ def test_key_equation_rows_equal_monomial_reference(q, monkeypatch):
             positions = np.array([np.sort(rng.choice(q + 1, size=s, replace=False))
                                   for _ in range(3)])
             ys = rng.integers(q, size=positions.shape).astype(F.dtype)
-            decode._decode_stack(F, k, positions, ys)
+            decode._decode_stack(F, k, positions, ys, [q])
             t = (s - k - 1) // 2
-            neg_y = F.np_sub[0][ys]
-            want = np.concatenate([_monomial_rows(F, positions, k + t),
-                                   F.np_mul[neg_y[..., None], _monomial_rows(F, positions, t)]],
-                                  axis=2)
-            assert np.array_equal(seen.pop(), want), (k, s)
+            M = seen.pop()
+            assert M.shape == (3, s - (k + t + 1), t + 1), (k, s)
+            full = _berlekamp_welch_matrix(F, positions, ys, k, t)
+            for b in range(3):
+                assert linalg.rowspace_equal(F, linalg.nullspace(F, M[b]),
+                                             linalg.nullspace(F, full[b])[:, k + t + 1:]), (k, s, b)
 
 
 def test_decode_failure_is_distinct_from_wrong_answer():

@@ -356,6 +356,18 @@ def test_rowspace_of_another_width_contains_nothing():
         assert not linalg.rowspace_equal(F, A, B)
 
 
+def test_empty_matrix_keeps_its_width():
+    # only a Python [] has no width of its own; an explicit (0, 3) array
+    # spans the zero space of length 3, which holds no word of length 2
+    F = GF(4)
+    for A, B in [(np.zeros((0, 3)), [[0, 0]]), ([[0, 0]], np.zeros((0, 3)))]:
+        assert not linalg.rowspace_contains(F, A, B)
+        assert not linalg.rowspace_equal(F, A, B)
+    assert linalg.rowspace_contains(F, np.zeros((0, 3)), [[0, 0, 0]])
+    assert linalg.rowspace_equal(F, np.zeros((0, 3)), [])
+    assert linalg.rowspace_equal(F, [], [])
+
+
 def test_matmul_rejects_differing_inner_dimensions():
     F = GF(4)
     with pytest.raises(ValueError):
