@@ -16,13 +16,17 @@ are read off the generator of PRS_q(t).  prs_decode is its one-slice call;
 the brute-force nearest-codeword oracle reference.prs_decode_bruteforce
 pins it at small q.
 
-The Monte-Carlo engine makes each trial's draws on its own seeded stream in
-the order of encode, corrupt_word and local_correct, sharing the line draw
-and the corruption rule with them.  It then works on chunks of trials at
-once: one product evaluates every codeword at its s queried positions and
-its target, one strip_weights call strips the line weights, and one stacked
-key equation decodes the chunk.  local_correct keeps the scalar path, one
-trial at a time, as the reference the engine is tested against.
+The Monte-Carlo engine checks its arguments, then makes each trial's draws
+on its own seeded stream in the order of encode, corrupt_word and
+local_correct, through the draw helpers they call too; a trial builds no
+line object.  It then works on chunks of trials at once: one
+geometry.line_images call locates the queried points and their weights,
+one searchsorted finds the errors there, one product evaluates every
+codeword at its s queried positions and its target, one strip_weights
+call strips the line weights, and one stacked key equation decodes the
+chunk.  query_position_sample draws and locates its queries the same way.
+local_correct keeps the scalar path, one trial at a time, as the
+reference the engine is tested against.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 from liftedcodes import linalg
 from liftedcodes.codes import Word, make_code, strip_weights
-from liftedcodes.geometry import random_embedding_through, theta
+from liftedcodes.geometry import draw_first_column, line_images, random_embedding_through, theta
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +185,16 @@ def prs_decode(y, k, F):
 # Query generation and the local corrector
 # ---------------------------------------------------------------------------
 
+def _draw_queries(n, s, q, rng):
+    """query_gen's draws: whether P's preimage is queried, with probability
+    exactly s/n, then the other queries, distinct among the q other domain
+    positions and numbered skipping P's preimage.  Returns (with_p, extra)."""
+    if not 1 <= s <= q:
+        raise ValueError(f"query budget must satisfy 1 <= s <= q, got s={s}")
+    with_p = rng.random() < s / n
+    return with_p, rng.choice(q, size=s - with_p, replace=False)
+
+
 def query_gen(P, L, s, rng):
     """Choose s domain positions on the embedded line.
 
@@ -190,22 +204,26 @@ def query_gen(P, L, s, rng):
     restricted to at most q (a (q+1)-point line cannot both always be fully
     read and contain P only with probability s/n).
     """
-    F = L.field
-    q = F.order
-    n = theta(L.m, q)
-    if not 1 <= s <= q:
-        raise ValueError(f"query budget must satisfy 1 <= s <= q, got s={s}")
+    q = L.field.order
+    with_p, extra = _draw_queries(theta(L.m, q), s, q, rng)
     images = L.points
     P = np.asarray(P)
     hits = (images == P).all(axis=1).nonzero()[0] if P.shape == images.shape[1:] else ()
     if len(hits) == 0:
         raise ValueError("target point does not lie on the embedded line")
     p_pre = int(hits[0])
-    # draw among the q other domain positions, numbered skipping p_pre
-    with_p = rng.random() < s / n
-    extra = rng.choice(q, size=s - with_p, replace=False)
     chosen = (extra + (extra >= p_pre)).tolist()
     return sorted(chosen + [p_pre] if with_p else chosen)
+
+
+def _draw_line_queries(P, n, s, F, rng):
+    """The line and query draws of `random_embedding_through` and
+    `query_gen`, in their order, without building the line: (the first
+    column, extra).  P's preimage is the point at infinity, domain position
+    q, which every other domain position precedes, so the queried domain
+    positions are sorted(extra) followed by q when there are fewer than s."""
+    col0 = draw_first_column(P, F, rng)
+    return col0, _draw_queries(n, s, F.order, rng)[1]
 
 
 @dataclass
@@ -218,16 +236,20 @@ class CorrectionConfig:
     seed: int | None = None
 
 
+def _check_corrector(C, s):
+    """ValueError unless C is projective and k+1 <= s <= q."""
+    if C.support.space != "projective":
+        raise ValueError(f"local correction needs a projective code, not {C!r}")
+    if not C.k + 1 <= s <= C.field.order:
+        raise ValueError(f"query budget must satisfy k+1 <= s <= q, got s={s}")
+
+
 def _draw_line(C, P, s, rng):
     """Check that C is projective and k+1 <= s <= q, then draw a uniform line
     through P and its s queries: (embedding, domain positions, support
     positions), both position lists in domain order."""
-    if C.support.space != "projective":
-        raise ValueError(f"local correction needs a projective code, not {C!r}")
-    F = C.field
-    if not C.k + 1 <= s <= F.order:
-        raise ValueError(f"query budget must satisfy k+1 <= s <= q, got s={s}")
-    L = random_embedding_through(P, F, rng)
+    _check_corrector(C, s)
+    L = random_embedding_through(P, C.field, rng)
     dom_positions = query_gen(P, L, s, rng)
     return L, dom_positions, L.positions[dom_positions].tolist()
 
@@ -281,34 +303,63 @@ class ExperimentReport:
         return asdict(self)
 
 
-def _draw_errors(n, delta, q, rng):
-    """{position: shift} for floor(delta * n) distinct uniform positions, each
-    with a uniform shift in [1, q), drawn as one array after the positions."""
+def _error_count(n, delta):
+    """floor(delta * n), the errors of a corruption at fraction delta."""
     if not 0 <= delta <= 1:
         raise ValueError(f"corruption fraction delta must lie in [0, 1], got {delta}")
-    nerr = math.floor(delta * n)
+    return math.floor(delta * n)
+
+
+def _draw_errors(n, nerr, q, rng):
+    """(positions, shifts): nerr distinct uniform positions, each with a
+    uniform shift in [1, q), drawn as one array after the positions."""
     if nerr == 0:
-        return {}
-    positions = rng.choice(n, size=nerr, replace=False)
-    return dict(zip(positions.tolist(), rng.integers(1, q, size=nerr).tolist()))
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return rng.choice(n, size=nerr, replace=False), rng.integers(1, q, size=nerr)
 
 
 def _corrupt(values, shifts):
-    """The values after their shifts, None for no error: a shift moves a
-    symbol to the shift-th of the q-1 symbols other than it, in index order."""
-    return [v if shift is None else shift - (shift <= v)
-            for v, shift in zip(values, shifts)]
+    """The values after their shifts, 0 for no error: a shift moves a symbol
+    to the shift-th of the q-1 symbols other than it, in index order."""
+    return np.where(shifts == 0, values, shifts - (shifts <= values))
 
 
 def corrupt_word(word, delta, rng):
     """Flip exactly floor(delta * n) uniformly chosen coordinates to
     uniformly chosen wrong symbols."""
     n = len(word)
-    errors = _draw_errors(n, delta, word.support.field.order, rng)
-    return Word(word.support, _corrupt(word.values, map(errors.get, range(n))))
+    positions, shifts = _draw_errors(n, _error_count(n, delta), word.support.field.order, rng)
+    values = list(word.values)
+    hit = positions.tolist()
+    for pos, val in zip(hit, _corrupt(np.array([values[pos] for pos in hit]), shifts).tolist()):
+        values[pos] = val
+    return Word(word.support, values)
+
+
+def _shifts_at(n, q, positions, shifts, queried):
+    """Each row's shifts at its queried positions, 0 where it has no error.
+
+    positions and shifts are (B, nerr): row b's distinct error positions
+    and their shifts in [1, q); queried is (B, s).  The keys
+    (b*n + position)*q + shift are sorted once, and a query's key with
+    shift 0 lands by `searchsorted` just before its position's entry, if
+    there is one."""
+    if not positions.size:
+        return np.zeros(queried.shape, dtype=np.int64)
+    rows = n * np.arange(len(positions))[:, None]
+    keys = positions.astype(np.int64)
+    keys += rows
+    keys *= q
+    keys += shifts
+    keys = keys.ravel()
+    keys.sort()
+    want = (queried + rows) * q
+    found = keys[np.minimum(np.searchsorted(keys, want), keys.size - 1)] - want
+    return np.where((0 < found) & (found < q), found, 0)
 
 
 _CHUNK = 256  # trials per stacked decode; mc_experiment's docstring bounds its memory
+_CHUNK_ERRORS = 2 ** 16  # error entries a chunk keeps until its shift lookup
 
 
 def mc_experiment(C, cfg, trials, seed=None):
@@ -317,26 +368,37 @@ def mc_experiment(C, cfg, trials, seed=None):
     trials use the streams of SeedSequence(seed).spawn(trials), spawned one
     chunk at a time so that no cost grows with the trial count up front.
 
-    Each trial makes exactly the draws of encode, corrupt_word and
-    local_correct in their order.  Then, for up to _CHUNK trials at a time,
-    one product evaluates the codewords at the s queried positions and the
-    target only, one strip_weights call strips the line weights, and one
-    stacked key equation decodes every trial's reads.
+    Every argument is checked before the first draw: trials, the seed,
+    delta, a projective code, then k+1 <= s <= q.  Each trial then makes
+    exactly the draws of encode, corrupt_word and local_correct in their
+    order (`_draw_errors`, `_draw_line_queries`), but builds no line: P is
+    the image of the point at infinity, so the drawn first column and
+    queries are all a trial keeps.  For a chunk of trials at once, one
+    `line_images` call locates the queried points, one `searchsorted`
+    finds the shifts there, one product evaluates the codewords at the s
+    queried positions and the target only, one strip_weights call strips
+    the line weights, and one stacked key equation decodes every trial's
+    reads.
 
-    A trial keeps only the shifts at its s queried positions, not the dict
-    of its floor(delta*n) errors: at PLift_256(2,2), s=3, delta=1/16, 256
-    trials peak at 1.65 MB under tracemalloc instead of 72 MB.  The chunk
-    bounds the rest of memory.  Its largest arrays are the codeword
-    product, _CHUNK * (s+1) * dim field elements (8t bytes each in gf_sum's
-    digit sums for odd p), and the decoder's int32 determinant logs: the
-    reads against the first K = k+t+1 reads, _CHUNK * s * K, then the
-    reads and the target against the k+1 interpolation points,
-    _CHUNK * (s+1) * (k+1), each with one or two int32 temporaries of its
-    shape; s <= q.  The key equation itself is only _CHUNK * (s-K) * (t+1)
-    field elements.  At q = 32, s = 32, k = 16 and dim = 153 a full chunk
-    peaks at 3.03 MB (2.89 MiB) under tracemalloc, in the codeword
-    product; the decoder's own peak is 2.88 MB.  At PLift_64(2,20), s = 64,
-    delta = 1/32, the peak is 8.42 MB.
+    A chunk holds up to _CHUNK trials, and fewer when their errors would
+    pass _CHUNK_ERRORS entries: each trial keeps its floor(delta*n) error
+    positions and shifts, in the smallest unsigned types that hold n-1 and
+    q-1, until the chunk's lookup, which sorts them as one int64 key array.
+    The chunk bounds the rest of memory.  Its largest arrays are the
+    codeword product, _CHUNK * (s+1) * dim field elements (8t bytes each
+    in gf_sum's digit sums for odd p), and the decoder's int32
+    determinant logs: the reads against the first K = k+t+1 reads,
+    _CHUNK * s * K, then the reads and the target against the k+1
+    interpolation points, _CHUNK * (s+1) * (k+1), each with one or two
+    int32 temporaries of its shape; s <= q.  The key equation itself is
+    only _CHUNK * (s-K) * (t+1) field elements.  Peaks of a 256-trial call
+    under tracemalloc, with a LineEmbedding per trial and each trial's
+    errors in a dict (before) and as this engine draws them (after):
+    - PLift_256(2,2), s = 3, delta = 1/16 (4,112 errors a trial, 15
+      trials a chunk): 1.65 MB before, 1.41 MB after;
+    - PLift_32(2,16), s = 32, delta = 1/16: 3.01 MB before, 3.02 MB
+      after, in the codeword product;
+    - PLift_64(2,20), s = 64, delta = 1/32: 8.42 MB before, 8.48 MB after.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -344,36 +406,41 @@ def mc_experiment(C, cfg, trials, seed=None):
     if seed is None:
         raise ValueError("a seed is required for reproducibility")
     F = C.field
-    n, s, k = len(C.support), cfg.s, C.k
+    n, s, k, q = len(C.support), cfg.s, C.k, F.order
+    nerr = _error_count(n, cfg.delta)
+    _check_corrector(C, s)
+    points = C.support.coords
+    chunk = max(1, min(_CHUNK, _CHUNK_ERRORS // max(nerr, 1)))
     root = np.random.SeedSequence(seed)  # spawn keys continue from call to call
     hist = np.zeros(n, dtype=np.int64)
     successes = wrong = 0
-    for lo in range(0, trials, _CHUNK):
-        msgs, shifts, cols, doms, lams = [], [], [], [], []
-        for child in root.spawn(min(_CHUNK, trials - lo)):
+    for lo in range(0, trials, chunk):
+        B = min(chunk, trials - lo)
+        msgs = np.empty((B, C.dim), dtype=F.dtype)
+        err_pos = np.empty((B, nerr), dtype=np.min_scalar_type(n - 1))
+        err_shift = np.empty((B, nerr), dtype=F.dtype)
+        targets = np.empty(B, dtype=np.int64)
+        col0 = np.empty((B, C.m + 1), dtype=F.dtype)
+        doms = np.full((B, s), q)
+        for j, child in enumerate(root.spawn(B)):
             rng = np.random.default_rng(child)
-            msgs.append(rng.integers(F.order, size=C.dim))
-            errors = _draw_errors(n, cfg.delta, F.order, rng)
-            target = int(rng.integers(n))
-            L, dom_positions, queried = _draw_line(C, C.support[target], s, rng)
-            shifts.append([errors.get(pos) for pos in queried])  # the only shifts read
-            cols.append(queried + [target])
-            doms.append(dom_positions)
-            lams.append(L.lams[dom_positions])
-        cols = np.array(cols)
-        msgs = np.array(msgs, dtype=F.dtype)
+            msgs[j] = rng.integers(q, size=C.dim)
+            err_pos[j], err_shift[j] = _draw_errors(n, nerr, q, rng)
+            targets[j] = target = rng.integers(n)
+            col0[j], extra = _draw_line_queries(points[target].tolist(), n, s, F, rng)
+            doms[j, :len(extra)] = extra
+        doms.sort(axis=1)
+        _, lams, queried = line_images(F, col0, points[targets], doms)
+        cols = np.concatenate([queried, targets[:, None]], axis=1)
         vals = linalg.gf_sum(F, F.np_mul[C.G[:, cols], msgs.T[:, :, None]], axis=0)
-        truth = vals[:, s]
-        reads = np.array([_corrupt(row, sh) for row, sh in zip(vals[:, :s].tolist(), shifts)],
-                         dtype=F.dtype)
-        at_target, ok = _decode_stack(F, k, np.array(doms),
-                                      strip_weights(F, C.v, reads, np.array(lams)), [F.order])
-        right = ok & (at_target[:, 0] == truth)
+        reads = _corrupt(vals[:, :s], _shifts_at(n, q, err_pos, err_shift, queried))
+        at_target, ok = _decode_stack(F, k, doms, strip_weights(F, C.v, reads, lams), [q])
+        right = ok & (at_target[:, 0] == vals[:, s])
         successes += int(right.sum())
         wrong += int((ok & ~right).sum())
-        hist += np.bincount(cols[:, :s].ravel(), minlength=n)
+        hist += np.bincount(queried.ravel(), minlength=n)
     return ExperimentReport(
-        q=F.order, m=C.m, k=C.k, s=s, delta=cfg.delta,
+        q=q, m=C.m, k=C.k, s=s, delta=cfg.delta,
         trials=trials, seed=seed, successes=successes, wrong=wrong,
         erasures=trials - successes - wrong, success_rate=successes / trials,
         query_histogram=hist.tolist(),
@@ -384,15 +451,24 @@ def query_position_sample(C, P, s, calls, seed):
     """Histogram of queried coordinates at a fixed target point.
 
     Samples only the query-selection stage (embedding draw plus query
-    generation), which is what the smoothness property constrains.
+    generation), which is what the smoothness property constrains: the
+    draws of `random_embedding_through` and `query_gen` on one stream,
+    located in chunks of _CHUNK calls as in mc_experiment.
     """
     F = C.field
-    sup = C.support
+    q, n = F.order, len(C.support)
+    P = list(P)
+    C.support.position(P)  # a point of the support, in standard form
     rng = np.random.default_rng(seed)
-    hist = [0] * len(sup)
-    P = tuple(P)
-    for _ in range(calls):
-        L = random_embedding_through(P, F, rng)
-        for pos in L.positions[query_gen(P, L, s, rng)].tolist():
-            hist[pos] += 1
-    return hist
+    hist = np.zeros(n, dtype=np.int64)
+    for lo in range(0, calls, _CHUNK):
+        B = min(_CHUNK, calls - lo)
+        col0 = np.empty((B, len(P)), dtype=F.dtype)
+        doms = np.full((B, s), q)
+        for j in range(B):
+            col0[j], extra = _draw_line_queries(P, n, s, F, rng)
+            doms[j, :len(extra)] = extra
+        doms.sort(axis=1)
+        positions = line_images(F, col0, np.broadcast_to(P, col0.shape), doms)[2]
+        hist += np.bincount(positions.ravel(), minlength=n)
+    return hist.tolist()

@@ -175,6 +175,17 @@ def enumerate_points(F, m, space):
     return _support_cached(F, m, space)
 
 
+def _rank2(F, a, b):
+    """Whether the vectors a and b span a line: b is nonzero and a is no
+    multiple of b.  The only multiple that can equal a is a[i]/b[i] * b,
+    with i the lead of b; a = 0 is that multiple."""
+    i = next((j for j, c in enumerate(b) if c), None)
+    if i is None:
+        return False
+    ratio = F.mul(a[i], F.inv(b[i]))
+    return any(F.mul(ratio, y) != x for x, y in zip(a, b))
+
+
 class LineEmbedding:
     """Rank-2 linear map F_q^2 -> F_q^(m+1), stored by its two columns.
 
@@ -188,25 +199,18 @@ class LineEmbedding:
         if len(self.col0) != len(self.col1):
             raise ValueError("columns of unequal length")
         self.m = len(self.col0) - 1
-        # rank 2: both columns are nonzero and col0 is no multiple of col1.
-        # The only multiple that can equal col0 is col0[i]/col1[i] * col1,
-        # with i the lead of col1.
-        if not (any(self.col0) and any(self.col1)):
-            raise ValueError("embedding matrix must have rank 2")
-        i = next(j for j, c in enumerate(self.col1) if c)
-        ratio = field.mul(self.col0[i], field.inv(self.col1[i]))
-        if all(field.mul(ratio, b) == a for a, b in zip(self.col0, self.col1)):
+        if not _rank2(field, self.col0, self.col1):
             raise ValueError("embedding matrix must have rank 2")
 
     @cached_property
     def _located(self):
-        """`locate` of the q+1 images in P^1 support order; computed on first
-        use, as the membership oracle builds many embeddings and reads only
-        their columns."""
+        """`line_images` of the q+1 domain points in P^1 support order;
+        computed on first use, as the membership oracle builds many
+        embeddings and reads only their columns."""
         F = self.field
-        dom = _support_cached(F, 1, "projective").coords
-        return locate(F, linalg.gf_add(F, F.np_mul[dom[:, :1], np.array(self.col0)],
-                                       F.np_mul[dom[:, 1:], np.array(self.col1)]))
+        points, lams, positions = line_images(F, np.array([self.col0]), np.array([self.col1]),
+                                              np.arange(F.order + 1)[None])
+        return points[0], lams[0], positions[0]
 
     @property
     def points(self):
@@ -239,11 +243,8 @@ def _all_lines_cached(field, m):
     pts = _support_cached(field, m, "projective").coords
     lead = (pts != 0).argmax(axis=1)
     r1, r2 = np.nonzero((lead[:, None] < lead) & (pts[:, lead] == 0))
-    dom = _support_cached(field, 1, "projective").coords
-    images = linalg.gf_add(field, field.np_mul[dom[:, :1, None], pts[r1]],
-                           field.np_mul[dom[:, 1:, None], pts[r2]])
-    positions = locate(field, images.reshape(-1, m + 1))[2].reshape(field.order + 1, -1)
-    lines = np.sort(positions.T, axis=1)
+    dom = np.broadcast_to(np.arange(field.order + 1), (len(r1), field.order + 1))
+    lines = np.sort(line_images(field, pts[r1], pts[r2], dom)[2], axis=1)
     order = np.lexsort(lines.T[::-1])
     return lines[order], pts[r1[order]], pts[r2[order]]
 
@@ -253,22 +254,39 @@ def all_lines(support):
     return list(map(tuple, _all_lines_cached(support.field, support.m)[0].tolist()))
 
 
+def line_images(F, col0, col1, dom):
+    """`locate` of the images x0*col0 + x1*col1 of P^1 domain positions
+    under B embeddings at once.
+
+    col0 and col1 are (B, m+1) arrays of columns, dom a (B, s) array of
+    domain positions: x < q is (1 : x) and q is (0 : 1).  Returns
+    (points, lams, positions) shaped (B, s, m+1), (B, s) and (B, s).
+    """
+    x = _support_cached(F, 1, "projective").coords[dom]
+    V = linalg.gf_add(F, F.np_mul[x[..., :1], col0[:, None, :]],
+                      F.np_mul[x[..., 1:], col1[:, None, :]])
+    points, lams, positions = locate(F, V.reshape(-1, V.shape[-1]))
+    return points.reshape(V.shape), lams.reshape(dom.shape), positions.reshape(dom.shape)
+
+
+def draw_first_column(P, F, rng):
+    """The first column of `random_embedding_through` as a list: uniform
+    over the vectors outside span(P), by rejection, one
+    ``rng.integers(q, size=m+1)`` draw per candidate."""
+    if len(P) < 2 or not any(P):
+        raise ValueError(f"no line passes through {tuple(P)}: lines need a nonzero "
+                         "point of P^m with m >= 1")
+    while True:
+        cand = rng.integers(F.order, size=len(P)).tolist()
+        if _rank2(F, cand, P):
+            return cand
+
+
 def random_embedding_through(P, F, rng):
     """Uniform embedding with the point at infinity mapping to P.
 
     The second column is exactly P's standard coordinates (so lambda at
-    infinity is one); the first column is uniform over vectors outside
-    span(P), by rejection.
+    infinity is one); the first column is `draw_first_column`'s.
     """
     P = tuple(P)
-    if len(P) < 2 or not any(P):
-        raise ValueError(f"no line passes through {P}: lines need a nonzero "
-                         "point of P^m with m >= 1")
-    q = F.order
-    mp1 = len(P)
-    while True:
-        cand = tuple(int(c) for c in rng.integers(q, size=mp1))
-        try:
-            return LineEmbedding(F, cand, P)
-        except ValueError:  # cand lies in span(P)
-            continue
+    return LineEmbedding(F, draw_first_column(P, F, rng), P)

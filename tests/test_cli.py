@@ -327,6 +327,20 @@ def test_delta_outside_unit_interval_exits_2(tmp_path, capsys, delta):
     assert "delta" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    ("--s 0 --delta nan --trials 3", "corruption fraction delta must lie in [0, 1], got nan"),
+    ("--s 9 --delta 2 --trials 0", "need at least one trial"),
+    ("--s 9 --delta 2 --trials 3", "corruption fraction delta must lie in [0, 1], got 2.0"),
+    ("--s 0 --delta 0.1 --trials 3", "query budget must satisfy k+1 <= s <= q, got s=0"),
+])
+def test_experiment_reports_the_first_broken_check(capsys, flags, message):
+    # the checks run in a fixed order, so flags that break two of them get
+    # the first one's message
+    code, out, err = run_cli(capsys, "experiment", "--q", "4", "--m", "2", "--k", "3",
+                             *flags.split(), "--seed", "1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("krange", [("--kmin", "5", "--kmax", "2"), ("--kmin", "9")])
 def test_empty_k_range_exits_2(tmp_path, capsys, krange):
     # kmax defaults to q-1 = 7; a range with no k would print a bare header

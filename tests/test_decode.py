@@ -1,6 +1,8 @@
 """Error-and-erasure decoding, query generation, and the local corrector."""
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from liftedcodes.decode import (
     query_position_sample,
 )
 from liftedcodes.gf import GF, poly_divmod
-from liftedcodes.geometry import enumerate_points, random_embedding_through, theta
+from liftedcodes.geometry import enumerate_points, line_images, random_embedding_through, theta
 from liftedcodes.reference import prs_decode_bruteforce, restrict_to_line, standard_line_embedding
 
 
@@ -613,6 +615,8 @@ def _per_trial_experiment(C, cfg, trials):
     (4, 2, 3, 4, 0.0), (4, 2, 1, 4, 0.25), (5, 2, 2, 3, 0.1), (5, 2, 2, 5, 0.1),
     (8, 2, 5, 6, 0.0), (8, 2, 5, 8, 0.2), (9, 2, 5, 6, 0.05), (9, 2, 4, 9, 0.1),
     (4, 3, 2, 3, 0.1), (4, 3, 3, 4, 0.05),
+    (5, 1, 2, 5, 0.2), (4, 1, 1, 4, 1.0), (3, 2, 1, 3, 1.0), (25, 2, 12, 25, 0.05),
+    (27, 2, 10, 20, 0.05),
 ])
 def test_mc_experiment_equals_per_trial_pipeline(q, m, k, s, delta):
     # the engine computes only the read coordinates; its report must be the
@@ -629,6 +633,33 @@ def test_mc_experiment_equals_per_trial_pipeline_across_a_chunk_boundary():
     cfg = CorrectionConfig(s=4, delta=0.25, seed=424)
     trials = decode._CHUNK + 3
     assert mc_experiment(C, cfg, trials=trials).to_dict() == _per_trial_experiment(C, cfg, trials)
+
+
+def test_mc_experiment_equals_per_trial_pipeline_across_capped_chunks():
+    # 4,112 errors a trial: a chunk holds only the trials whose errors fit
+    # in _CHUNK_ERRORS entries, so these trials span three chunks
+    C = make_code("PLift", 256, 2, 2)
+    cfg = CorrectionConfig(s=3, delta=1 / 16, seed=2561)
+    per_chunk = decode._CHUNK_ERRORS // math.floor(cfg.delta * len(C.support))
+    trials = 2 * per_chunk + 3
+    assert per_chunk < decode._CHUNK
+    assert mc_experiment(C, cfg, trials=trials).to_dict() == _per_trial_experiment(C, cfg, trials)
+
+
+def test_mc_experiment_chunk_memory_at_many_errors():
+    # each trial keeps its 4,112 error positions and shifts until its
+    # chunk's lookup; a 256-trial call stays within a stated 3.3 MB
+    C = make_code("PLift", 256, 2, 2)
+    cfg = CorrectionConfig(s=3, delta=1 / 16, seed=7)
+    mc_experiment(C, cfg, trials=2, seed=8)  # fills the caches the call reads
+    tracemalloc.start()
+    try:
+        rep = mc_experiment(C, cfg, trials=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.trials == 256
+    assert peak <= 3.3e6
 
 
 def test_mc_experiment_spawns_one_chunk_of_streams_at_a_time(monkeypatch):
@@ -664,6 +695,62 @@ def test_mc_experiment_rejects_affine_codes_and_out_of_range_s(kind, s):
     C = make_code(kind, 4, 2, 3 if kind == "PLift" else 2)
     with pytest.raises(ValueError):
         mc_experiment(C, CorrectionConfig(s=s, delta=0.1, seed=1), trials=3)
+
+
+@pytest.mark.parametrize("kind, s, delta, trials, seed, message", [
+    ("Lift", 4, 2, 3, 1, "corruption fraction delta must lie in [0, 1], got 2"),
+    ("PLift", 0, math.nan, 3, 1, "corruption fraction delta must lie in [0, 1], got nan"),
+    ("PLift", 9, 2, 0, 1, "need at least one trial"),
+    ("PLift", 9, 2, 3, None, "a seed is required for reproducibility"),
+    ("RM", 9, 0.1, 3, 1, "local correction needs a projective code, not {C!r}"),
+    ("PLift", 0, 1, 3, 1, "query budget must satisfy k+1 <= s <= q, got s=0"),
+], ids=["affine-delta-2", "delta-nan-s-0", "no-trials-delta-2", "no-seed-delta-2",
+        "affine-s-9", "s-0"])
+def test_mc_experiment_checks_its_arguments_in_order_before_drawing(
+        kind, s, delta, trials, seed, message, monkeypatch):
+    # inputs that break two checks get the first check's message, and no
+    # stream is seeded before every check has passed
+    class NoDraws:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a stream was seeded before the checks")
+
+    C = make_code(kind, 4, 2, 3 if kind == "PLift" else 2)
+    monkeypatch.setattr(np.random, "SeedSequence", NoDraws)
+    with pytest.raises(ValueError) as exc:
+        mc_experiment(C, CorrectionConfig(s=s, delta=delta, seed=seed), trials=trials)
+    assert str(exc.value) == message.format(C=C)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 27])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_bulk_line_geometry_equals_the_line_object(q, m):
+    # the engine's draws on one stream and the embedding plus query_gen on
+    # a copy: same queried domain positions, same generator state, and the
+    # bulk positions and lambdas there are the line object's; domain
+    # position q maps to P with lambda 1
+    F = GF(q)
+    pts = enumerate_points(F, m, "projective").coords
+    n = len(pts)
+    rng = np.random.default_rng(q * 10 + m)
+    by_s = {}
+    for draw in range(500):
+        P = pts[int(rng.integers(n))].tolist()
+        s = int(rng.integers(1, q + 1))
+        line_rng, engine_rng = np.random.default_rng(draw), np.random.default_rng(draw)
+        L = random_embedding_through(P, F, line_rng)
+        dom = query_gen(P, L, s, line_rng)
+        col0, extra = decode._draw_line_queries(P, n, s, F, engine_rng)
+        assert engine_rng.bit_generator.state == line_rng.bit_generator.state
+        assert sorted(extra.tolist()) + [q] * (s - len(extra)) == dom
+        by_s.setdefault(s, []).append((col0, P, dom, L))
+    for s, draws in by_s.items():
+        col0s, Ps, doms, lines = map(list, zip(*draws))
+        at = np.hstack([np.array(doms), np.full((len(doms), 1), q)])
+        _, lams, positions = line_images(F, np.array(col0s), np.array(Ps), at)
+        assert positions[:, :s].tolist() == [L.positions[d].tolist() for L, d in zip(lines, doms)]
+        assert lams[:, :s].tolist() == [L.lams[d].tolist() for L, d in zip(lines, doms)]
+        assert positions[:, s].tolist() == enumerate_points(F, m, "projective").positions(Ps).tolist()
+        assert (lams[:, s] == 1).all()
 
 
 def test_mc_experiment_clean_channel():
