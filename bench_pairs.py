@@ -24,9 +24,11 @@ lower and ``perfbench/compare.py``'s verdict on the pairs.
 (its per-layer metrics, zeros omitted).  ``--tier1`` first runs the
 Tier-1 suite with ``--durations=0`` on each side, parent first, and
 writes ``walls.tier1`` (pytest's wall time and counts) and
-``walls.acceptance_in_tier1`` (every acceptance test over 1 s).  Exit
-code 0 when every run passed its checks, 1 when one failed, 2 on a usage
-error.
+``walls.acceptance_in_tier1`` (every acceptance test over 1 s).  Every
+BENCH file also has ``walls.cold_cli_op``: the wall time of ``cli.main`` on
+the argv of each CLI workload, timed after the import in a fresh
+interpreter per sample, the sides alternating.  Exit code 0 when every run
+passed its checks, 1 when one failed, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -45,10 +47,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from compare import quartiles, verdict  # noqa: E402
+from run import WORKLOADS as RUN_SPECS  # noqa: E402
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 CONFIRM_WORKLOADS = ["mc-plane", "analyze"]
+CLI_WORKLOADS = [w for w in WORKLOADS if RUN_SPECS[w]["kind"] == "cli"]
+COLD_CLI_SAMPLES = 20  # fresh interpreters per side and CLI workload
 
 
 def copy_side(path, dest):
@@ -96,6 +101,42 @@ def tier1_pair(sides, scratch):
                     "above, parent then change",
             "parent_change": slow},
     }, ok
+
+
+# one cold op as perfbench/worker.py times it: cli.main after the import,
+# stdout captured; prints the exit code and the wall time in seconds
+COLD_CLI_OP = """\
+import contextlib, io, sys, time
+from liftedcodes import cli
+t0 = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:])
+print(rc, time.perf_counter() - t0)
+"""
+
+
+def cold_cli_ops(sides):
+    """cli.main wall time, in ms, of each CLI workload's argv; returns
+    (walls block, every op exited 0)."""
+    block = {"what": f"cli.main wall time in ms after the import, one fresh interpreter "
+                     f"per sample (PYTHONPATH=src), {COLD_CLI_SAMPLES} per side, the sides "
+                     "alternating, parent first in the first pair"}
+    ok = True
+    for wl in CLI_WORKLOADS:
+        walls = {"parent": [], "change": []}
+        for i in range(COLD_CLI_SAMPLES):
+            for side in (["parent", "change"] if i % 2 == 0 else ["change", "parent"]):
+                res = subprocess.run([sys.executable, "-c", COLD_CLI_OP, *RUN_SPECS[wl]["argv"]],
+                                     cwd=sides[side], env={**os.environ, "PYTHONPATH": "src"},
+                                     capture_output=True, text=True)
+                rc, wall = res.stdout.split() if res.returncode == 0 else ("1", "nan")
+                ok &= rc == "0"
+                walls[side].append(1e3 * float(wall))
+        block[wl] = {"argv": " ".join(RUN_SPECS[wl]["argv"]),
+                     **{side: summary(v) for side, v in walls.items()}}
+        print(f"cold cli {wl}: parent {block[wl]['parent']['median']} ms, "
+              f"change {block[wl]['change']['median']} ms", file=sys.stderr)
+    return block, ok
 
 
 def run_once(side_dir, workload, seed, trace, out):
@@ -194,6 +235,8 @@ def main(argv=None):
     sides = {side: copy_side(path, scratch / f"tree-{side}") for side, path in checkouts.items()}
     doc = {"description": args.description}
     walls, ok = tier1_pair(sides, scratch) if args.tier1 else ({}, True)
+    walls["cold_cli_op"], ok2 = cold_cli_ops(sides)
+    ok &= ok2
     doc["workloads"], ok2 = series(sides, WORKLOADS, None, args, scratch, "main")
     ok &= ok2
     if args.confirm_seed is not None:
@@ -223,8 +266,7 @@ def main(argv=None):
             ["git", "-C", str(checkouts["parent"]), "rev-parse", "HEAD"],
             capture_output=True, text=True).stdout.strip() or None,
     }
-    if walls:
-        doc["walls"] = walls
+    doc["walls"] = walls
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {args.out}; run records in {scratch}", file=sys.stderr)
     return 0 if ok else 1

@@ -3,6 +3,15 @@
 Every randomized command requires an explicit --seed; identical flags and
 seed produce byte-identical outputs.  Exit codes: 0 success, 1 check
 failure, 2 usage error (violated preconditions are reported verbatim).
+
+The seven subcommands are described once, in COMMANDS.  A call whose first
+argument names one builds the parser of that subcommand alone, since
+building the other six was most of a cold `table` call; any other call (no
+argument, -h, an option first, an unknown command) builds them all.  The
+one-subcommand parser writes the same bytes: its only top-level message,
+the usage line of an "unrecognized arguments" error, names the subcommand
+argument by a metavar that is the string argparse formats from all seven
+choices, so it wraps alike at any terminal width.
 """
 
 from __future__ import annotations
@@ -158,14 +167,7 @@ def cmd_selftest(args):
     return 0 if run_selftest() else 1
 
 
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="liftedcodes",
-        description="Affine and projective lifted Reed-Solomon codes: tables, "
-                    "encoding, local correction, and structural analysis.")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    t = sub.add_parser("table", help="dimension/rate table as CSV")
+def _table_args(t):
     t.add_argument("--q", type=int, action="append", required=True,
                    help="field size (repeatable)")
     t.add_argument("--m", type=int, required=True)
@@ -173,34 +175,34 @@ def build_parser():
     t.add_argument("--kmax", type=int)
     t.add_argument("--format", choices=("csv", "json"), default="csv")
     t.add_argument("--out")
-    t.set_defaults(fn=cmd_table)
 
-    e = sub.add_parser("encode", help="encode a message file into a word file")
+
+def _encode_args(e):
     e.add_argument("--kind", choices=codes.KINDS, required=True)
     e.add_argument("--q", type=int, required=True)
     e.add_argument("--m", type=int, required=True)
     e.add_argument("--k", type=int, required=True)
     e.add_argument("--msg-file", dest="msg_file", required=True)
     e.add_argument("--out")
-    e.set_defaults(fn=cmd_encode)
 
-    c = sub.add_parser("corrupt", help="corrupt a word file at a given rate")
+
+def _corrupt_args(c):
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--delta", type=float, required=True)
     c.add_argument("--seed", type=int, required=True)
     c.add_argument("--out")
-    c.set_defaults(fn=cmd_corrupt)
 
-    lc = sub.add_parser("local-correct", help="correct one symbol of a noisy word")
+
+def _local_correct_args(lc):
     lc.add_argument("--in", dest="infile", required=True)
     lc.add_argument("--point", required=True,
                     help='target point, e.g. "([1]:[0,1]:[1,1])"')
     lc.add_argument("--s", type=int, required=True, help="query budget")
     lc.add_argument("--seed", type=int, required=True)
     lc.add_argument("--out")
-    lc.set_defaults(fn=cmd_local_correct)
 
-    x = sub.add_parser("experiment", help="Monte-Carlo correction experiment")
+
+def _experiment_args(x):
     x.add_argument("--q", type=int, required=True)
     x.add_argument("--m", type=int, required=True)
     x.add_argument("--k", type=int, required=True)
@@ -209,23 +211,68 @@ def build_parser():
     x.add_argument("--trials", type=int, required=True)
     x.add_argument("--seed", type=int, required=True)
     x.add_argument("--out")
-    x.set_defaults(fn=cmd_experiment)
 
-    a = sub.add_parser("analyze", help="structural checks as a JSON report")
+
+def _analyze_args(a):
     a.add_argument("--q", type=int, required=True)
     a.add_argument("--m", type=int, required=True)
     a.add_argument("--k", type=int, required=True)
     a.add_argument("--checks", default="infoset,qc,distance,dual,shorten-puncture")
     a.add_argument("--out")
-    a.set_defaults(fn=cmd_analyze)
 
-    s = sub.add_parser("selftest", help="run the module invariant suites")
-    s.set_defaults(fn=cmd_selftest)
+
+def _no_args(s):
+    pass
+
+
+# name -> (help, handler, the function that adds its arguments), in the
+# order the top-level help lists them
+COMMANDS = {
+    "table": ("dimension/rate table as CSV", cmd_table, _table_args),
+    "encode": ("encode a message file into a word file", cmd_encode, _encode_args),
+    "corrupt": ("corrupt a word file at a given rate", cmd_corrupt, _corrupt_args),
+    "local-correct": ("correct one symbol of a noisy word", cmd_local_correct,
+                      _local_correct_args),
+    "experiment": ("Monte-Carlo correction experiment", cmd_experiment, _experiment_args),
+    "analyze": ("structural checks as a JSON report", cmd_analyze, _analyze_args),
+    "selftest": ("run the module invariant suites", cmd_selftest, _no_args),
+}
+# what argparse prints for the subcommand argument from all of COMMANDS
+_ALL_COMMANDS = "{" + ",".join(COMMANDS) + "}"
+
+
+def build_parser(command=None):
+    """The CLI's parser: with only `command`'s subparser when `command`
+    names a subcommand, else with all of them.
+
+    A parser with one subcommand parses that subcommand's argv exactly as
+    the full one does, and writes the same help and errors: its subparser
+    is the same, and the metavar makes its top-level usage (printed with
+    "unrecognized arguments") the string argparse formats from all the
+    choices.  Only the full parser can report a missing or unknown
+    subcommand, so it keeps argparse's own name for the argument.
+    """
+    p = argparse.ArgumentParser(
+        prog="liftedcodes",
+        description="Affine and projective lifted Reed-Solomon codes: tables, "
+                    "encoding, local correction, and structural analysis.")
+    if command in COMMANDS:
+        sub = p.add_subparsers(dest="command", required=True, metavar=_ALL_COMMANDS)
+    else:
+        command = None
+        sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_text, fn, add_args) in COMMANDS.items():
+        if command in (None, name):
+            sp = sub.add_parser(name, help=help_text)
+            add_args(sp)
+            sp.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         if getattr(args, "seed", 0) < 0:

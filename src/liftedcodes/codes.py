@@ -19,7 +19,7 @@ import numpy as np
 
 from liftedcodes import degrees, linalg
 from liftedcodes.gf import GF, FiniteField
-from liftedcodes.geometry import enumerate_points, locate
+from liftedcodes.geometry import enumerate_points, locate, theta
 
 KINDS = ("RS", "PRS", "RM", "PRM", "Lift", "PLift")
 _AFFINE_KINDS = {"RS", "RM", "Lift"}
@@ -195,8 +195,25 @@ def _weight_exactly(nvars, k):
     return [d for d in _weight_at_most(nvars, k) if sum(d) == k]
 
 
+def _check_generator_size(kind, q, m, k):
+    """Reject a lifted code whose dim x n generator would pass
+    degrees.MAX_GENERATOR_CELLS, with dim counted by `adim`/`pdim` and n
+    by theta, before anything of it is built."""
+    if kind == "Lift":
+        dim, n = degrees.adim(m, k, q), q ** m
+    elif kind == "PLift":
+        dim, n = degrees.pdim(m, k, q), theta(m, q)
+    else:
+        return
+    if dim * n > degrees.MAX_GENERATOR_CELLS:
+        raise ValueError(f"the {kind}_{q}({m},{k}) generator has {dim} x {n} = "
+                         f"{dim * n} cells, past the limit 2^25 = "
+                         f"{degrees.MAX_GENERATOR_CELLS}")
+
+
 @lru_cache(maxsize=None)
 def _make_code_cached(kind, field, m, k):
+    _check_generator_size(kind, field.order, m, k)
     exponents, v = _degree_tuples_for(kind, field.order, m, k)
     space = "affine" if kind in _AFFINE_KINDS else "projective"
     support = enumerate_points(field, m, space)
@@ -204,7 +221,11 @@ def _make_code_cached(kind, field, m, k):
 
 
 def make_code(kind, q, m, k):
-    """Construct a monomial code; q may be an order or a FiniteField."""
+    """Construct a monomial code; q may be an order or a FiniteField.
+
+    A Lift or PLift code whose generator would pass
+    degrees.MAX_GENERATOR_CELLS cells raises ValueError before anything of
+    it is built."""
     field = q if isinstance(q, FiniteField) else GF(q)
     return _make_code_cached(kind, field, m, k)
 

@@ -326,12 +326,18 @@ def _corrupt(values, shifts):
 
 def corrupt_word(word, delta, rng):
     """Flip exactly floor(delta * n) uniformly chosen coordinates to
-    uniformly chosen wrong symbols."""
+    uniformly chosen wrong symbols.
+
+    An error drawn at an erased coordinate (None) leaves it erased: the
+    positions and shifts are drawn as for a word without erasures, so the
+    other coordinates change exactly as they would there."""
     n = len(word)
     positions, shifts = _draw_errors(n, _error_count(n, delta), word.support.field.order, rng)
     values = list(word.values)
-    hit = positions.tolist()
-    for pos, val in zip(hit, _corrupt(np.array([values[pos] for pos in hit]), shifts).tolist()):
+    known = np.array([values[pos] is not None for pos in positions.tolist()], dtype=bool)
+    hit = positions[known].tolist()
+    for pos, val in zip(hit, _corrupt(np.array([values[pos] for pos in hit]),
+                                      shifts[known]).tolist()):
         values[pos] = val
     return Word(word.support, values)
 

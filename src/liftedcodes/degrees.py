@@ -24,6 +24,10 @@ shortening/puncturing recursion dim PLift(m, k) = dim Lift(m, k-1) +
 dim PLift(m-1, k) telescopes to `pdim` = 1 + sum_{i=1..m} dim Lift(i, k-1).
 The grid has (m(p-1)+1)^t <= q^m cells; it is limited to MAX_GRID_CELLS,
 and counts to q^m < 2^63 so that int64 holds them exactly.
+
+What is built is limited before it is allocated: the box [0, q-1]^m that
+`adeg` reads holds at most MAX_GENERATOR_CELLS exponents, the limit
+`codes.make_code` also puts on a lifted code's dim x n generator.
 """
 
 from __future__ import annotations
@@ -89,6 +93,10 @@ def p_reduce(d, q):
 
 
 MAX_GRID_CELLS = 2 ** 22
+# cells of a lifted code's generator (codes.make_code) and exponents of the
+# box adeg reads: 2.25 times the largest generator the tests build,
+# PLift_64(3,5) at 56 x 266,305 = 14.9 M cells
+MAX_GENERATOR_CELLS = 2 ** 25
 
 
 def _digit_sum_grid(m, q):
@@ -118,6 +126,9 @@ def _max_reduced_subweight_array(m, q):
     d), the maximum over all digitwise shadows e of d of int_reduce(|e|):
     `_digit_sum_grid` gathered at each d's column digit sums D.
     """
+    if q ** m > MAX_GENERATOR_CELLS:
+        raise ValueError(f"the exponent box at q={q}, m={m} has {q}^{m} cells, "
+                         f"past the limit 2^25 = {MAX_GENERATOR_CELLS}")
     p, t = prime_power(q)
     best = _digit_sum_grid(m, q)
     side = best.shape[0]

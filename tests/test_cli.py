@@ -1,15 +1,22 @@
 """End-to-end CLI coverage: every subcommand, determinism, exit codes."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from liftedcodes.cli import main
+from liftedcodes.cli import COMMANDS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -189,16 +196,162 @@ def test_extension_field_above_limit_exits_2(capsys):
                    "limit 2^20 = 1048576\n")
 
 
-def test_python_m_liftedcodes_matches_main(capsys):
+def _module_env(**extra):
+    """The environment of a `python -m liftedcodes` child, importing src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+def test_python_m_liftedcodes_matches_main(capsys):
     argv = ["table", "--q", "4", "--m", "2"]
     proc = subprocess.run([sys.executable, "-m", "liftedcodes", *argv],
-                          capture_output=True, env=env, timeout=60)
+                          capture_output=True, env=_module_env(), timeout=60)
     code, out, _ = run_cli(capsys, *argv)
     assert (proc.returncode, proc.stderr) == (code, b"")
     assert proc.stdout == out.encode()
+
+
+def test_python_m_liftedcodes_help_matches_main(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = subprocess.run([sys.executable, "-m", "liftedcodes", "-h"],
+                          capture_output=True, env=_module_env(), timeout=60)
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    out = capsys.readouterr()
+    assert (proc.returncode, proc.stderr) == (exc.value.code, b"") == (0, b"")
+    assert proc.stdout == out.out.encode() and out.out.startswith("usage: liftedcodes ")
+
+
+# Valid flags whose code cannot fit: each is refused by the size check
+# before anything large is allocated, so a 1 GiB address space suffices.
+@pytest.mark.parametrize("argv, cells", [
+    ("analyze --q 64 --m 3 --k 40 --checks infoset", "12821 x 266305"),
+    ("analyze --q 256 --m 3 --k 200 --checks infoset", "1636213 x 16843009"),
+    ("analyze --q 2048 --m 2 --k 1000 --checks qc", "501501 x 4196353"),
+    ("experiment --q 1024 --m 3 --k 500 --s 600 --delta 0.01 --trials 1 --seed 1",
+     "21084251 x 1074791425"),
+])
+def test_code_too_large_exits_2_before_allocating(argv, cells):
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "liftedcodes", *argv.split()],
+                          capture_output=True, env=_module_env(OPENBLAS_NUM_THREADS="1"),
+                          preexec_fn=cap_address_space, timeout=60)
+    wall = time.perf_counter() - t0
+    err = proc.stderr.decode()
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert_one_line_usage_error(proc.returncode, err)
+    assert f"generator has {cells} = " in err and "past the limit 2^25 = 33554432" in err
+    assert wall < 1
+
+
+def test_corrupt_leaves_an_erasure_erased(tmp_path, capsys):
+    msg = tmp_path / "msg.txt"
+    msg.write_text("[1]\n[0,1]\n[1,1]\n")
+    word_file = tmp_path / "word.txt"
+    run_cli(capsys, "encode", "--kind", "PRS", "--q", "4", "--m", "1", "--k", "2",
+            "--msg-file", str(msg), "--out", str(word_file))
+    clean = word_file.read_text().splitlines()
+    clean[2] = "?"  # erase position 1 of 5
+    word_file.write_text("\n".join(clean) + "\n")
+    code, out, err = run_cli(capsys, "corrupt", "--in", str(word_file),
+                             "--delta", "1", "--seed", "1")
+    assert (code, err) == (0, "")
+    noisy = out.splitlines()
+    assert len(noisy) == 6 and noisy[:1] == clean[:1] and noisy[2] == "?"
+    assert all(noisy[i] != clean[i] for i in (1, 3, 4, 5))
+
+
+# The parser of the named subcommand alone against the full parser: the
+# same namespace, or the same exit code, stdout and stderr.
+PARSER_CORPUS = [
+    [], ["-h"], ["--help"], ["tab"], ["-x"], ["--q", "4", "table"],
+    *([name, "-h"] for name in COMMANDS), ["table", "--help"],
+    ["table", "--q", "4", "--q", "8", "--m", "2", "--kmin", "2", "--format", "json"],
+    ["encode", "--kind", "PLift", "--q", "4", "--m", "2", "--k", "3", "--msg-file", "m.txt"],
+    ["corrupt", "--in", "w.txt", "--delta", "0.1", "--seed", "1", "--out", "o.txt"],
+    ["local-correct", "--in", "w.txt", "--point", "([1]:[0]:[0])", "--s", "4", "--seed", "9"],
+    ["experiment", "--q", "4", "--m", "2", "--k", "3", "--s", "4", "--delta", "0.05",
+     "--trials", "40", "--seed", "11"],
+    ["analyze", "--q", "4", "--m", "2", "--k", "3", "--checks", "infoset"],
+    ["selftest"],
+    ["table"], ["table", "--m", "2"], ["experiment", "--q", "4"], ["local-correct"],
+    ["table", "--q", "x", "--m", "2"], ["table", "--q", "4", "--m", "2", "--format", "xml"],
+    ["encode", "--kind", "Foo", "--q", "4", "--m", "2", "--k", "3", "--msg-file", "m"],
+    ["corrupt", "--in", "w", "--delta", "a", "--seed", "1"], ["table", "--q"],
+    ["analyze", "--q", "4", "--m", "2", "--k", "3", "extra"], ["selftest", "extra"],
+    ["table", "--q", "4", "--m", "2", "--bogus"], ["table", "--q", "4", "--m", "2", "encode"],
+    ["selftest", "analyze", "--q", "4"],
+]
+ARGV_WORDS = [*COMMANDS, "tab", "-x", "-h", "--help", "--q", "--m", "--k", "--kmin",
+              "--kmax", "--format", "csv", "json", "--out", "--kind", "PLift", "--msg-file",
+              "--in", "--delta", "--seed", "--point", "--s", "--trials", "--checks",
+              "infoset", "4", "2", "0.5", "-1", "x", "w.txt"]
+
+
+def _parse_outcome(command, argv, columns):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": str(columns)}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        parser = build_parser(command)
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def _assert_parsers_agree(argv, columns):
+    one = _parse_outcome(argv[0] if argv else None, argv, columns)
+    assert one == _parse_outcome(None, argv, columns)
+
+
+@pytest.mark.parametrize("columns", [80, 200])
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+def test_named_command_parser_matches_full_parser(argv, columns):
+    _assert_parsers_agree(argv, columns)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(argv=st.one_of(
+           st.lists(st.sampled_from(ARGV_WORDS), max_size=6),
+           st.builds(lambda name, rest: [name, *rest], st.sampled_from(list(COMMANDS)),
+                     st.lists(st.sampled_from(ARGV_WORDS), max_size=8))),
+       columns=st.sampled_from([80, 200]))
+def test_drawn_argv_parse_alike(argv, columns):
+    _assert_parsers_agree(argv, columns)
+
+
+@pytest.mark.parametrize("argv, last", [
+    ([], "liftedcodes: error: the following arguments are required: command"),
+    (["table", "--q", "4", "--m", "2", "extra"],
+     "liftedcodes: error: unrecognized arguments: extra"),
+])
+def test_top_level_usage_errors_are_argparse_bytes(argv, last):
+    # the two top-level errors either parser writes, as the full parser
+    # without a metavar wrote them
+    usage = {80: "usage: liftedcodes [-h]\n"
+                 "                   {table,encode,corrupt,local-correct,experiment,analyze,selftest}\n"
+                 "                   ...\n",
+             200: "usage: liftedcodes [-h] "
+                  "{table,encode,corrupt,local-correct,experiment,analyze,selftest} ...\n"}
+    for columns, text in usage.items():
+        assert _parse_outcome(argv[0] if argv else None, argv, columns) == \
+            (2, "", text + last + "\n")
+
+
+def test_named_command_builds_only_its_parser():
+    def subcommands(parser):
+        (action,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+        return list(action.choices)
+
+    for name in COMMANDS:
+        assert subcommands(build_parser(name)) == [name]
+    for command in (None, "tab", "-h"):
+        assert subcommands(build_parser(command)) == list(COMMANDS)
 
 
 def test_out_of_range_element_in_word_file_exits_2(tmp_path, capsys):

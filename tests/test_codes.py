@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liftedcodes import degrees, linalg
+from liftedcodes import codes, degrees, linalg
 from liftedcodes.codes import (
     Word,
     apply_affine_action,
@@ -397,3 +397,25 @@ def test_strip_weights_matches_scalar_division(q):
         want = [[F.mul(a, F.inv(F.pow(lam, v))) for a, lam in zip(row, lams.tolist())]
                 for row in M.tolist()]
         assert strip_weights(F, v, M, lams).tolist() == want
+
+
+@pytest.mark.parametrize("kind, q, m, k, cells", [
+    ("PLift", 64, 3, 40, "12821 x 266305 = 3414296405"),
+    ("Lift", 64, 3, 40, "12956 x 262144 = 3396337664"),
+    ("PLift", 1024, 3, 500, "21084251 x 1074791425 = 22661172177347675"),
+    ("Lift", 128, 4, 5, "126 x 268435456 = 33822867456"),
+])
+def test_lifted_code_too_large_is_refused_before_it_is_built(monkeypatch, kind, q, m, k, cells):
+    # dim is counted by adim/pdim and n by theta: no degree set is built
+    # and no monomial evaluated
+    def unreachable(*args):
+        raise AssertionError("built past the size check")
+
+    for name in ("adeg", "pdeg", "_max_reduced_subweight_array"):
+        monkeypatch.setattr(degrees, name, unreachable)
+    monkeypatch.setattr(codes, "evaluate_monomials", unreachable)
+    with pytest.raises(ValueError) as exc:
+        make_code(kind, q, m, k)
+    assert str(exc.value) == (f"the {kind}_{q}({m},{k}) generator has {cells} cells, "
+                              f"past the limit 2^25 = {degrees.MAX_GENERATOR_CELLS}")
+

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from liftedcodes import decode, linalg
-from liftedcodes.codes import encode, make_code, random_codeword
+from liftedcodes.codes import Word, encode, make_code, random_codeword
 from liftedcodes.decode import (
     CorrectionConfig,
     ExperimentReport,
@@ -552,6 +552,19 @@ def test_corrupt_word_exact_count():
     diffs = [i for i in range(21) if y[i] != c[i]]
     assert len(diffs) == int(0.25 * 21)
     assert corrupt_word(c, 0.0, rng).values == c.values
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_corrupt_word_leaves_erasures_erased(seed):
+    # the draws are those of the word without erasures: an error drawn at
+    # an erased position leaves it erased, every other one changes alike
+    C = make_code("PLift", 4, 2, 3)
+    c = random_codeword(C, np.random.default_rng(100 + seed))
+    erase = lambda values: [None if i % 3 == 0 else v for i, v in enumerate(values)]
+    for delta in (0.25, 0.5, 1.0):
+        full = corrupt_word(c, delta, np.random.default_rng(seed))
+        got = corrupt_word(Word(C.support, erase(c.values)), delta, np.random.default_rng(seed))
+        assert got.values == erase(full.values)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from liftedcodes.degrees import (
+    MAX_GENERATOR_CELLS,
     _lift_dims,
     _max_reduced_subweight_array,
     a_reduce,
@@ -202,6 +203,18 @@ def test_count_limits():
         adim(32, 1, 4)
     with pytest.raises(ValueError, match=r"5\^11 cells, past the limit 2\^22"):
         adim(4, 1, 2048)
+
+
+def test_box_limit():
+    # adeg reads a q^m box of int64 cells: past MAX_GENERATOR_CELLS it is
+    # refused before anything is built, while the count needs no box
+    assert MAX_GENERATOR_CELLS == 2 ** 25
+    for build in (lambda: _max_reduced_subweight_array(3, 1024), lambda: adeg(3, 500, 1024),
+                  lambda: pdeg(3, 500, 1024)):
+        with pytest.raises(ValueError, match=r"at q=1024, m=3 has 1024\^3 cells, "
+                                             r"past the limit 2\^25 = 33554432$"):
+            build()
+    assert adim(3, 500, 1024) < 1024 ** 3
 
 
 def test_pdeg_worked_example():
