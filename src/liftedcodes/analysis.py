@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from liftedcodes import linalg
-from liftedcodes.codes import evaluate_monomials, make_code, prm_dimension, strip_weights
-from liftedcodes.degrees import adim, pdim
+from liftedcodes.codes import evaluate_monomials, make_code, strip_weights
+from liftedcodes.degrees import adim, pdim, prmdim
 from liftedcodes.gf import GF, ExtensionIso, _check_order, prime_power
 from liftedcodes.geometry import all_lines, enumerate_points, locate, theta
 
@@ -266,7 +266,7 @@ def rate_table(q, m, ks=None):
             raise ValueError(f"rate table needs 1 <= k <= q-1 = {q - 1} at q={q}, got k={k}")
         dim_a = adim(m, k - 1, q)
         dim_p = pdim(m, k, q)
-        dim_prm = prm_dimension(m, k, q)
+        dim_prm = prmdim(m, k, q)
         rows.append({
             "k": k,
             "n_A": n_a, "dim_A": dim_a, "R_A": dim_a / n_a,

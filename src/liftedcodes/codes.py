@@ -11,7 +11,6 @@ division by the homogenization weights lambda^v.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_left
 from functools import lru_cache
 
@@ -23,24 +22,6 @@ from liftedcodes.geometry import enumerate_points, locate, theta
 
 KINDS = ("RS", "PRS", "RM", "PRM", "Lift", "PLift")
 _AFFINE_KINDS = {"RS", "RM", "Lift"}
-
-
-def _binom(n, r):
-    if r < 0 or n < 0:
-        return 0
-    return math.comb(n, r)
-
-
-def prm_dimension(m, v, q):
-    """Dimension of the projective Reed-Muller code of degree v."""
-    total = 0
-    for t in range(1, v + 1):
-        if (t - v) % (q - 1) != 0:
-            continue
-        total += sum((-1) ** j * _binom(m + 1, j) * _binom(t - j * q + m, t - j * q)
-                     for j in range(m + 2))
-    return total
-
 
 _EVAL_BLOCK_BYTES = 1 << 18  # evaluate_monomials' int64 temporary, per row block
 
@@ -144,67 +125,46 @@ class MonomialCode(LinearCode):
         return f"{self.kind}_{self.q}({self.m},{self.k})[n={self.length},k={self.dim}]"
 
 
-def _degree_tuples_for(kind, q, m, k):
-    """(exponent array with rows in lexicographic order, homogeneous degree
-    v or None) of a code kind."""
+def _exponent_set(kind, q, m, k):
+    """(count, build, v) of a code kind, its parameters checked first:
+    count(m, k, q) is its dimension and build(m, k, q) its exponent array
+    with rows in lexicographic order; v is the homogeneous degree or None.
+    RS and PRS are the order-1 RM and PRM codes."""
     if kind == "RS":
         if m != 1:
             raise ValueError("RS codes are univariate; use m=1")
         if not 0 <= k <= q - 1:
             raise ValueError(f"RS needs 0 <= k <= q-1, got k={k}")
-        return np.arange(k + 1)[:, None], None
+        return degrees.rmdim, degrees.rmdeg, None
     if kind == "PRS":
         if m != 1:
             raise ValueError("PRS codes live on the projective line; use m=1")
         if not 0 <= k <= q:
             raise ValueError(f"PRS needs 0 <= k <= q, got k={k}")
-        j = np.arange(k + 1)
-        return np.column_stack([j, k - j]), k
+        return degrees.prmdim, degrees.prmdeg, k
     if kind in ("RM", "PRM") and m < 1:
         raise ValueError(f"{kind} needs m >= 1, got m={m}")
     if kind == "RM":
         if not 0 <= k <= m * (q - 1):
             raise ValueError(f"RM needs 0 <= k <= m(q-1), got k={k}")
-        tuples = {degrees.a_reduce(d, q) for d in _weight_at_most(m, k)}
-        return np.array(sorted(tuples)), None
+        return degrees.rmdim, degrees.rmdeg, None
     if kind == "PRM":
         if not 1 <= k <= m * (q - 1):
             raise ValueError(f"PRM needs 1 <= k <= m(q-1), got k={k}")
-        tuples = {degrees.p_reduce(d, q) for d in _weight_exactly(m + 1, k)}
-        return np.array(sorted(tuples)), k
+        return degrees.prmdim, degrees.prmdeg, k
     if kind == "Lift":
-        return degrees.adeg(m, k, q), None
+        return degrees.adim, degrees.adeg, None
     if kind == "PLift":
-        return degrees.pdeg(m, k, q), degrees.lifting_degree(m, k, q)
+        return degrees.pdim, degrees.pdeg, degrees.lifting_degree(m, k, q)
     raise ValueError(f"unknown code kind {kind!r}")
 
 
-def _weight_at_most(nvars, k):
-    out = []
-    def rec(prefix, rem):
-        if len(prefix) == nvars:
-            out.append(tuple(prefix))
-            return
-        for c in range(rem + 1):
-            rec(prefix + [c], rem - c)
-    rec([], k)
-    return out
-
-
-def _weight_exactly(nvars, k):
-    return [d for d in _weight_at_most(nvars, k) if sum(d) == k]
-
-
-def _check_generator_size(kind, q, m, k):
-    """Reject a lifted code whose dim x n generator would pass
-    degrees.MAX_GENERATOR_CELLS, with dim counted by `adim`/`pdim` and n
-    by theta, before anything of it is built."""
-    if kind == "Lift":
-        dim, n = degrees.adim(m, k, q), q ** m
-    elif kind == "PLift":
-        dim, n = degrees.pdim(m, k, q), theta(m, q)
-    else:
-        return
+def _check_generator_size(kind, q, m, k, count):
+    """Reject a code whose dim x n generator would pass
+    degrees.MAX_GENERATOR_CELLS, with dim counted and n by q^m or theta,
+    before anything of it is built."""
+    dim = count(m, k, q)
+    n = q ** m if kind in _AFFINE_KINDS else theta(m, q)
     if dim * n > degrees.MAX_GENERATOR_CELLS:
         raise ValueError(f"the {kind}_{q}({m},{k}) generator has {dim} x {n} = "
                          f"{dim * n} cells, past the limit 2^25 = "
@@ -213,19 +173,19 @@ def _check_generator_size(kind, q, m, k):
 
 @lru_cache(maxsize=None)
 def _make_code_cached(kind, field, m, k):
-    _check_generator_size(kind, field.order, m, k)
-    exponents, v = _degree_tuples_for(kind, field.order, m, k)
+    q = field.order
+    count, build, v = _exponent_set(kind, q, m, k)
+    _check_generator_size(kind, q, m, k, count)
     space = "affine" if kind in _AFFINE_KINDS else "projective"
     support = enumerate_points(field, m, space)
-    return MonomialCode(kind, field, m, k, exponents, support, v=v)
+    return MonomialCode(kind, field, m, k, build(m, k, q), support, v=v)
 
 
 def make_code(kind, q, m, k):
     """Construct a monomial code; q may be an order or a FiniteField.
 
-    A Lift or PLift code whose generator would pass
-    degrees.MAX_GENERATOR_CELLS cells raises ValueError before anything of
-    it is built."""
+    A code whose generator would pass degrees.MAX_GENERATOR_CELLS cells
+    raises ValueError before anything of it is built."""
     field = q if isinstance(q, FiniteField) else GF(q)
     return _make_code_cached(kind, field, m, k)
 

@@ -1,37 +1,40 @@
-"""Exponent-tuple calculus for monomial evaluation codes.
+"""Exponent sets of monomial evaluation codes, built and counted.
 
-Provides the two reduction maps that make evaluation injective (subtract
-q-1 from a large coordinate for affine supports; move q-1 one coordinate
-to the left for projective ones), and the degree sets of affine and
-projective lifted codes.
+Each set is an (N, nvars) array with rows in lexicographic order: `rmdeg`
+and `adeg` for the Reed-Muller and affine lifted codes, read off the box
+[0, q-1]^m, and `prmdeg` and `pdeg` for their projective counterparts.
+`rmdeg` keeps the d with |d| <= k.  A monomial's evaluations along every
+line lie in a fixed Reed-Solomon code exactly when every digitwise shadow
+of its exponent has low reduced weight; `adeg` keeps those exponents.  The
+shadow weights of d are exactly the sums sum_j c_j p^j with 0 <= c_j <= D_j,
+where D_j is the sum of base-p digit j over d's coordinates, so the largest
+reduced shadow weight depends on the column digit sums D alone.
 
-A monomial's evaluations along every line lie in a fixed Reed-Solomon code
-exactly when every digitwise shadow of its exponent has low reduced weight;
-`adeg` and `pdeg` enumerate those exponents.  The shadow weights of d are
-exactly the sums sum_j c_j p^j with 0 <= c_j <= D_j, where D_j is the sum of
-base-p digit j over d's coordinates, so the largest reduced shadow weight
-depends on the column digit sums D alone.  The definitional brute force
-that pins both down (`monomial_membership_oracle`) and the direct scan
-(`pdeg_direct`) are in :mod:`liftedcodes.reference`.
+Both projective families are one chart union, split by the first nonzero
+coordinate: {(0^m, v)} u U_{i=1..m} {(0^(m-i), v-|d|, d) : d in A(i, k-1)},
+with A = adeg and v = lifting_degree(m, k, q) for the projective lifting
+and A = rmdeg and v = k for the projective Reed-Muller code.  Chart m
+vanishes at infinity, where shortening leaves A(m, k-1); the other charts
+are the order m-1 code that puncturing to infinity leaves.
 
-The dimensions are counted on that grid of digit sums, never on the box:
-the tuples of [0, p-1]^m with digit sum s number c_m(s), the m-fold
-convolution of p ones, so the d in [0, q-1]^m with column digit sums D
-number prod_j c_m(D_j).  One integer histogram of the largest reduced
-shadow weight over the grid, weighted by those counts, gives
-dim Lift(m, k) = `adim` for every k in its cumulative sum, and the
-shortening/puncturing recursion dim PLift(m, k) = dim Lift(m, k-1) +
-dim PLift(m-1, k) telescopes to `pdim` = 1 + sum_{i=1..m} dim Lift(i, k-1).
-The grid has (m(p-1)+1)^t <= q^m cells; it is limited to MAX_GRID_CELLS,
-and counts to q^m < 2^63 so that int64 holds them exactly.
-
-What is built is limited before it is allocated: the box [0, q-1]^m that
-`adeg` reads holds at most MAX_GENERATOR_CELLS exponents, the limit
-`codes.make_code` also puts on a lifted code's dim x n generator.
+The dimensions are counted, never read off the box.  The tuples of
+[0, n-1]^m of weight s number c_m(s), the m-fold convolution of n ones:
+`rmdim` sums c_m(s) for s <= k with n = q.  With n = p, the d in [0, q-1]^m
+with column digit sums D number prod_j c_m(D_j), and one integer histogram
+of the largest reduced shadow weight over the grid of digit sums, weighted
+by those counts, gives `adim` for every k in its cumulative sum.  `prmdim`
+= 1 + sum_{i=1..m} rmdim(i, k-1) and `pdim` = 1 + sum_{i=1..m} adim(i, k-1)
+count the chart unions.  The grid has (m(p-1)+1)^t <= q^m cells; it is
+limited to MAX_GRID_CELLS, and counts to q^m < 2^63 so that int64 holds
+them exactly.  A box holds at most MAX_GENERATOR_CELLS exponents, the limit
+`codes.make_code` also puts on every code's dim x n generator.  The tuple
+reductions, the membership oracle and the direct scans are in
+:mod:`liftedcodes.reference`.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -56,47 +59,35 @@ def int_reduce(e, q):
     return (e - 1) % (q - 1) + 1
 
 
-def a_reduce(d, q):
-    """Reduce every coordinate into [0, q-1] by repeated q-1 subtractions."""
-    return tuple(int_reduce(c, q) for c in d)
-
-
-def is_p_reduced(d, q):
-    for i, c in enumerate(d):
-        if c >= q:
-            if any(d[j] != 0 for j in range(i)):
-                return False
-            if any(d[j] > q - 1 for j in range(i + 1, len(d))):
-                return False
-    return True
-
-
-def p_reduce(d, q):
-    """Move excess q-1 blocks leftward until the tuple is reduced.
-
-    Applies the shift with the largest source coordinate first and the
-    smallest destination first; the maps commute so the order is cosmetic.
-    Preserves the weight and the evaluation of the monomial.
-    """
-    d = list(d)
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(d) - 1, 0, -1):
-            if d[j] >= q:
-                i = next((i for i in range(j) if d[i] >= 1), None)
-                if i is not None:
-                    d[i] += q - 1
-                    d[j] -= q - 1
-                    changed = True
-    return tuple(d)
-
-
 MAX_GRID_CELLS = 2 ** 22
-# cells of a lifted code's generator (codes.make_code) and exponents of the
-# box adeg reads: 2.25 times the largest generator the tests build,
+# cells of a code's generator (codes.make_code) and exponents of the box
+# adeg or rmdeg reads: 2.25 times the largest generator the tests build,
 # PLift_64(3,5) at 56 x 266,305 = 14.9 M cells
 MAX_GENERATOR_CELLS = 2 ** 25
+
+
+def _check_box(m, q):
+    if q ** m > MAX_GENERATOR_CELLS:
+        raise ValueError(f"the exponent box at q={q}, m={m} has {q}^{m} cells, "
+                         f"past the limit 2^25 = {MAX_GENERATOR_CELLS}")
+
+
+def _check_counts(m, q):
+    if q ** m >= 2 ** 63:
+        raise ValueError(f"dimension counts at q={q}, m={m} reach q^m = {q}^{m}, "
+                         "past the limit 2^63 of exact int64 counts")
+
+
+@lru_cache(maxsize=None)
+def _weight_counts(m, n):
+    """The m-fold convolution of n ones, as a tuple of ints: at index s, how
+    many tuples of [0, n-1]^m have weight s.  Each convolution is a running
+    sum less the same running sum n places back."""
+    c = [1]
+    for _ in range(m):
+        run = list(itertools.accumulate(c + [0] * (n - 1)))
+        c = run[:n] + [a - b for a, b in zip(run[n:], run)]
+    return tuple(c)
 
 
 def _digit_sum_grid(m, q):
@@ -126,9 +117,7 @@ def _max_reduced_subweight_array(m, q):
     d), the maximum over all digitwise shadows e of d of int_reduce(|e|):
     `_digit_sum_grid` gathered at each d's column digit sums D.
     """
-    if q ** m > MAX_GENERATOR_CELLS:
-        raise ValueError(f"the exponent box at q={q}, m={m} has {q}^{m} cells, "
-                         f"past the limit 2^25 = {MAX_GENERATOR_CELLS}")
+    _check_box(m, q)
     p, t = prime_power(q)
     best = _digit_sum_grid(m, q)
     side = best.shape[0]
@@ -174,14 +163,10 @@ def _lift_dims(m, q):
     """dim Lift(m, k) at index k, for k = 0..q-1, counted on the digit-sum
     grid: each cell D weighs prod_j c_m(D_j) box tuples, with c_m the
     m-fold convolution of p ones."""
-    if q ** m >= 2 ** 63:
-        raise ValueError(f"dimension counts at q={q}, m={m} reach q^m = {q}^{m}, "
-                         "past the limit 2^63 of exact int64 counts")
+    _check_counts(m, q)
     best = _digit_sum_grid(m, q)
     p, t = prime_power(q)
-    c = np.ones(1, dtype=np.int64)
-    for _ in range(m):
-        c = np.convolve(c, np.ones(p, dtype=np.int64))
+    c = np.array(_weight_counts(m, p), dtype=np.int64)
     weight = c
     for _ in range(t - 1):
         weight = np.multiply.outer(weight, c)
@@ -199,9 +184,9 @@ def adim(m, k, q):
 
 
 def pdim(m, k, q):
-    """len(pdeg(m, k, q)) by the recursion unrolled:
-    1 + sum_{i=1..m} adim(i, k-1, q)."""
+    """len(pdeg(m, k, q)): 1 + sum_{i=1..m} adim(i, k-1, q)."""
     _check_projective(m, k, q)
+    _check_counts(m, q)
     return 1 + sum(adim(i, k - 1, q) for i in range(1, m + 1))
 
 
@@ -210,24 +195,56 @@ def lifting_degree(m, k, q):
     return k + (m - 1) * (q - 1)
 
 
-def pdeg(m, k, q):
-    """Degree set of the projective lifting, built recursively, as an
-    (N, m+1) array with rows in lexicographic order.
-
-    Order-1 liftings are the classical projective Reed-Solomon exponents;
-    an order-m exponent either starts with a nonzero coordinate (and its
-    tail is an order-m affine exponent of degree k-1) or starts with zero
-    (and its tail lifts an order-(m-1) projective exponent):
-    PDeg(m,k) = {(v-|d|, d) : d in ADeg(m,k-1)} u {(0, lift(d)) : d in PDeg(m-1,k)}.
-    """
-    _check_projective(m, k, q)
-    if m == 1:
-        j = np.arange(k + 1)
-        return np.column_stack([j, k - j])
-    A = adeg(m, k - 1, q)
-    affine = np.column_stack([lifting_degree(m, k, q) - A.sum(axis=1), A])
-    assert (affine[:, 0] > 0).all()
-    P = pdeg(m - 1, k, q)
-    P[np.arange(len(P)), (P != 0).argmax(axis=1)] += q - 1  # lift each row
-    out = np.vstack([affine, np.column_stack([np.zeros(len(P), P.dtype), P])])
+def _chart_union(m, v, chart):
+    """{(0^m, v)} u U_{i=1..m} {(0^(m-i), v-|d|, d) : d in chart(i)}, rows
+    in lexicographic order; chart(i) is an (N_i, i) exponent array, built
+    from i = m down so that the largest box is checked first."""
+    blocks = [np.array([[0] * m + [v]], dtype=np.intp)]
+    for i in range(m, 0, -1):
+        A = chart(i)
+        block = np.zeros((len(A), m + 1), dtype=np.intp)
+        block[:, m - i] = v - A.sum(axis=1)
+        block[:, m - i + 1:] = A
+        blocks.append(block)
+    out = np.vstack(blocks)
     return out[np.lexsort(out.T[::-1])]
+
+
+def pdeg(m, k, q):
+    """Degree set of the projective lifting, as an (N, m+1) array with rows
+    in lexicographic order: the chart union of adeg(i, k-1, q) at
+    v = lifting_degree(m, k, q)."""
+    _check_projective(m, k, q)
+    return _chart_union(m, lifting_degree(m, k, q), lambda i: adeg(i, k - 1, q))
+
+
+def rmdeg(m, k, q):
+    """Exponents of the Reed-Muller code of degree k: the d in the box
+    [0, q-1]^m with |d| <= k, as an (N, m) array with rows in lexicographic
+    order.  The box of weights is built in the smallest dtype that holds
+    m(q-1)."""
+    _check_box(m, q)
+    dtype = np.min_scalar_type(m * (q - 1))
+    w = np.zeros((), dtype=dtype)
+    for _ in range(m):
+        w = np.add.outer(w, np.arange(q, dtype=dtype))
+    return np.argwhere(w <= k)
+
+
+def rmdim(m, k, q):
+    """len(rmdeg(m, k, q)): the first k+1 entries of the m-fold convolution
+    of q ones, summed."""
+    _check_counts(m, q)
+    return sum(_weight_counts(m, q)[:max(k + 1, 0)])
+
+
+def prmdeg(m, k, q):
+    """Exponents of the projective Reed-Muller code of degree k: the chart
+    union of rmdeg(i, k-1, q) at v = k."""
+    return _chart_union(m, k, lambda i: rmdeg(i, k - 1, q))
+
+
+def prmdim(m, k, q):
+    """len(prmdeg(m, k, q)): 1 + sum_{i=1..m} rmdim(i, k-1, q)."""
+    _check_counts(m, q)
+    return 1 + sum(rmdim(i, k - 1, q) for i in range(1, m + 1))

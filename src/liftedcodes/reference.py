@@ -1,29 +1,67 @@
 """Brute-force references that the tests and `selftest` judge the library by.
 
 The library never imports this module.  It keeps the definitions as
-literal as they are slow: the line-restriction membership oracle (the
-lifting definition of Guo, Kopparty and Sudan), the direct degree-set
-scan, nearest-codeword PRS decoding, the Reed-Muller dimension formula,
-parity-check membership, line restriction and the MDS column certificate.
+literal as they are slow: the affine and projective tuple reductions, the
+line-restriction membership oracle (the lifting definition of Guo, Kopparty
+and Sudan), the direct degree-set scan, nearest-codeword PRS decoding, the
+Reed-Muller and projective Reed-Muller dimension formulas, parity-check
+membership, line restriction and the MDS column certificate.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from liftedcodes import linalg
-from liftedcodes.codes import Word, _binom, _strip_reads, make_code
-from liftedcodes.degrees import _max_reduced_subweight_array, lifting_degree
+from liftedcodes.codes import Word, _strip_reads, make_code
+from liftedcodes.degrees import _max_reduced_subweight_array, int_reduce, lifting_degree
 from liftedcodes.geometry import LineEmbedding, _all_lines_cached, enumerate_points, locate
 from liftedcodes.gf import GF
 
 
 # ---------------------------------------------------------------------------
-# Degree sets by direct scan
+# Tuple reductions and degree sets by direct scan
 # ---------------------------------------------------------------------------
+
+def a_reduce(d, q):
+    """Reduce every coordinate into [0, q-1] by repeated q-1 subtractions."""
+    return tuple(int_reduce(c, q) for c in d)
+
+
+def is_p_reduced(d, q):
+    for i, c in enumerate(d):
+        if c >= q:
+            if any(d[j] != 0 for j in range(i)):
+                return False
+            if any(d[j] > q - 1 for j in range(i + 1, len(d))):
+                return False
+    return True
+
+
+def p_reduce(d, q):
+    """Move excess q-1 blocks leftward until the tuple is reduced.
+
+    Applies the shift with the largest source coordinate first and the
+    smallest destination first; the maps commute so the order is cosmetic.
+    Preserves the weight and the evaluation of the monomial.
+    """
+    d = list(d)
+    changed = True
+    while changed:
+        changed = False
+        for j in range(len(d) - 1, 0, -1):
+            if d[j] >= q:
+                i = next((i for i in range(j) if d[i] >= 1), None)
+                if i is not None:
+                    d[i] += q - 1
+                    d[j] -= q - 1
+                    changed = True
+    return tuple(d)
+
 
 def p_adic_leq(a, b, p):
     """True iff every base-p digit of a is <= the matching digit of b.
@@ -212,10 +250,27 @@ def _affine_line_key(F, base, direction):
 # Codes, decoding and distance
 # ---------------------------------------------------------------------------
 
+def _binom(n, r):
+    if r < 0 or n < 0:
+        return 0
+    return math.comb(n, r)
+
+
 def rm_dimension(m, d, q):
     """Dimension of the order-m Reed-Muller code of total degree <= d."""
     return sum((-1) ** j * _binom(m, j) * _binom(i - j * q + m - 1, i - j * q)
                for i in range(d + 1) for j in range(m + 1))
+
+
+def prm_dimension(m, v, q):
+    """Dimension of the projective Reed-Muller code of degree v."""
+    total = 0
+    for t in range(1, v + 1):
+        if (t - v) % (q - 1) != 0:
+            continue
+        total += sum((-1) ** j * _binom(m + 1, j) * _binom(t - j * q + m, t - j * q)
+                     for j in range(m + 2))
+    return total
 
 
 def contains(C, values):

@@ -19,10 +19,10 @@ from liftedcodes.codes import code_equal, make_code, puncture_to_infinity, \
     random_codeword, shorten_at_infinity
 from liftedcodes.decode import CorrectionConfig, local_correct, prs_decode, \
     query_position_sample
-from liftedcodes.degrees import a_reduce, adeg, is_p_reduced, p_reduce, pdeg
+from liftedcodes.degrees import adeg, pdeg
 from liftedcodes.gf import GF
-from liftedcodes.reference import monomial_membership_oracle, pdeg_direct, \
-    prs_decode_bruteforce
+from liftedcodes.reference import a_reduce, is_p_reduced, monomial_membership_oracle, \
+    p_reduce, pdeg_direct, prs_decode_bruteforce
 
 
 def _suite_field_identities():

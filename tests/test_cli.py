@@ -16,7 +16,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liftedcodes import codes
+from liftedcodes.analysis import SWEEP_LIMIT
 from liftedcodes.cli import COMMANDS, build_parser, main
+from liftedcodes.degrees import pdim
 
 
 def run_cli(capsys, *argv):
@@ -223,16 +226,28 @@ def test_python_m_liftedcodes_help_matches_main(capsys, monkeypatch):
     assert proc.stdout == out.out.encode() and out.out.startswith("usage: liftedcodes ")
 
 
-# Valid flags whose code cannot fit: each is refused by the size check
-# before anything large is allocated, so a 1 GiB address space suffices.
-@pytest.mark.parametrize("argv, cells", [
-    ("analyze --q 64 --m 3 --k 40 --checks infoset", "12821 x 266305"),
-    ("analyze --q 256 --m 3 --k 200 --checks infoset", "1636213 x 16843009"),
-    ("analyze --q 2048 --m 2 --k 1000 --checks qc", "501501 x 4196353"),
+def _past_generator_limit(dim, n):
+    return f"generator has {dim} x {n} = {dim * n} cells, past the limit 2^25 = 33554432"
+
+
+# Valid flags whose code cannot fit: each is refused by the size check (or,
+# at m = 2000, by the exact count) before anything large is allocated, so
+# a 1 GiB address space suffices.
+@pytest.mark.parametrize("argv, says", [
+    ("analyze --q 64 --m 3 --k 40 --checks infoset", _past_generator_limit(12821, 266305)),
+    ("analyze --q 256 --m 3 --k 200 --checks infoset",
+     _past_generator_limit(1636213, 16843009)),
+    ("analyze --q 2048 --m 2 --k 1000 --checks qc", _past_generator_limit(501501, 4196353)),
     ("experiment --q 1024 --m 3 --k 500 --s 600 --delta 0.01 --trials 1 --seed 1",
-     "21084251 x 1074791425"),
+     _past_generator_limit(21084251, 1074791425)),
+    ("encode --kind RM --q 64 --m 3 --k 150 --msg-file nope.txt",
+     _past_generator_limit(251484, 262144)),
+    ("encode --kind PRM --q 2 --m 20 --k 20 --msg-file nope.txt",
+     _past_generator_limit(2097150, 2097151)),
+    ("encode --kind RM --q 2 --m 2000 --k 0 --msg-file nope.txt",
+     "q^m = 2^2000, past the limit 2^63 of exact int64 counts"),
 ])
-def test_code_too_large_exits_2_before_allocating(argv, cells):
+def test_code_too_large_exits_2_before_allocating(argv, says):
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
 
@@ -244,7 +259,7 @@ def test_code_too_large_exits_2_before_allocating(argv, cells):
     err = proc.stderr.decode()
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert_one_line_usage_error(proc.returncode, err)
-    assert f"generator has {cells} = " in err and "past the limit 2^25 = 33554432" in err
+    assert says in err
     assert wall < 1
 
 
@@ -555,3 +570,138 @@ def test_stdout_bytes_pinned(tmp_path, capsys, argv, sha256):
     code, out, _ = run_cli(capsys, *argv.format(noisy=noisy).split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+# Fuzzed flags: every subcommand, with q, m and k in range for small codes
+# and far past every limit.  A run exits 0, or 2 with one "error:" line.
+SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
+BAD_Q = [-4, 0, 1, 6, 4096]  # not prime powers, or past the field-order limit
+# supports of more than 2^25 points, or counts past 2^63
+HUGE_QM = [(2, 26), (2, 2000), (3, 70), (64, 5), (1024, 3)]
+SEEDS = st.integers(-2, 10)
+BUDGETS = st.integers(-1, 12) | st.just(10 ** 6)
+DELTAS = st.floats(-0.5, 1.5) | st.sampled_from([float("nan"), float("inf")])
+
+
+def _in_range(small_q, max_m):
+    """(q, m, k) of a PLift code, in range for most other kinds too."""
+    return st.sampled_from(small_q).flatmap(
+        lambda q: st.tuples(st.just(q), st.integers(1, max_m), st.integers(1, q - 1)))
+
+
+def _qmk(small_q=SMALL_Q, max_m=3):
+    """{q, m, k}: in range for a small code, or past a limit in q, m or k."""
+    return st.one_of(
+        _in_range(small_q, max_m),
+        st.tuples(st.sampled_from(small_q), st.integers(-1, max_m), st.integers(-2, 30)),
+        st.tuples(st.sampled_from(HUGE_QM), st.integers(-2, 10 ** 6))
+        .map(lambda t: (*t[0], t[1])),
+        st.tuples(st.sampled_from(BAD_Q), st.integers(1, 3), st.integers(0, 5)),
+        # P^3 over GF(64) fits, the generators of these degrees do not
+        st.tuples(st.just(64), st.just(3), st.sampled_from([150, 189, 10 ** 6])),
+    ).map(lambda t: dict(zip("qmk", t)))
+
+
+def _qmks():
+    """{q, m, k, s}: a corrector in range, or any budget for any _qmk."""
+    in_range = _in_range(SMALL_Q, 3).flatmap(
+        lambda t: st.integers(t[2] + 1, t[0]).map(lambda s: (*t, s)))
+    return in_range.map(lambda t: dict(zip("qmks", t))) | \
+        st.tuples(_qmk(), BUDGETS).map(lambda t: {**t[0], "s": t[1]})
+
+
+def _command(name, *parts, **flags):
+    """Strategy for the argv of one subcommand, its flags drawn from parts
+    (strategies of flag dicts) and flags; a None value leaves its flag out
+    and a list value repeats it."""
+    def argv(drawn):
+        words = [name]
+        for flag, value in {k: v for d in drawn for k, v in d.items()}.items():
+            for v in value if isinstance(value, list) else [value]:
+                if v is not None:
+                    words += ["--" + flag.rstrip("_").replace("_", "-"), str(v)]
+        return words
+    return st.tuples(*parts, st.fixed_dictionaries(flags)).map(argv)
+
+
+def _sweep_is_long(argv):
+    # an exact distance sweep of q^dim words between 10^5 and SWEEP_LIMIT
+    if argv[0] != "analyze" or "distance" not in argv[-1]:
+        return False
+    q, m, k = (int(argv[argv.index(f"--{f}") + 1]) for f in "qmk")
+    try:
+        dim = pdim(m, k, q)
+    except ValueError:
+        return False
+    return 10 ** 5 < q ** dim <= SWEEP_LIMIT
+
+
+FUZZ_ARGV = st.one_of(
+    _command("table", q=st.lists(st.sampled_from(SMALL_Q + BAD_Q + [1024]), min_size=1,
+                                 max_size=2),
+             m=st.integers(-1, 4) | st.sampled_from([40, 70, 2000]),
+             kmin=st.none() | st.integers(-1, 40), kmax=st.none() | st.integers(-1, 40),
+             format=st.sampled_from(["csv", "json"])),
+    _command("encode", _qmk(), kind=st.sampled_from(list(codes.KINDS)),
+             msg_file=st.sampled_from(["{message}", "{message}", "{short}", "{junk}",
+                                       "{missing}"])),
+    _command("corrupt", in_=st.sampled_from(["{plift}", "{erased}", "{rm}", "{missing}"]),
+             delta=DELTAS, seed=SEEDS),
+    _command("local-correct", in_=st.sampled_from(["{plift}", "{erased}", "{rm}"]),
+             point=st.sampled_from(["([1]:[0]:[0])", "([0]:[0]:[1])", "([0]:[0]:[0])",
+                                    "([1]:[0])", "([1,1]:[1]:[0])", "x"]),
+             s=st.just(4) | BUDGETS, seed=SEEDS),
+    _command("experiment", _qmks(), delta=DELTAS, trials=st.integers(-1, 4), seed=SEEDS),
+    _command("analyze", _qmk(small_q=[2, 3, 4, 5], max_m=2),
+             checks=st.lists(st.sampled_from(["infoset", "qc", "distance", "dual",
+                                              "shorten-puncture", "bogus"]), max_size=5)
+             .map(",".join)),
+    st.just(["selftest"]),
+).filter(lambda argv: not _sweep_is_long(argv))
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Word and message files the fuzzed argv name, by placeholder; the
+    test writes {message} with one line per dimension of the drawn code."""
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {name: str(root / f"{name}.txt")
+             for name in ("message", "short", "junk", "missing", "plift", "rm", "erased")}
+    Path(files["short"]).write_text("[1]\n")
+    Path(files["junk"]).write_text("[1\n")
+    for name, argv in (("plift", "PLift --q 4 --m 2 --k 3"), ("rm", "RM --q 3 --m 2 --k 2")):
+        C = codes.make_code(*[int(w) if w.isdigit() else w for w in argv.split()[::2]])
+        Path(files["message"]).write_text("[1]\n" * C.dim)
+        assert main(["encode", "--kind", *argv.split(), "--msg-file", files["message"],
+                     "--out", files[name]]) == 0
+    lines = Path(files["plift"]).read_text().splitlines()
+    Path(files["erased"]).write_text("\n".join(lines[:3] + ["?"] + lines[4:]) + "\n")
+    return files
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(argv=FUZZ_ARGV)
+def test_fuzzed_flags_exit_0_or_2_with_one_error_line(fuzz_files, argv):
+    argv = [word.format(**fuzz_files) for word in argv]
+    if fuzz_files["message"] in argv:
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        dim = 1
+        with contextlib.suppress(ValueError):
+            dim = codes.make_code(flags["--kind"], *(int(flags[f"--{f}"]) for f in "qmk")).dim
+        Path(fuzz_files["message"]).write_text("[1]\n" * dim)
+    # argparse's own errors (a drawn "-1e-05" reads as an option) exit by
+    # SystemExit after a usage line; every other error is one line
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert [ln for ln in err.splitlines() if "error:" in ln] == \
+            err.splitlines()[-1:], argv
+        assert out.getvalue() == "", argv
+    else:
+        assert (code, err) == (0, ""), argv

@@ -16,7 +16,6 @@ from liftedcodes.codes import (
     encode,
     evaluate_monomials,
     make_code,
-    prm_dimension,
     puncture_to_infinity,
     random_codeword,
     shorten_at_infinity,
@@ -24,9 +23,10 @@ from liftedcodes.codes import (
     word_from_text,
     word_to_text,
 )
-from liftedcodes.gf import GF
+from liftedcodes.gf import GF, is_prime
 from liftedcodes.geometry import LineEmbedding, all_lines, enumerate_points, random_embedding_through
-from liftedcodes.reference import contains, restrict_to_line, rm_dimension, standard_line_embedding
+from liftedcodes.reference import contains, prm_dimension, restrict_to_line, rm_dimension, \
+    standard_line_embedding
 
 
 def test_plift_4_2_3_parameters():
@@ -63,6 +63,14 @@ def test_rm_prm_dimension_formulas():
         for k in range(1, m * (q - 1) + 1):
             assert make_code("RM", q, m, k).dim == rm_dimension(m, k, q), (q, m, k)
             assert make_code("PRM", q, m, k).dim == prm_dimension(m, k, q), (q, m, k)
+    # the counts match them for every prime power q <= 64, m <= 4 and k
+    for q in (p ** t for p in range(2, 65) if is_prime(p) for t in range(1, 7) if p ** t <= 64):
+        for m in range(1, 5):
+            ks = range(m * (q - 1) + 1)
+            assert [degrees.rmdim(m, k, q) for k in ks] == \
+                [rm_dimension(m, k, q) for k in ks], (q, m)
+            assert [degrees.prmdim(m, k, q) for k in ks[1:]] == \
+                [prm_dimension(m, k, q) for k in ks[1:]], (q, m)
     # binomial regime
     assert make_code("RM", 4, 2, 3).dim == 10
     assert make_code("PRM", 4, 2, 2).dim == 6
@@ -192,6 +200,25 @@ def test_shortening_equals_nullspace_reference():
                 S = shorten_at_infinity(C).G
                 assert S.dtype == ref.dtype and S.shape == ref.shape, (q, m, k)
                 assert S.tobytes() == ref.tobytes(), (q, m, k)
+
+
+def test_prm_shortens_to_rm_and_punctures_to_prm():
+    # the paper's link between the affine and projective families, for PRM:
+    # shortening at infinity gives RM(m, k-1), puncturing to it PRM(m-1, k)
+    # while k <= (m-1)(q-1), and the whole space past that
+    for q in (2, 3, 4, 5):
+        m = 1
+        while q ** m <= 200:
+            for k in range(1, m * (q - 1) + 1):
+                C = make_code("PRM", q, m, k)
+                assert code_equal(make_code("RM", q, m, k - 1), shorten_at_infinity(C)), \
+                    (q, m, k)
+                P = puncture_to_infinity(C)
+                if k <= (m - 1) * (q - 1):
+                    assert code_equal(make_code("PRM", q, m - 1, k), P), (q, m, k)
+                else:
+                    assert P.dim == P.length, (q, m, k)
+            m += 1
 
 
 def test_shorten_at_order_one_gives_rs():
@@ -404,14 +431,17 @@ def test_strip_weights_matches_scalar_division(q):
     ("Lift", 64, 3, 40, "12956 x 262144 = 3396337664"),
     ("PLift", 1024, 3, 500, "21084251 x 1074791425 = 22661172177347675"),
     ("Lift", 128, 4, 5, "126 x 268435456 = 33822867456"),
+    ("RM", 64, 3, 150, "251484 x 262144 = 65925021696"),
+    ("PRM", 2, 20, 20, "2097150 x 2097151 = 4398040219650"),
+    ("PRM", 64, 3, 150, "254825 x 266305 = 67861171625"),
 ])
 def test_lifted_code_too_large_is_refused_before_it_is_built(monkeypatch, kind, q, m, k, cells):
-    # dim is counted by adim/pdim and n by theta: no degree set is built
-    # and no monomial evaluated
+    # dim is counted by adim/pdim/rmdim/prmdim and n by q^m or theta: no
+    # degree set is built and no monomial evaluated
     def unreachable(*args):
         raise AssertionError("built past the size check")
 
-    for name in ("adeg", "pdeg", "_max_reduced_subweight_array"):
+    for name in ("adeg", "pdeg", "_max_reduced_subweight_array", "rmdeg", "prmdeg"):
         monkeypatch.setattr(degrees, name, unreachable)
     monkeypatch.setattr(codes, "evaluate_monomials", unreachable)
     with pytest.raises(ValueError) as exc:

@@ -14,23 +14,27 @@ from liftedcodes.degrees import (
     MAX_GENERATOR_CELLS,
     _lift_dims,
     _max_reduced_subweight_array,
-    a_reduce,
     adeg,
     adim,
     int_reduce,
-    is_p_reduced,
     lifting_degree,
-    p_reduce,
     pdeg,
     pdim,
+    prmdeg,
+    prmdim,
+    rmdeg,
+    rmdim,
 )
 from liftedcodes.gf import is_prime
 from liftedcodes.reference import (
     _p_reduced_sphere,
+    a_reduce,
     eta,
+    is_p_reduced,
     lift_tuple,
     monomial_membership_oracle,
     p_adic_leq,
+    p_reduce,
     pdeg_direct,
 )
 
@@ -174,6 +178,11 @@ def test_adim_pdim_count_the_arrays(q):
             [len(adeg(m, k, q)) for k in range(q - 1)], (q, m)
         assert [pdim(m, k, q) for k in range(1, q)] == \
             [len(pdeg(m, k, q)) for k in range(1, q)], (q, m)
+        ks = range(m * (q - 1) + 1)
+        assert [rmdim(m, k, q) for k in ks] == [len(rmdeg(m, k, q)) for k in ks], (q, m)
+        if q ** m <= 2 * 10 ** 4:
+            assert [prmdim(m, k, q) for k in ks[1:]] == \
+                [len(prmdeg(m, k, q)) for k in ks[1:]], (q, m)
 
 
 @pytest.mark.parametrize("count, array, m, k", [
@@ -199,8 +208,9 @@ def test_count_limits():
     # cells, the count is refused before anything is built
     dims = _lift_dims(31, 4)
     assert dims[0] == 1 and dims[-1] == 4 ** 31
-    with pytest.raises(ValueError, match=r"q\^m = 4\^32, past the limit 2\^63"):
-        adim(32, 1, 4)
+    for count in (adim, pdim, rmdim, prmdim):
+        with pytest.raises(ValueError, match=r"q\^m = 4\^32, past the limit 2\^63"):
+            count(32, 1, 4)
     with pytest.raises(ValueError, match=r"5\^11 cells, past the limit 2\^22"):
         adim(4, 1, 2048)
 
@@ -210,11 +220,12 @@ def test_box_limit():
     # refused before anything is built, while the count needs no box
     assert MAX_GENERATOR_CELLS == 2 ** 25
     for build in (lambda: _max_reduced_subweight_array(3, 1024), lambda: adeg(3, 500, 1024),
-                  lambda: pdeg(3, 500, 1024)):
+                  lambda: pdeg(3, 500, 1024), lambda: rmdeg(3, 500, 1024),
+                  lambda: prmdeg(3, 500, 1024)):
         with pytest.raises(ValueError, match=r"at q=1024, m=3 has 1024\^3 cells, "
                                              r"past the limit 2\^25 = 33554432$"):
             build()
-    assert adim(3, 500, 1024) < 1024 ** 3
+    assert adim(3, 500, 1024) < 1024 ** 3 and rmdim(3, 500, 1024) < 1024 ** 3
 
 
 def test_pdeg_worked_example():
@@ -234,12 +245,31 @@ def test_pdeg_table_values():
     assert len(pdeg_direct(3, 3, 4)) == 24
 
 
-def test_pdeg_direct_equals_recursive():
-    for q in (4, 8):
-        for m in (2, 3):
+def test_pdeg_direct_equals_chart_union():
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for m in (1, 2, 3):
             for k in range(1, q):
                 np.testing.assert_array_equal(pdeg_direct(m, k, q), pdeg(m, k, q),
                                               err_msg=str((q, m, k)))
+
+
+def test_rm_prm_exponents_are_the_reduced_monomials():
+    # rmdeg holds the A-reductions of every monomial of degree <= k;
+    # prmdeg the P-reductions of every monomial of degree k, which are all
+    # the reduced tuples of weight k
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for m in (1, 2, 3):
+            for k in range(m * (q - 1) + 1):
+                simplex = [d for d in itertools.product(range(k + 1), repeat=m) if sum(d) <= k]
+                want = sorted({a_reduce(d, q) for d in simplex})
+                np.testing.assert_array_equal(rmdeg(m, k, q), want, err_msg=str((q, m, k)))
+                if k == 0:
+                    continue
+                sphere = [d for d in itertools.product(range(k + 1), repeat=m + 1)
+                          if sum(d) == k]
+                want = sorted(_p_reduced_sphere(m + 1, k, q))
+                assert sorted({p_reduce(d, q) for d in sphere}) == want, (q, m, k)
+                np.testing.assert_array_equal(prmdeg(m, k, q), want, err_msg=str((q, m, k)))
 
 
 def test_recursive_dimension_identities():
