@@ -115,6 +115,9 @@ def qc_certificate(F, m, C):
         raise AssertionError("representation vectors do not cover the space")
     twist = F.np_exp[-F.np_log[lams]]  # u = twist * standard point
 
+    # C's reduced form before G_u: the temporaries that follow reuse the
+    # memory its elimination frees, which keeps the peak RSS down
+    R, pivots = C.reduced()
     G_u = evaluate_monomials(F, C.degree_tuples, U)
     # twist consistency: evaluating at u multiplies by twist^v = lams^-v
     if not np.array_equal(G_u, strip_weights(F, C.v, C.G[:, positions], lams)):
@@ -123,7 +126,13 @@ def qc_certificate(F, m, C):
     perm = [i * nd + ((j + 1) % nd) for i in range(d) for j in range(nd)]
     shifted = np.empty_like(G_u)
     shifted[:, perm] = G_u
-    ok = linalg.rowspace_contains(F, G_u, shifted)
+    del G_u  # freed before the span test, whose temporaries set this check's peak
+    # a basis of G_u's row space from C's reduced form, read at U the way
+    # G_u reads C.G, each row then scaled to one at its pivot
+    basis = strip_weights(F, C.v, R[:, positions], lams)
+    cols = np.argsort(positions)[pivots]  # where G_u holds each pivot column
+    basis = strip_weights(F, 1, basis, basis[np.arange(len(cols)), cols][:, None])
+    ok = linalg.reduced_span_contains(F, basis, cols, shifted)
     cycles = [[i * nd + j for j in range(nd)] for i in range(d)]
     return QcCertificate(n=n, d=d, u_vectors=list(map(tuple, U.tolist())),
                          support_positions=positions.tolist(),

@@ -144,8 +144,9 @@ def cmd_analyze(args):
         passed &= rep["passed"]
 
     if "shorten-puncture" in checks:
-        # the monomial code goes first: the row-space test ranks its second
-        # argument, and shorten and puncture return it already reduced
+        # the monomial code goes first: code_equal tests it against its
+        # second argument's reduced form, which shorten and puncture read
+        # off C's, so the qc check and these share one elimination
         S = codes.shorten_at_infinity(C)
         ok_s = codes.code_equal(codes.make_code("Lift", q, m, k - 1), S)
         if m >= 2:

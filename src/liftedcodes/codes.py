@@ -11,13 +11,12 @@ division by the homogenization weights lambda^v.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
 
 from liftedcodes import degrees, linalg
-from liftedcodes.gf import GF, FiniteField
+from liftedcodes.gf import GF, FiniteField, _check_order, prime_power
 from liftedcodes.geometry import enumerate_points, locate, theta
 
 KINDS = ("RS", "PRS", "RM", "PRM", "Lift", "PLift")
@@ -77,14 +76,24 @@ class Word:
 
 
 class LinearCode:
-    """A code given by an explicit generator matrix over a support."""
+    """A code given by an explicit generator matrix over a support.
 
-    def __init__(self, field, support, G):
+    With pivots given, G is already in reduced echelon form and pivots are
+    its pivot columns, so the code knows its reduced form and dim.
+    """
+
+    # reduced() eliminates the columns from this index on first (0 keeps
+    # G's order); a projective monomial code sets it to q^m, where its
+    # hyperplane at infinity starts
+    _first_col = 0
+
+    def __init__(self, field, support, G, pivots=None):
         self.field = field
         self.support = support
         self.G = linalg.as_matrix(G, field.dtype)
         self._H = None
-        self._dim = None
+        self._dim = None if pivots is None else len(pivots)
+        self._reduced = None if pivots is None else (self.G, pivots)
 
     @property
     def length(self):
@@ -95,6 +104,20 @@ class LinearCode:
         if self._dim is None:
             self._dim = linalg.rank(self.field, self.G)
         return self._dim
+
+    def reduced(self):
+        """(R, pivots): the reduced echelon form of G with the columns from
+        _first_col on moved in front, read back in G's column order, and
+        the column each row pivots in; computed once.  R's rows are a basis
+        of the code and R[:, pivots] is the identity.  Rows that pivot in
+        the moved columns come first."""
+        if self._reduced is None:
+            G, s = self.G, self._first_col
+            R, pivots = linalg.rref(self.field, np.hstack([G[:, s:], G[:, :s]]))
+            n_moved = G.shape[1] - s
+            self._reduced = (np.hstack([R[:, n_moved:], R[:, :n_moved]]),
+                             [p + s if p < n_moved else p - n_moved for p in pivots])
+        return self._reduced
 
     def parity_check(self):
         if self._H is None:
@@ -116,6 +139,8 @@ class MonomialCode(LinearCode):
         G = evaluate_monomials(field, exponents, support.coords)
         super().__init__(field, support, G)
         self._dim = len(exponents)
+        if kind not in _AFFINE_KINDS:
+            self._first_col = self.q ** m
 
     def descriptor(self):
         return {"kind": self.kind, "q": self.q, "m": self.m, "k": self.k,
@@ -185,9 +210,14 @@ def make_code(kind, q, m, k):
     """Construct a monomial code; q may be an order or a FiniteField.
 
     A code whose generator would pass degrees.MAX_GENERATOR_CELLS cells
-    raises ValueError before anything of it is built."""
-    field = q if isinstance(q, FiniteField) else GF(q)
-    return _make_code_cached(kind, field, m, k)
+    raises ValueError before anything of it is built, and for an order
+    before its field is built: the count needs only q's factorisation."""
+    if isinstance(q, FiniteField):
+        return _make_code_cached(kind, q, m, k)
+    _check_order(q)
+    prime_power(q)
+    _check_generator_size(kind, q, m, k, _exponent_set(kind, q, m, k)[0])
+    return _make_code_cached(kind, GF(q), m, k)
 
 
 def encode(C, msg):
@@ -219,37 +249,43 @@ def _strip_reads(word, positions, lams, v):
 
 
 def shorten_at_infinity(C):
-    """Restrict the subcode vanishing on the hyperplane at infinity to A^m."""
-    F = C.field
-    q = F.order
-    n_aff = q ** C.m
-    n_inf = C.length - n_aff
-    # With the infinity columns first, the rows of the reduced echelon form
-    # that pivot on an affine column are zero at infinity and span exactly
-    # the subcode vanishing there; restricted to A^m they are its rref.
-    R, pivots = linalg.rref(F, np.hstack([C.G[:, n_aff:], C.G[:, :n_aff]]))
-    first_aff = bisect_left(pivots, n_inf)
-    return LinearCode(F, enumerate_points(F, C.m, "affine"),
-                      np.ascontiguousarray(R[first_aff:, n_inf:]))
+    """Restrict the subcode vanishing on the hyperplane at infinity to A^m.
+
+    C's reduced form eliminates the infinity columns first, so its rows
+    that pivot on an affine column are zero at infinity and span exactly
+    that subcode; restricted to A^m they are its reduced echelon form."""
+    n_aff = C.field.order ** C.m
+    R, pivots = C.reduced()
+    at_inf = sum(p >= n_aff for p in pivots)
+    return LinearCode(C.field, enumerate_points(C.field, C.m, "affine"),
+                      np.ascontiguousarray(R[at_inf:, :n_aff]), pivots[at_inf:])
 
 
 def puncture_to_infinity(C):
-    """Restrict the whole code to the hyperplane at infinity."""
+    """Restrict the whole code to the hyperplane at infinity.
+
+    The rows of C's reduced form that pivot at infinity, restricted to
+    those columns, are the reduced echelon form of the restricted
+    generator: the reduced form with the infinity columns first is unique,
+    and the later rows are zero there."""
     F = C.field
     n_aff = F.order ** C.m
-    G_inf = C.G[:, n_aff:]
-    R, _ = linalg.rref(F, G_inf)
+    R, pivots = C.reduced()
+    at_inf = sum(p >= n_aff for p in pivots)
     support = enumerate_points(F, C.m - 1, "projective") if C.m >= 1 else None
-    return LinearCode(F, support, R)
+    return LinearCode(F, support, np.ascontiguousarray(R[:at_inf, n_aff:]),
+                      [p - n_aff for p in pivots[:at_inf]])
 
 
 def code_equal(C1, C2):
-    """Row-space equality of two codes on identical supports."""
+    """Row-space equality of two codes on identical supports: equal dims,
+    and C1's generator inside C2's span, tested against C2's reduced form."""
     if C1.length != C2.length:
         raise ValueError("codes live on supports of different lengths")
     if C1.support is not None and C2.support is not None and C1.support != C2.support:
         raise ValueError("codes live on different supports")
-    return linalg.rowspace_equal(C1.field, C1.G, C2.G)
+    R, pivots = C2.reduced()
+    return C1.dim == len(pivots) and linalg.reduced_span_contains(C1.field, R, pivots, C1.G)
 
 
 def apply_projective_action(M, word, v):

@@ -16,13 +16,16 @@ scatters them back; in characteristic 2 ``_forward`` instead XORs the
 whole contiguous block below the pivot (``_clear_below``) when more than
 half of its rows need clearing.  Odd characteristic and ``rref`` keep
 the gather; their docstrings say why.  ``rank`` counts the pivots,
-and the row-space tests eliminate [A; B] once and stop at the first pivot
-found in a row of B.  ``null_vectors`` runs Gauss-Jordan on a stack of
-same-shape matrices at once, for the many small systems of the
-Monte-Carlo corrector; its lockstep row update gathers each product from
-the flattened multiplication table through ``_lookup``, so it touches
-only the stack's own entries whatever q is.  All are adequate at desk
-scale and deliberately free of structure shortcuts.
+and ``rowspace_equal`` eliminates [A; B] once and stops at the first pivot
+found in a row of B.  A basis R already reduced, with R[:, pivots] the
+identity, needs no elimination: ``reduced_span_contains`` tests B against
+it with one product, B == B[:, pivots] R.  ``null_vectors`` runs
+Gauss-Jordan on a stack of same-shape matrices at once, for the many
+small systems of the Monte-Carlo corrector; its lockstep row update
+gathers each product from the flattened multiplication table through
+``_lookup``, so it touches only the stack's own entries whatever q is.
+All are adequate at desk scale and deliberately free of structure
+shortcuts.
 """
 
 from __future__ import annotations
@@ -97,7 +100,8 @@ def _multiples(F, factors, row):
 
 
 def gf_matmul(F, A, B):
-    """A @ B over the field: one rank-one update per column of A."""
+    """A @ B over the field: one rank-one update per column of A, added
+    into the output in place."""
     A = as_matrix(A, F.dtype)
     B = as_matrix(B, F.dtype)
     if A.shape[1] != B.shape[0]:
@@ -107,7 +111,11 @@ def gf_matmul(F, A, B):
         col = A[:, i]
         if not col.any():
             continue
-        out = gf_add(F, out, _multiples(F, col, B[i]))
+        prods = _multiples(F, col, B[i])
+        if F.p == 2:
+            out ^= prods
+        else:
+            out[...] = _lookup(F, F.np_add, out, prods)
     return out
 
 
@@ -298,11 +306,20 @@ def _rank_if_contains(F, A, B):
     return r
 
 
-def rowspace_contains(F, A, B):
-    """True iff every row of B lies in the row space of A; never when B's
-    rows have another length."""
-    A, B = _row_pair(F, A, B)
-    return _rank_if_contains(F, A, B) is not None
+def reduced_span_contains(F, R, pivots, B):
+    """True iff every row of B lies in the row space of R, where
+    R[:, pivots] is the identity; never when B's rows have another length.
+
+    A word x of that space is x[pivots] times R, since R's columns at the
+    pivots are the unit vectors, so one product tests every row of B.  At
+    the pivots that product is B[:, pivots] itself, so only the other
+    columns are computed."""
+    R, B = _row_pair(F, R, B)
+    if R.shape[1] != B.shape[1]:
+        return False
+    free = np.ones(R.shape[1], dtype=bool)
+    free[pivots] = False
+    return np.array_equal(gf_matmul(F, B[:, pivots], R[:, free]), B[:, free])
 
 
 def rowspace_equal(F, A, B):

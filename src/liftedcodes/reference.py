@@ -5,7 +5,8 @@ literal as they are slow: the affine and projective tuple reductions, the
 line-restriction membership oracle (the lifting definition of Guo, Kopparty
 and Sudan), the direct degree-set scan, nearest-codeword PRS decoding, the
 Reed-Muller and projective Reed-Muller dimension formulas, parity-check
-membership, line restriction and the MDS column certificate.
+membership, row-space membership by elimination, line restriction and the
+MDS column certificate.
 """
 
 from __future__ import annotations
@@ -280,6 +281,14 @@ def contains(C, values):
         return True
     v = np.asarray(values, dtype=C.field.dtype)
     return not linalg.gf_matvec(C.field, H, v).any()
+
+
+def rowspace_contains(F, A, B):
+    """True iff every row of B lies in the row space of A, by eliminating
+    [A; B] (`linalg._rank_if_contains`); never when B's rows have another
+    length.  The oracle `linalg.reduced_span_contains` is pinned to."""
+    A, B = linalg._row_pair(F, A, B)
+    return linalg._rank_if_contains(F, A, B) is not None
 
 
 def restrict_to_line(word, L, v):

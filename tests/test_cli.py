@@ -154,6 +154,32 @@ def test_analyze_subset_of_checks(capsys):
     assert set(rep) == {"q", "m", "k", "infoset", "shorten_puncture", "passed"}
 
 
+def test_analyze_eliminates_the_generator_once(capsys, monkeypatch):
+    """qc and shorten-puncture share one reduced form of the PLift_8(3,7)
+    generator, 184 x 585: one rref of that width, no [A; B] elimination
+    and no rank.  The other rref is ExtensionIso's small inverse."""
+    from liftedcodes import linalg
+    calls = {"rref": [], "_rank_if_contains": [], "rank": []}
+
+    def counting(name):
+        fn = getattr(linalg, name)
+
+        def counted(F, A, *rest):
+            calls[name].append(linalg.as_matrix(A).shape)
+            return fn(F, A, *rest)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(linalg, name, counting(name))
+    codes._make_code_cached.cache_clear()  # no code keeps a reduced form
+    code, out, _ = run_cli(capsys, "analyze", "--q", "8", "--m", "3", "--k", "7",
+                           "--checks", "qc,shorten-puncture")
+    assert code == 0 and json.loads(out)["passed"]
+    assert [shape for shape in calls["rref"] if shape[1] == 585] == [(184, 585)]
+    assert len(calls["rref"]) == 2
+    assert calls["_rank_if_contains"] == [] and calls["rank"] == []
+
+
 def test_usage_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "analyze", "--q", "4", "--m", "2", "--k", "3",
                            "--checks", "bogus")

@@ -1,7 +1,11 @@
 """Code construction: dimensions against published tables, the worked
 encoding example, line restrictions, shortening/puncturing, automorphisms."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,7 +93,7 @@ def test_rm_inside_lift():
         for k in range(q - 1):
             RM = make_code("RM", q, 2, k)
             L = make_code("Lift", q, 2, k)
-            assert linalg.rowspace_contains(L.field, L.G, RM.G), (q, k)
+            assert linalg.reduced_span_contains(L.field, *L.reduced(), RM.G), (q, k)
 
 
 def test_encode_linearity_and_units():
@@ -202,6 +206,34 @@ def test_shortening_equals_nullspace_reference():
                 assert S.tobytes() == ref.tobytes(), (q, m, k)
 
 
+def _projective_codes(qs, ms):
+    """PRS, PRM and PLift codes over GF(q) for q in qs, m in ms: every k of
+    PRS and PLift, and about four k of each PRM."""
+    for q in qs:
+        yield from (make_code("PRS", q, 1, k) for k in range(q + 1))
+        for m in ms:
+            yield from (make_code("PLift", q, m, k) for k in range(1, q))
+            top = m * (q - 1)
+            yield from (make_code("PRM", q, m, k) for k in range(1, top + 1, -(-top // 4)))
+
+
+def test_shorten_and_puncture_equal_their_own_eliminations():
+    """Shorten and puncture read C's one reduced form; both equal, byte for
+    byte and pivot for pivot, a separate rref of [G_inf | G_aff] (its rows
+    pivoting on affine columns) and of G_inf."""
+    for C in _projective_codes((2, 3, 4, 5, 7, 8, 9), (1, 2, 3)):
+        F, n_aff = C.field, C.q ** C.m
+        R, pivots = linalg.rref(F, np.hstack([C.G[:, n_aff:], C.G[:, :n_aff]]))
+        n_inf = C.length - n_aff
+        at_inf = sum(p < n_inf for p in pivots)
+        want_s = (R[at_inf:, n_inf:], [p - n_inf for p in pivots[at_inf:]])
+        for got, (G, piv) in [(shorten_at_infinity(C), want_s),
+                              (puncture_to_infinity(C), linalg.rref(F, C.G[:, n_aff:]))]:
+            assert got.G.dtype == G.dtype and got.G.shape == G.shape, C
+            assert got.G.tobytes() == G.tobytes(), C
+            assert got.reduced()[1] == piv and got.dim == len(piv), C
+
+
 def test_prm_shortens_to_rm_and_punctures_to_prm():
     # the paper's link between the affine and projective families, for PRM:
     # shortening at infinity gives RM(m, k-1), puncturing to it PRM(m-1, k)
@@ -234,6 +266,10 @@ def test_shorten_at_order_one_gives_rs():
 def test_code_equal_self_and_mismatch():
     C = make_code("PLift", 4, 2, 3)
     assert code_equal(C, C)
+    # a proper subcode lies in the span but has a smaller dim
+    small, big = make_code("RM", 4, 2, 1), make_code("RM", 4, 2, 2)
+    assert not code_equal(small, big) and not code_equal(big, small)
+    assert not code_equal(make_code("Lift", 4, 2, 1), shorten_at_infinity(C))
     with pytest.raises(ValueError):
         code_equal(C, make_code("PRS", 4, 1, 3))
 
@@ -449,3 +485,24 @@ def test_lifted_code_too_large_is_refused_before_it_is_built(monkeypatch, kind, 
     assert str(exc.value) == (f"the {kind}_{q}({m},{k}) generator has {cells} cells, "
                               f"past the limit 2^25 = {degrees.MAX_GENERATOR_CELLS}")
 
+
+def test_too_large_code_is_refused_before_its_field_is_built():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("from liftedcodes import codes, gf\n"
+            "try:\n"
+            "    codes.make_code('PLift', 2048, 2, 1000)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+            "print(gf.GF.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    dim, n = degrees.pdim(2, 1000, 2048), 2048 ** 2 + 2048 + 1
+    assert out == (f"the PLift_2048(2,1000) generator has {dim} x {n} = {dim * n} cells, "
+                   f"past the limit 2^25 = {degrees.MAX_GENERATOR_CELLS}\n0\n")
+
+
+@pytest.mark.parametrize("q, message", [(6, "6 is not a prime power"),
+                                        (4096, "field order 4096 exceeds the supported limit 2048")])
+def test_invalid_order_keeps_its_message(q, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_code("PLift", q, 2, 1000)

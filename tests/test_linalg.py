@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from liftedcodes import linalg
+from liftedcodes import linalg, reference
 from liftedcodes.codes import make_code
 from liftedcodes.gf import GF
 
@@ -344,16 +344,21 @@ def test_empty_row_list_is_the_zero_space():
     assert linalg.rowspace_equal(F, [], [[0, 0, 0]])
     assert linalg.rowspace_equal(F, [[0, 0, 0]], [])
     assert not linalg.rowspace_equal(F, [], [[1, 2, 3]])
-    assert linalg.rowspace_contains(F, [], [[0, 0, 0]])
-    assert not linalg.rowspace_contains(F, [], [[1, 2, 3]])
-    assert linalg.rowspace_contains(F, [[1, 2, 3]], [])
+    assert reference.rowspace_contains(F, [], [[0, 0, 0]])
+    assert not reference.rowspace_contains(F, [], [[1, 2, 3]])
+    assert reference.rowspace_contains(F, [[1, 2, 3]], [])
+    assert linalg.reduced_span_contains(F, [], [], [[0, 0, 0]])
+    assert not linalg.reduced_span_contains(F, [], [], [[1, 2, 3]])
+    assert linalg.reduced_span_contains(F, [[1, 2, 3]], [0], [])
+    assert linalg.reduced_span_contains(F, [], [], [])
 
 
 def test_rowspace_of_another_width_contains_nothing():
     F = GF(4)
     for A, B in [([[1, 0]], [[1, 0, 0]]), ([[1, 0, 0]], [[1, 0]]), ([[1, 2]], [[0, 0, 0]])]:
-        assert not linalg.rowspace_contains(F, A, B)
+        assert not reference.rowspace_contains(F, A, B)
         assert not linalg.rowspace_equal(F, A, B)
+        assert not linalg.reduced_span_contains(F, A, [0], B)
 
 
 def test_empty_matrix_keeps_its_width():
@@ -361,9 +366,12 @@ def test_empty_matrix_keeps_its_width():
     # spans the zero space of length 3, which holds no word of length 2
     F = GF(4)
     for A, B in [(np.zeros((0, 3)), [[0, 0]]), ([[0, 0]], np.zeros((0, 3)))]:
-        assert not linalg.rowspace_contains(F, A, B)
+        assert not reference.rowspace_contains(F, A, B)
         assert not linalg.rowspace_equal(F, A, B)
-    assert linalg.rowspace_contains(F, np.zeros((0, 3)), [[0, 0, 0]])
+    assert not linalg.reduced_span_contains(F, np.zeros((0, 3)), [], [[0, 0]])
+    assert not linalg.reduced_span_contains(F, [[1, 0]], [0], np.zeros((0, 3)))
+    assert reference.rowspace_contains(F, np.zeros((0, 3)), [[0, 0, 0]])
+    assert linalg.reduced_span_contains(F, np.zeros((0, 3)), [], [[0, 0, 0]])
     assert linalg.rowspace_equal(F, np.zeros((0, 3)), [])
     assert linalg.rowspace_equal(F, [], [])
 
@@ -447,17 +455,48 @@ def test_rowspace_tests_match_their_rank_definitions(q):
     for A, B in _rowspace_pairs(F, rng):
         ra, rb = linalg.rank(F, A), linalg.rank(F, B)
         rab = linalg.rank(F, np.vstack([A, B]))
-        contains = linalg.rowspace_contains(F, A, B)
+        contains = reference.rowspace_contains(F, A, B)
         assert contains == (rab == ra), (A, B)
         assert linalg.rowspace_equal(F, A, B) == (ra == rb == rab), (A, B)
         verdicts.add(contains)
     assert verdicts == {True, False}
     for rows in [np.zeros((2, 5), dtype=F.dtype), rng.integers(1, q, size=(2, 5)).astype(F.dtype)]:
         nonzero = bool(rows.any())
-        assert linalg.rowspace_contains(F, [], rows) == (not nonzero)
-        assert linalg.rowspace_contains(F, rows, [])
+        assert reference.rowspace_contains(F, [], rows) == (not nonzero)
+        assert reference.rowspace_contains(F, rows, [])
         assert linalg.rowspace_equal(F, [], rows) == (not nonzero)
         assert linalg.rowspace_equal(F, rows, []) == (not nonzero)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_reduced_span_contains_matches_elimination(q):
+    """The one-product test against the [A; B] elimination oracle, with R
+    the rref of A, and again with A's columns permuted, so that the pivots
+    are out of order as qc_certificate's are: on the _rowspace_pairs, on
+    rows built in A's span, and on those rows with one entry perturbed."""
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    pairs = _rowspace_pairs(F, rng)
+    for A in _rank_cases(F, rng):
+        if A.shape[0]:
+            B = linalg.gf_matmul(F, rng.integers(q, size=(4, A.shape[0])).astype(F.dtype), A)
+            pairs.append((A, B))
+            if A.shape[1]:
+                B = B.copy()
+                i, j = rng.integers(len(B)), rng.integers(A.shape[1])
+                B[i, j] = F.add(int(B[i, j]), int(rng.integers(1, q)))
+                pairs.append((A, B))
+    verdicts = set()
+    for A, B in pairs:
+        want = reference.rowspace_contains(F, A, B)
+        R, pivots = linalg.rref(F, A)
+        assert linalg.reduced_span_contains(F, R, pivots, B) == want, (A, B)
+        perm = rng.permutation(A.shape[1])
+        where = np.argsort(perm)  # column j of A is column where[j] of A[:, perm]
+        assert linalg.reduced_span_contains(F, R[:, perm], where[pivots].tolist(),
+                                            B[:, perm]) == want, (A, B, perm)
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("q", [3, 9, 25, 27, 2039])
