@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -240,6 +241,10 @@ COMMANDS = {
 }
 # what argparse prints for the subcommand argument from all of COMMANDS
 _ALL_COMMANDS = "{" + ",".join(COMMANDS) + "}"
+# argparse's own pattern, ^-\d+$|^-\d*\.\d+$, has no exponent, so it reads
+# "--delta -1e-3" as an option with no value; with this one the value
+# reaches the command's range check
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def build_parser(command=None):
@@ -265,6 +270,7 @@ def build_parser(command=None):
     for name, (help_text, fn, add_args) in COMMANDS.items():
         if command in (None, name):
             sp = sub.add_parser(name, help=help_text)
+            sp._negative_number_matcher = _NEGATIVE_NUMBER
             add_args(sp)
             sp.set_defaults(fn=fn)
     return p

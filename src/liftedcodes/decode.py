@@ -11,10 +11,11 @@ any other.  N's part is eliminated in closed form by the Lagrange basis of
 the first k+t+1 reads (products of 2x2 determinants, in the log domain),
 which leaves E's t+1 unknowns for one lockstep Gauss-Jordan over all slices
 (linalg.null_vectors); the codeword is then read in value form, by
-Lagrange interpolation through k+1 reads where E does not vanish.  E's rows
-are read off the generator of PRS_q(t).  prs_decode is its one-slice call;
-the brute-force nearest-codeword oracle reference.prs_decode_bruteforce
-pins it at small q.
+Lagrange interpolation through k+1 of the first k+t+1 reads where E does
+not vanish, and checked against those k+t+1 reads only: the key equation
+settles the rest.  E's rows are read off the generator of PRS_q(t).
+prs_decode is its one-slice call; the brute-force nearest-codeword oracle
+reference.prs_decode_bruteforce pins it at small q.
 
 The Monte-Carlo engine checks its arguments, then makes each trial's draws
 on its own seeded stream in the order of encode, corrupt_word and
@@ -146,24 +147,34 @@ def _decode_stack(F, k, positions, ys, at):
       be the form of degree k through y at the first k+1 of them.  If y
       agrees with f at every read where E != 0, f lies within t of the
       reads.  If not, no codeword does, by the point before.
-    So ok[b] is "e exists and f matches y wherever E != 0", and vals[b] is
-    f read at `at`: no polynomial division is needed.  A codeword within t
-    is unique, as two differ in at most 2t of s > k+2t reads.
+    - The first K reads settle that agreement.  If f = y wherever E != 0
+      among them, then N(P_i) = y_i E(P_i) = f(P_i) E(P_i) at all K of
+      them (both sides are 0 where E(P_i) = 0), so N - f E, of degree
+      k+t = K-1, has K zeros and N = f E.  At every read j >= K, M e = 0
+      gives N(P_j) = y_j E(P_j), so f(P_j) = y_j wherever E(P_j) != 0.
+    So ok[b] is "e exists and f matches y wherever E != 0 among the first
+    K reads", and vals[b] is f read at `at`: E is evaluated, and f
+    interpolated, at those K reads and `at` only, and no polynomial
+    division is needed.  A codeword within t is unique, as two differ in
+    at most 2t of s > k+2t reads.
     """
     B, s = ys.shape
     t = (s - k - 1) // 2
     K = k + t + 1
     # x0^(t-u) x1^u, u = 0..t, at the reads: PRS_q(t)'s generator, rows reversed
     E = make_code("PRS", F, 1, t).G[::-1].T[positions]
-    e, ok = linalg.null_vectors(F, _key_matrix(F, positions, F.np_mul[ys[..., None], E], K))
-    at_e = linalg.gf_sum(F, F.np_mul[E, e[:, None, :]], axis=2)  # E(P_j)
-    basis = np.argsort(at_e[:, :K] == 0, axis=1, kind="stable")[:, :k + 1]
-    targets = np.concatenate([positions, np.broadcast_to(at, (B, len(at)))], axis=1)
-    to_basis = _log_dets(F, targets, np.take_along_axis(positions, basis, axis=1))
-    f = _interpolate(F, to_basis, np.take_along_axis(to_basis, basis[:, :, None], axis=1),
-                     np.take_along_axis(ys, basis, axis=1))
-    ok &= ((f[:, :s] == ys) | (at_e == 0)).all(axis=1)
-    return f[:, s:], ok
+    e, ok = linalg.null_vectors(
+        F, _key_matrix(F, positions, linalg._lookup(F, F.np_mul, ys[..., None], E), K))
+    at_e = linalg.gf_sum(F, linalg._lookup(F, F.np_mul, E[:, :K], e[:, None, :]), axis=2)
+    basis = np.argsort(at_e == 0, axis=1, kind="stable")[:, :k + 1]
+    rows = np.arange(B)[:, None]
+    targets = np.empty((B, K + len(at)), dtype=positions.dtype)
+    targets[:, :K] = positions[:, :K]
+    targets[:, K:] = at
+    to_basis = _log_dets(F, targets, positions[rows, basis])
+    f = _interpolate(F, to_basis, to_basis[rows, basis], ys[rows, basis])
+    ok &= ((f[:, :K] == ys[:, :K]) | (at_e == 0)).all(axis=1)
+    return f[:, K:], ok
 
 
 def prs_decode(y, k, F):
@@ -366,6 +377,19 @@ def _shifts_at(n, q, positions, shifts, queried):
 
 _CHUNK = 256  # trials per stacked decode; mc_experiment's docstring bounds its memory
 _CHUNK_ERRORS = 2 ** 16  # error entries a chunk keeps until its shift lookup
+_CHUNK_BYTES = 2 ** 26  # bytes a chunk's product and decode may hold, by _trial_bytes
+
+
+def _trial_bytes(F, dim, s, k):
+    """Bytes one trial adds to its chunk's peak, at most: the codeword
+    product, dim * (s+1) field elements, and the decoder's two int32
+    determinant tables, s * K and (K+1) * (k+1) with K = k+t+1, at 8 bytes
+    an element with their temporaries, and 10t more in odd characteristic
+    for gf_sum's digit sums (8t) and their gather."""
+    t = (s - k - 1) // 2
+    K = k + t + 1
+    cells = dim * (s + 1) + s * K + (K + 1) * (k + 1)
+    return cells * (8 if F.p == 2 else 8 + 10 * F.t)
 
 
 def mc_experiment(C, cfg, trials, seed=None):
@@ -390,21 +414,24 @@ def mc_experiment(C, cfg, trials, seed=None):
     pass _CHUNK_ERRORS entries: each trial keeps its floor(delta*n) error
     positions and shifts, in the smallest unsigned types that hold n-1 and
     q-1, until the chunk's lookup, which sorts them as one int64 key array.
-    The chunk bounds the rest of memory.  Its largest arrays are the
-    codeword product, _CHUNK * (s+1) * dim field elements (8t bytes each
-    in gf_sum's digit sums for odd p), and the decoder's int32
-    determinant logs: the reads against the first K = k+t+1 reads,
-    _CHUNK * s * K, then the reads and the target against the k+1
-    interpolation points, _CHUNK * (s+1) * (k+1), each with one or two
+    It holds fewer again when its arrays would pass _CHUNK_BYTES, at
+    `_trial_bytes` a trial, computed from dim, s and k before the first
+    draw; a trial that alone passes it gets a chunk of its own.  Those
+    arrays are a chunk's largest; for B trials the codeword product has
+    B * dim * (s+1) field elements, gathered through a `linalg._lookup` index of 2
+    or 4 bytes each (and 8t bytes each in gf_sum's digit sums for odd p).
+    The decoder's int32 determinant logs are the reads against the first
+    K = k+t+1 reads, B * s * K, then those K reads and the target against
+    the k+1 interpolation points, B * (K+1) * (k+1), each with one or two
     int32 temporaries of its shape; s <= q.  The key equation itself is
-    only _CHUNK * (s-K) * (t+1) field elements.  Peaks of a 256-trial call
-    under tracemalloc, with a LineEmbedding per trial and each trial's
-    errors in a dict (before) and as this engine draws them (after):
-    - PLift_256(2,2), s = 3, delta = 1/16 (4,112 errors a trial, 15
-      trials a chunk): 1.65 MB before, 1.41 MB after;
-    - PLift_32(2,16), s = 32, delta = 1/16: 3.01 MB before, 3.02 MB
-      after, in the codeword product;
-    - PLift_64(2,20), s = 64, delta = 1/32: 8.42 MB before, 8.48 MB after.
+    only B * (s-K) * (t+1) field elements.  Peaks under tracemalloc:
+    - PLift_256(2,2), s = 3, delta = 1/16, 256 trials (4,112 errors a
+      trial, 15 trials a chunk): 1.41 MB;
+    - PLift_32(2,16), s = 32, delta = 1/16, 256 trials: 5.59 MB, in the
+      codeword product;
+    - PLift_64(2,20), s = 64, delta = 1/32, 256 trials: 16.1 MB;
+    - PLift_512(1,256), s = 512, delta = 0.05, 64 trials (19 a chunk):
+      34.5 MB, and 146 MB as one chunk.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -416,7 +443,8 @@ def mc_experiment(C, cfg, trials, seed=None):
     nerr = _error_count(n, cfg.delta)
     _check_corrector(C, s)
     points = C.support.coords
-    chunk = max(1, min(_CHUNK, _CHUNK_ERRORS // max(nerr, 1)))
+    chunk = max(1, min(_CHUNK, _CHUNK_ERRORS // max(nerr, 1),
+                       _CHUNK_BYTES // _trial_bytes(F, C.dim, s, k)))
     root = np.random.SeedSequence(seed)  # spawn keys continue from call to call
     hist = np.zeros(n, dtype=np.int64)
     successes = wrong = 0
@@ -438,7 +466,7 @@ def mc_experiment(C, cfg, trials, seed=None):
         doms.sort(axis=1)
         _, lams, queried = line_images(F, col0, points[targets], doms)
         cols = np.concatenate([queried, targets[:, None]], axis=1)
-        vals = linalg.gf_sum(F, F.np_mul[C.G[:, cols], msgs.T[:, :, None]], axis=0)
+        vals = linalg.gf_sum(F, linalg._lookup(F, F.np_mul, msgs.T[:, :, None], C.G[:, cols]), axis=0)
         reads = _corrupt(vals[:, :s], _shifts_at(n, q, err_pos, err_shift, queried))
         at_target, ok = _decode_stack(F, k, doms, strip_weights(F, C.v, reads, lams), [q])
         right = ok & (at_target[:, 0] == vals[:, s])

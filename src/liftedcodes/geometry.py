@@ -263,8 +263,8 @@ def line_images(F, col0, col1, dom):
     (points, lams, positions) shaped (B, s, m+1), (B, s) and (B, s).
     """
     x = _support_cached(F, 1, "projective").coords[dom]
-    V = linalg.gf_add(F, F.np_mul[x[..., :1], col0[:, None, :]],
-                      F.np_mul[x[..., 1:], col1[:, None, :]])
+    V = linalg.gf_add(F, linalg._lookup(F, F.np_mul, x[..., :1], col0[:, None, :]),
+                      linalg._lookup(F, F.np_mul, x[..., 1:], col1[:, None, :]))
     points, lams, positions = locate(F, V.reshape(-1, V.shape[-1]))
     return points.reshape(V.shape), lams.reshape(dom.shape), positions.reshape(dom.shape)
 

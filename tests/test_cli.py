@@ -508,17 +508,19 @@ def test_local_correct_on_affine_word_exits_2(tmp_path, capsys, kind, m, k, dim,
     assert "projective" in err and out == ""
 
 
-@pytest.mark.parametrize("delta", ["1.5", "nan"])
+# a negative value in exponent notation is a value, not an option string
+@pytest.mark.parametrize("delta", ["1.5", "nan", "-5.96e-08", "-1e-3"])
 def test_delta_outside_unit_interval_exits_2(tmp_path, capsys, delta):
     word_file = _plift_word_file(tmp_path, capsys)
+    says = f"corruption fraction delta must lie in [0, 1], got {float(delta)}"
     code, _, err = run_cli(capsys, "corrupt", "--in", str(word_file),
-                           "--delta", delta, "--seed", "1")
+                           "--delta", delta, "--seed", "0")
     assert_one_line_usage_error(code, err)
-    assert "delta" in err
+    assert says in err
     code, _, err = run_cli(capsys, "experiment", "--q", "4", "--m", "2", "--k", "3",
                            "--s", "4", "--delta", delta, "--trials", "3", "--seed", "1")
     assert_one_line_usage_error(code, err)
-    assert "delta" in err
+    assert says in err
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -316,6 +316,55 @@ def test_decode_stack_equals_berlekamp_welch_reference(q):
     assert checked >= (2 if q >= 2039 else 5)
 
 
+def _reads_around_the_first_k_t_1(F, k, s, rng):
+    # planted PRS_q(k) reads in three kinds of slices, 8 of each, with K =
+    # k+t+1: errors only past the first K reads, at most t of them; the same
+    # with more than t, where s-K allows it; and t-1 to t+1 more errors after
+    # one among the first K, where an error locator vanishes
+    q = F.order
+    t = (s - k - 1) // 2
+    K = k + t + 1
+    late = np.arange(K, s)
+    patterns = []
+    for _ in range(8):
+        patterns.append(rng.choice(late, size=rng.integers(1, t + 1), replace=False))
+        if s - K > t:
+            patterns.append(rng.choice(late, size=rng.integers(t + 1, s - K + 1), replace=False))
+        first = rng.integers(K)
+        rest = rng.choice(np.delete(np.arange(s), first), size=rng.integers(t - 1, t + 2),
+                          replace=False)
+        patterns.append(np.append(rest, first))
+    positions = np.array([np.sort(rng.choice(q + 1, size=s, replace=False)) for _ in patterns])
+    msgs = rng.integers(q, size=(len(patterns), k + 1)).astype(F.dtype)
+    ys = np.take_along_axis(_evaluate(F, np.arange(q + 1), msgs), positions, axis=1)
+    for b, errs in enumerate(patterns):
+        ys[b, errs] = F.np_add[ys[b, errs], rng.integers(1, q, size=len(errs))]
+    return positions, ys
+
+
+@pytest.mark.parametrize("q, k, s", [(5, 1, 5), (5, 1, 6), (7, 3, 8), (8, 2, 7), (8, 2, 8),
+                                     (8, 2, 9), (9, 3, 9), (9, 3, 10), (16, 2, 12), (16, 2, 17)])
+def test_decode_stack_checks_the_first_k_t_1_reads(q, k, s):
+    # the decoder compares its interpolant with the reads at the first
+    # k+t+1 of them only, as the key equation settles the rest: on slices
+    # whose errors lie past those reads, or hit one of them, it agrees
+    # with the full Berlekamp-Welch reference and the brute-force oracle
+    F = GF(q)
+    rng = np.random.default_rng(q * 1000 + k * 100 + s)
+    positions, ys = _reads_around_the_first_k_t_1(F, k, s, rng)
+    everywhere = np.arange(q + 1)
+    vals, ok = decode._decode_stack(F, k, positions, ys.copy(), everywhere)
+    g, ok_ref = _reference_decode_stack(F, k, positions, ys.copy())
+    assert np.array_equal(ok, ok_ref)
+    assert np.array_equal(vals[ok], _evaluate(F, everywhere, g)[ok])
+    assert ok.any() and not ok.all()
+    for b in range(len(ys)):
+        y = [None] * (q + 1)
+        for pos, val in zip(positions[b].tolist(), ys[b].tolist()):
+            y[pos] = val
+        assert (vals[b].tolist() if ok[b] else None) == prs_decode_bruteforce(y, k, F), b
+
+
 @pytest.mark.parametrize("q", [2039, 2048])
 def test_planted_codeword_at_large_q(q):
     # k = q//2 and q-1, where the reference does not fit: up to t errors
@@ -673,6 +722,24 @@ def test_mc_experiment_chunk_memory_at_many_errors():
         tracemalloc.stop()
     assert rep.trials == 256
     assert peak <= 3.3e6
+
+
+def test_mc_experiment_chunk_memory_at_large_s():
+    # a trial at q = 512, k = 256, s = 512 holds about 1.8 MB in its
+    # codeword product and determinant tables, and 64 trials in one chunk
+    # peaked at 146 MB; chunks capped at _trial_bytes a trial keep the
+    # call within _CHUNK_BYTES
+    C = make_code("PLift", 512, 1, 256)
+    cfg = CorrectionConfig(s=512, delta=0.05, seed=1)
+    mc_experiment(C, cfg, trials=1, seed=2)  # fills the caches the call reads
+    tracemalloc.start()
+    try:
+        rep = mc_experiment(C, cfg, trials=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.trials == 64
+    assert peak <= decode._CHUNK_BYTES
 
 
 def test_mc_experiment_spawns_one_chunk_of_streams_at_a_time(monkeypatch):
