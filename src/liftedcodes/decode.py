@@ -381,11 +381,19 @@ _CHUNK_BYTES = 2 ** 26  # bytes a chunk's product and decode may hold, by _trial
 
 
 def _trial_bytes(F, dim, s, k):
-    """Bytes one trial adds to its chunk's peak, at most: the codeword
-    product, dim * (s+1) field elements, and the decoder's two int32
-    determinant tables, s * K and (K+1) * (k+1) with K = k+t+1, at 8 bytes
-    an element with their temporaries, and 10t more in odd characteristic
-    for gf_sum's digit sums (8t) and their gather."""
+    """Bytes one trial adds to its chunk's peak, at most.  The cells are
+    the codeword product, dim * (s+1) field elements, and the decoder's two
+    int32 determinant tables, s * K and (K+1) * (k+1) with K = k+t+1 and t
+    the decoding radius.  Each cell is charged 8 bytes, an int32 and its
+    temporaries.  In odd characteristic gf_sum turns every element it sums
+    into F.t digits (F.t is the field's extension degree, q = p^F.t),
+    gathered as bytes and widened to int64: 9 * F.t bytes.  The product is
+    summed as it stands, and `_combine` sums an array of each table's
+    shape (the key matrix's (s-K) * K, one column at a time, and the
+    interpolation's), so every cell is charged 10 * F.t bytes more.  The
+    phases do not overlap, so this overstates: measured peaks ran 0.2 to
+    0.7 of it, and charging the product cells alone undercounts a small k
+    (q = 243, k = 20: 1.7 times over)."""
     t = (s - k - 1) // 2
     K = k + t + 1
     cells = dim * (s + 1) + s * K + (K + 1) * (k + 1)
@@ -418,8 +426,8 @@ def mc_experiment(C, cfg, trials, seed=None):
     `_trial_bytes` a trial, computed from dim, s and k before the first
     draw; a trial that alone passes it gets a chunk of its own.  Those
     arrays are a chunk's largest; for B trials the codeword product has
-    B * dim * (s+1) field elements, gathered through a `linalg._lookup` index of 2
-    or 4 bytes each (and 8t bytes each in gf_sum's digit sums for odd p).
+    B * dim * (s+1) field elements, gathered through a `linalg._lookup`
+    int32 index (and 8 * F.t bytes each in gf_sum's digit sums for odd p).
     The decoder's int32 determinant logs are the reads against the first
     K = k+t+1 reads, B * s * K, then those K reads and the target against
     the k+1 interpolation points, B * (K+1) * (k+1), each with one or two
@@ -427,9 +435,11 @@ def mc_experiment(C, cfg, trials, seed=None):
     only B * (s-K) * (t+1) field elements.  Peaks under tracemalloc:
     - PLift_256(2,2), s = 3, delta = 1/16, 256 trials (4,112 errors a
       trial, 15 trials a chunk): 1.41 MB;
-    - PLift_32(2,16), s = 32, delta = 1/16, 256 trials: 5.59 MB, in the
-      codeword product;
-    - PLift_64(2,20), s = 64, delta = 1/32, 256 trials: 16.1 MB;
+    - PLift_32(2,16), s = 32, delta = 1/16, 256 trials: 8.17 MB, in the
+      codeword product's index (3.02 MB through the 2-D index, which
+      builds none, in about twice the time);
+    - PLift_64(2,20), s = 64, delta = 1/32, 256 trials: 23.8 MB (8.48 MB
+      through the 2-D index);
     - PLift_512(1,256), s = 512, delta = 0.05, 64 trials (19 a chunk):
       34.5 MB, and 146 MB as one chunk.
     """

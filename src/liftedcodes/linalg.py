@@ -42,13 +42,10 @@ def as_matrix(rows, dtype=np.uint8):
 
 def _lookup(F, table, A, B):
     """table[A, B] for one of the field's q x q tables, gathered from the
-    flattened table through a uint16 index up to q = 256 (q^2 = 2^16) and
-    an int32 one above (q^2 <= 2^22), not numpy's slower 2-D fancy index.
-    The index is a quarter or half an intp one, and numpy widens it in
-    buffered chunks; `take` would widen all of it at once.  A and B are
-    arrays of the field's dtype."""
-    dtype = np.uint16 if F.order <= 256 else np.int32
-    return table.ravel()[np.multiply(A, F.order, dtype=dtype) + B]
+    flattened table through an int32 index (q^2 <= 2^22), not numpy's
+    slower 2-D fancy index.  The index is half an intp one, and numpy
+    widens it in buffered chunks; `take` would widen all of it at once."""
+    return table.ravel()[np.multiply(A, F.order, dtype=np.int32) + B]
 
 
 def gf_add(F, A, B):
