@@ -1,9 +1,11 @@
 """Structural analysis of lifted codes.
 
 Information sets from extension-field coordinates, quasi-cyclicity
-certificates from the multiplicative structure of GF(q^(m+1)), minimum
-distance bounds and exhaustive sweeps, duality with the point-line
-incidence code, and the dimension/rate tables.
+certificates from the multiplicative structure of GF(q^(m+1)) (the block
+shift of the twisted code is tested as one monomial map of the code
+against its own reduced form), minimum distance bounds and exhaustive
+sweeps, duality with the point-line incidence code, and the
+dimension/rate tables.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ class QcCertificate:
 
     Positions follow the concatenated blocks U_0 | ... | U_(d-1); the
     permutation shifts each block cyclically by one and the twist carries
-    the standardizing scalars of the representation vectors.
+    the standardizing scalars of the representation vectors.  verified
+    says whether the permutation maps the twisted code into itself.
     """
 
     n: int
@@ -96,6 +99,15 @@ def qc_certificate(F, m, C):
 
     Returns None when n/d and q-1 share a factor (the representation does
     not cover the projective space in that case).
+
+    The twisted code is spanned by G_u, C evaluated at the representation
+    vectors u_j: G_u = C.G[:, positions] * D with D_j = lams_j^-v, and G_u
+    is checked against exactly that.  Its block shift lies in its row
+    space iff C M lies in C, where the monomial map M sends column
+    positions[j] of C to column positions[perm[j]], times D_j / D_perm[j].
+    So the check is one column gather and scaling of C's reduced form R
+    and one `linalg.reduced_span_contains` against R itself: no second
+    basis of the twisted code is built.
     """
     q = F.order
     n = theta(m, q)
@@ -122,17 +134,19 @@ def qc_certificate(F, m, C):
     # twist consistency: evaluating at u multiplies by twist^v = lams^-v
     if not np.array_equal(G_u, strip_weights(F, C.v, C.G[:, positions], lams)):
         raise AssertionError("twist consistency failed")
+    del G_u
 
     perm = [i * nd + ((j + 1) % nd) for i in range(d) for j in range(nd)]
-    shifted = np.empty_like(G_u)
-    shifted[:, perm] = G_u
-    del G_u  # freed before the span test, whose temporaries set this check's peak
-    # a basis of G_u's row space from C's reduced form, read at U the way
-    # G_u reads C.G, each row then scaled to one at its pivot
-    basis = strip_weights(F, C.v, R[:, positions], lams)
-    cols = np.argsort(positions)[pivots]  # where G_u holds each pivot column
-    basis = strip_weights(F, 1, basis, basis[np.arange(len(cols)), cols][:, None])
-    ok = linalg.reduced_span_contains(F, basis, cols, shifted)
+    # R M: column positions[perm[j]] takes column positions[j] of R, times
+    # D_j / D_perm[j] = lams_j^-v / lams_perm[j]^-v, read off one log difference
+    dst = positions[perm]
+    src = np.empty_like(positions)
+    src[dst] = positions
+    log_d = -C.v * F.np_log[lams].astype(np.int64)
+    ratio_log = np.empty_like(log_d)
+    ratio_log[dst] = log_d - log_d[perm]
+    moved = F.np_mul[R[:, src], F.np_exp[ratio_log % (q - 1)]]
+    ok = linalg.reduced_span_contains(F, R, pivots, moved)
     cycles = [[i * nd + j for j in range(nd)] for i in range(d)]
     return QcCertificate(n=n, d=d, u_vectors=list(map(tuple, U.tolist())),
                          support_positions=positions.tolist(),

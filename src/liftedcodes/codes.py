@@ -22,7 +22,7 @@ from liftedcodes.geometry import enumerate_points, locate, theta
 KINDS = ("RS", "PRS", "RM", "PRM", "Lift", "PLift")
 _AFFINE_KINDS = {"RS", "RM", "Lift"}
 
-_EVAL_BLOCK_BYTES = 1 << 18  # evaluate_monomials' int64 temporary, per row block
+_EVAL_BLOCK_BYTES = 1 << 18  # evaluate_monomials' temporaries, per row block
 
 
 def evaluate_monomials(F, exponents, points):
@@ -30,9 +30,15 @@ def evaluate_monomials(F, exponents, points):
 
     Exponents are reduced by `degrees.int_reduce`.  Each entry is computed
     in the log domain, exp[(E @ log x^T) mod (q-1)]: a zero coordinate
-    gets a log so large that any positive exponent on it pushes the sum
-    past every sum of true logs, and those entries are zero (0^0 = 1).
-    Rows go in blocks whose int64 sums take at most 256 KiB.
+    gets a log `big` so large that any positive exponent on it pushes the
+    sum past every sum of true logs, and those entries are zero (0^0 = 1).
+    No sum passes m * (q-1) * big, so the sums are int32 where that is
+    below 2^31 and int64 past it (for points of one coordinate from
+    q = 1297 on, of three from q = 625 on).  The mod is S - (S // (q-1)) * (q-1): numpy divides
+    by a scalar several times faster than it takes a remainder.  Rows go
+    in blocks of at most 256 KiB at 16 bytes a sum: an int64 sum and its
+    quotient, or an int32 sum, its quotient and the intp copy `take`
+    widens it to.
     """
     pts = np.asarray(points, dtype=F.dtype)
     if pts.ndim == 1:
@@ -42,13 +48,17 @@ def evaluate_monomials(F, exponents, points):
     E = degrees.int_reduce(np.asarray(exponents, dtype=np.int64).reshape(-1, m), q)
     # true logs are at most q-2 and reduced exponents at most q-1
     big = m * (q - 1) ** 2 + 1
-    logs = np.where(pts == 0, big, F.np_log[pts]).T.astype(np.int64)  # (m, npts)
+    dt = np.int32 if m * (q - 1) * big < 2 ** 31 else np.int64
+    logs = np.where(pts == 0, big, F.np_log[pts]).T.astype(dt)  # (m, npts)
+    E = E.astype(dt)
     G = np.empty((len(E), npts), dtype=F.dtype)
-    step = max(1, _EVAL_BLOCK_BYTES // (8 * max(npts, 1)))
+    step = max(1, _EVAL_BLOCK_BYTES // (16 * max(npts, 1)))
     for lo in range(0, len(E), step):
         S = E[lo:lo + step] @ logs
         zero = S >= big
-        np.remainder(S, q - 1, out=S)
+        quot = S // (q - 1)
+        quot *= q - 1
+        S -= quot
         block = G[lo:lo + step]
         F.np_exp.take(S, out=block, mode="clip")
         block[zero] = 0

@@ -381,23 +381,25 @@ _CHUNK_BYTES = 2 ** 26  # bytes a chunk's product and decode may hold, by _trial
 
 
 def _trial_bytes(F, dim, s, k):
-    """Bytes one trial adds to its chunk's peak, at most.  The cells are
-    the codeword product, dim * (s+1) field elements, and the decoder's two
-    int32 determinant tables, s * K and (K+1) * (k+1) with K = k+t+1 and t
-    the decoding radius.  Each cell is charged 8 bytes, an int32 and its
-    temporaries.  In odd characteristic gf_sum turns every element it sums
-    into F.t digits (F.t is the field's extension degree, q = p^F.t),
-    gathered as bytes and widened to int64: 9 * F.t bytes.  The product is
-    summed as it stands, and `_combine` sums an array of each table's
-    shape (the key matrix's (s-K) * K, one column at a time, and the
-    interpolation's), so every cell is charged 10 * F.t bytes more.  The
-    phases do not overlap, so this overstates: measured peaks ran 0.2 to
-    0.7 of it, and charging the product cells alone undercounts a small k
-    (q = 243, k = 20: 1.7 times over)."""
+    """Bytes one trial adds to its chunk's peak, at most.  A trial passes
+    through three phases, each of which frees its arrays before the next:
+    the codeword product, dim * (s+1) cells, then the decoder's two int32
+    determinant tables, s * K and (K+1) * (k+1) cells with K = k+t+1 and t
+    the decoding radius.  The charge is the largest phase's cells at 20
+    bytes a cell, and 10 * F.t bytes more in odd characteristic (F.t is
+    the field's extension degree, q = p^F.t), where gf_sum turns every
+    element it sums into F.t digits, gathered as bytes and widened to
+    int64.  The interpolation table is the costliest a cell: it holds
+    about four int32 arrays of its shape when `_combine` sums, 18 bytes a
+    cell in characteristic 2 and 17 + 9 * F.t in odd.  Marginal per-trial
+    tracemalloc peaks of uncapped chunks at m = 1, s = q, every q in
+    {25, 32, 81, 125, 127, 128, 243, 256, 512} and k from q/12 to q-1 ran
+    0.37 to 0.93 of this charge, highest at the largest k (0.89 at q = 243,
+    k = 242; 0.93 at q = 25, k = 24 and at q = 32, k = 31)."""
     t = (s - k - 1) // 2
     K = k + t + 1
-    cells = dim * (s + 1) + s * K + (K + 1) * (k + 1)
-    return cells * (8 if F.p == 2 else 8 + 10 * F.t)
+    cells = max(dim * (s + 1), s * K, (K + 1) * (k + 1))
+    return cells * (20 if F.p == 2 else 20 + 10 * F.t)
 
 
 def mc_experiment(C, cfg, trials, seed=None):
@@ -427,10 +429,10 @@ def mc_experiment(C, cfg, trials, seed=None):
     draw; a trial that alone passes it gets a chunk of its own.  Those
     arrays are a chunk's largest; for B trials the codeword product has
     B * dim * (s+1) field elements, gathered through a `linalg._lookup`
-    int32 index (and 8 * F.t bytes each in gf_sum's digit sums for odd p).
+    int32 index (and 9 * F.t bytes each in gf_sum's digit sums for odd p).
     The decoder's int32 determinant logs are the reads against the first
     K = k+t+1 reads, B * s * K, then those K reads and the target against
-    the k+1 interpolation points, B * (K+1) * (k+1), each with one or two
+    the k+1 interpolation points, B * (K+1) * (k+1), each with up to three
     int32 temporaries of its shape; s <= q.  The key equation itself is
     only B * (s-K) * (t+1) field elements.  Peaks under tracemalloc:
     - PLift_256(2,2), s = 3, delta = 1/16, 256 trials (4,112 errors a
@@ -440,8 +442,10 @@ def mc_experiment(C, cfg, trials, seed=None):
       builds none, in about twice the time);
     - PLift_64(2,20), s = 64, delta = 1/32, 256 trials: 23.8 MB (8.48 MB
       through the 2-D index);
-    - PLift_512(1,256), s = 512, delta = 0.05, 64 trials (19 a chunk):
-      34.5 MB, and 146 MB as one chunk.
+    - PLift_512(1,256), s = 512, delta = 0.05, 64 trials (17 a chunk):
+      30.9 MB, and 146 MB as one chunk;
+    - PLift_243(1,242), s = 243, delta = 0.05, 32 trials (16 a chunk):
+      59.0 MB.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

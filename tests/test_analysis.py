@@ -2,6 +2,7 @@
 distance bounds and sweeps, design duality, rate tables."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -21,9 +22,9 @@ from liftedcodes.analysis import (
     rate_table,
     rate_table_csv,
 )
-from liftedcodes.codes import make_code
+from liftedcodes.codes import MonomialCode, evaluate_monomials, make_code
 from liftedcodes.degrees import adeg
-from liftedcodes.geometry import standardize
+from liftedcodes.geometry import standardize, theta
 from liftedcodes.gf import GF, ExtensionIso, poly_mulmod, poly_powmod
 from liftedcodes.reference import mds_exact_distance, singular_column_blocks
 
@@ -158,6 +159,48 @@ def test_qc_representation_covers_space():
     cert = qc_certificate(GF(4), 2, C)
     assert sorted(cert.support_positions) == list(range(21))
     assert all(w != 0 for w in cert.twist)
+
+
+def _qc_by_shifted_generator(F, C, cert):
+    """The certificate's claim checked on the twisted generator itself:
+    G_u evaluates C at the representation vectors, and its block shift
+    lies in its row space, by elimination of [G_u; shifted]."""
+    G_u = evaluate_monomials(F, C.degree_tuples, cert.u_vectors)
+    shifted = np.empty_like(G_u)
+    shifted[:, cert.permutation] = G_u
+    return reference.rowspace_contains(F, G_u, shifted)
+
+
+def test_qc_certificate_verdicts_equal_the_shifted_generator_oracle():
+    """Every PLift code with q <= 9, m <= 3 that the certificate applies
+    to, and monomial subcodes of each with 1 to 4 exponent rows dropped:
+    the subcodes are not lifted, and almost none is quasi-cyclic, so both
+    verdicts occur."""
+    rng = np.random.default_rng(27)
+    subcode_verdicts = []
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        F = GF(q)
+        for m in (1, 2, 3):
+            n = theta(m, q)
+            if math.gcd(n // math.gcd(n, q - 1), q - 1) != 1:
+                continue
+            for k in range(1, q):
+                C = make_code("PLift", q, m, k)
+                E = np.array(C.degree_tuples)
+                codes = [C] + [
+                    MonomialCode(C.kind, F, m, k, E[np.sort(rng.choice(len(E), len(E) - drop,
+                                                                       replace=False))],
+                                 C.support, v=C.v)
+                    for drop in range(1, min(4, len(E) - 1) + 1)]
+                verdicts = []
+                for S in codes:
+                    cert = qc_certificate(F, m, S)
+                    assert cert.verified == _qc_by_shifted_generator(F, S, cert), \
+                        (q, m, k, len(S.degree_tuples))
+                    verdicts.append(cert.verified)
+                assert verdicts[0], (q, m, k)  # the lifted code itself
+                subcode_verdicts += verdicts[1:]
+    assert True in subcode_verdicts and False in subcode_verdicts
 
 
 def test_distance_bounds_plift_4_2_3():

@@ -413,6 +413,28 @@ def test_evaluate_monomials_matches_reference_loop(q):
         assert got.dtype == want.dtype and np.array_equal(got, want), (nexp, npts, m)
 
 
+@pytest.mark.parametrize("q, m, int32", [(1291, 1, True), (1297, 1, False),
+                                          (619, 3, True), (625, 3, False)])
+def test_evaluate_monomials_on_both_sides_of_the_int32_sums(q, m, int32):
+    """The sums are int32 while the largest, m * (q-1) * big with big =
+    m * (q-1)^2 + 1, stays below 2^31: each q is the last or first order on
+    its side for its m.  The all-zero point under all-(q-1) exponents
+    reaches that largest sum."""
+    big = m * (q - 1) ** 2 + 1
+    assert (m * (q - 1) * big < 2 ** 31) == int32
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    E = rng.integers(0, 3 * q, size=(30, m))
+    E[:10] = rng.integers(0, 2, size=(10, m)) * (q - 1)  # 0 and q-1
+    E[0] = q - 1
+    pts = rng.integers(q, size=(500, m)).astype(F.dtype)
+    pts[::4] = 0
+    pts[1::4, 0] = 0
+    pts[2] = q - 1
+    got, want = evaluate_monomials(F, E, pts), _reference_evaluate_monomials(F, E, pts)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_lift_generators_match_reference_loop(q):
     F = GF(q)

@@ -742,6 +742,26 @@ def test_mc_experiment_chunk_memory_at_large_s():
     assert peak <= decode._CHUNK_BYTES
 
 
+def test_mc_experiment_chunk_memory_in_odd_characteristic():
+    # at q = 3^5, k = q-1, s = q a trial's costliest cells are the
+    # interpolation's, about 62 bytes each with gf_sum's digits: 3.7 MB a
+    # trial.  Charged by its largest phase, a chunk holds 16 trials (the
+    # sum of the phases held 6), and 32 trials in two chunks stay within
+    # _CHUNK_BYTES; 19 a chunk would pass it
+    C = make_code("PLift", 243, 1, 242)
+    cfg = CorrectionConfig(s=243, delta=0.05, seed=1)
+    assert decode._CHUNK_BYTES // decode._trial_bytes(C.field, C.dim, 243, 242) == 16
+    mc_experiment(C, cfg, trials=1, seed=2)  # fills the caches the call reads
+    tracemalloc.start()
+    try:
+        rep = mc_experiment(C, cfg, trials=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.trials == 32
+    assert peak <= decode._CHUNK_BYTES
+
+
 def test_mc_experiment_spawns_one_chunk_of_streams_at_a_time(monkeypatch):
     # spawning every trial's stream up front costs memory and time linear in
     # the trial count before the first trial runs; spawn keys continue from
