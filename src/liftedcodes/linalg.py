@@ -15,15 +15,15 @@ pivot step (``_pivot``, then a clear): ``rref`` clears every other row,
 scatters them back; in characteristic 2 ``_forward`` instead XORs the
 whole contiguous block below the pivot (``_clear_below``) when more than
 half of its rows need clearing.  Odd characteristic and ``rref`` keep
-the gather; their docstrings say why.  ``rank`` counts the pivots,
-and ``rowspace_equal`` eliminates [A; B] once and stops at the first pivot
-found in a row of B.  A basis R already reduced, with R[:, pivots] the
-identity, needs no elimination: ``reduced_span_contains`` tests B against
-it with one product, B == B[:, pivots] R.  ``null_vectors`` runs
-Gauss-Jordan on a stack of same-shape matrices at once, for the many
-small systems of the Monte-Carlo corrector; its lockstep row update
-gathers each product from the flattened multiplication table through
-``_lookup``, so it touches only the stack's own entries whatever q is.
+the gather; their docstrings say why.  ``rank`` counts the pivots.  A
+basis R already reduced, with R[:, pivots] the identity, needs no further
+elimination: ``reduced_span_contains`` tests B against it with one
+product, B == B[:, pivots] R, so a span test is one ``rref`` and one
+product.  ``null_vectors`` runs Gauss-Jordan on a stack of same-shape
+matrices at once, for the many small systems of the Monte-Carlo
+corrector; its lockstep row update gathers each product from the
+flattened multiplication table through ``_lookup``, so it touches only
+the stack's own entries whatever q is.
 All are adequate at desk scale and deliberately free of structure
 shortcuts.
 """
@@ -286,26 +286,6 @@ def _row_pair(F, A, B):
             B.reshape(0, A.shape[1]) if B.shape == (0, 0) else B)
 
 
-def _rank_if_contains(F, A, B):
-    """rank(A) if every row of B lies in the row space of A, else None.
-
-    One forward elimination of [A; B], which stops at the first pivot
-    found in a row of B.  Until then every swap stays among A's rows, so
-    each row below them is a row of B minus a word of A's row space.  Such
-    a pivot leads at a column where no word of A's row space can lead: the
-    settled rows lead left of it, and A's remaining rows are zero up to
-    and in it.
-    """
-    if A.shape[1] != B.shape[1]:
-        return None  # no word of another length lies in A's row space
-    r = 0
-    for src in _forward(F, np.vstack([A, B])):
-        if src >= len(A):
-            return None
-        r += 1
-    return r
-
-
 def reduced_span_contains(F, R, pivots, B):
     """True iff every row of B lies in the row space of R, where
     R[:, pivots] is the identity; never when B's rows have another length.
@@ -320,14 +300,6 @@ def reduced_span_contains(F, R, pivots, B):
     free = np.ones(R.shape[1], dtype=bool)
     free[pivots] = False
     return np.array_equal(gf_matmul(F, B[:, pivots], R[:, free]), B[:, free])
-
-
-def rowspace_equal(F, A, B):
-    """True iff A and B have the same row space: B's lies in A's and has
-    A's dimension."""
-    A, B = _row_pair(F, A, B)
-    ra = _rank_if_contains(F, A, B)
-    return ra is not None and ra == rank(F, B)
 
 
 def span_all(F, G):

@@ -3,10 +3,11 @@
 The library never imports this module.  It keeps the definitions as
 literal as they are slow: the affine and projective tuple reductions, the
 line-restriction membership oracle (the lifting definition of Guo, Kopparty
-and Sudan), the direct degree-set scan, nearest-codeword PRS decoding, the
-Reed-Muller and projective Reed-Muller dimension formulas, parity-check
-membership, row-space membership by elimination, line restriction and the
-MDS column certificate.
+and Sudan) and its whole-code form, the line-check matrix, the direct
+degree-set scan, nearest-codeword PRS decoding, the Reed-Muller and
+projective Reed-Muller dimension formulas, parity-check membership,
+row-space membership and equality by [A; B] elimination, line restriction
+and the MDS column certificate.
 """
 
 from __future__ import annotations
@@ -20,7 +21,14 @@ import numpy as np
 from liftedcodes import linalg
 from liftedcodes.codes import Word, _strip_reads, make_code
 from liftedcodes.degrees import _max_reduced_subweight_array, int_reduce, lifting_degree
-from liftedcodes.geometry import LineEmbedding, _all_lines_cached, enumerate_points, locate
+from liftedcodes.geometry import (
+    LineEmbedding,
+    _all_lines_cached,
+    enumerate_points,
+    line_images,
+    locate,
+    theta,
+)
 from liftedcodes.gf import GF
 
 
@@ -239,6 +247,35 @@ def monomial_membership_oracle(d, k, q, space, exhaustive=None):
     raise ValueError(f"unknown space {space!r}")
 
 
+def line_check_matrix(F, m, k, space):
+    """The lifting definition as one parity-check matrix.
+
+    For every line of P^m (space "projective") or of A^m ("affine"), the
+    parity rows of PRS_q(k) or RS_q(k) sit at the line's positions, in
+    domain order, so a word lies in the lifted code iff every row checks
+    it.  The lines are `_all_lines_cached`'s echelon bases (r1, r2): the
+    images of (1 : x) and (0 : 1) are already standard, every lambda is
+    one, and no weight is stripped.  The affine lines are those with
+    r1[0] = 1, read at the domain positions x < q, which land in the first
+    q^m positions of P^m, where A^m sits.
+    """
+    q = F.order
+    _, R1, R2 = _all_lines_cached(F, m)
+    if space == "affine":
+        keep = R1[:, 0] == 1
+        R1, R2, n, width, kind = R1[keep], R2[keep], q ** m, q, "RS"
+    elif space == "projective":
+        n, width, kind = theta(m, q), q + 1, "PRS"
+    else:
+        raise ValueError(f"unknown space {space!r}")
+    checks = make_code(kind, F, 1, k).parity_check()
+    positions = line_images(F, R1, R2, np.broadcast_to(np.arange(width), (len(R1), width)))[2]
+    H = np.zeros((len(R1), len(checks), n), dtype=F.dtype)
+    H[np.arange(len(R1))[:, None, None], np.arange(len(checks))[:, None],
+      positions[:, None, :]] = checks
+    return H.reshape(-1, n)
+
+
 def _affine_line_key(F, base, direction):
     # canonicalize an affine line (base + t*direction) by its point set
     pts = []
@@ -284,11 +321,26 @@ def contains(C, values):
 
 
 def rowspace_contains(F, A, B):
-    """True iff every row of B lies in the row space of A, by eliminating
-    [A; B] (`linalg._rank_if_contains`); never when B's rows have another
-    length.  The oracle `linalg.reduced_span_contains` is pinned to."""
+    """True iff every row of B lies in the row space of A; never when B's
+    rows have another length.  The oracle `linalg.reduced_span_contains`
+    is pinned to.
+
+    One forward elimination of [A; B] (`linalg._forward`), which stops at
+    the first pivot found in a row of B.  Until then every swap stays among
+    A's rows, so each row below them is a row of B minus a word of A's row
+    space.  Such a pivot leads at a column where no word of A's row space
+    can lead: the settled rows lead left of it, and A's remaining rows are
+    zero up to and in it.
+    """
     A, B = linalg._row_pair(F, A, B)
-    return linalg._rank_if_contains(F, A, B) is not None
+    if A.shape[1] != B.shape[1]:
+        return False
+    return all(src < len(A) for src in linalg._forward(F, np.vstack([A, B])))
+
+
+def rowspace_equal(F, A, B):
+    """True iff A and B have the same row space: each lies in the other's."""
+    return rowspace_contains(F, A, B) and rowspace_contains(F, B, A)
 
 
 def restrict_to_line(word, L, v):

@@ -38,6 +38,7 @@ from liftedcodes.gf import GF
 from liftedcodes.reference import (
     _p_reduced_sphere,
     contains,
+    line_check_matrix,
     mds_exact_distance,
     monomial_membership_oracle,
 )
@@ -229,10 +230,26 @@ def test_criterion_05_oracle_equivalence():
             for d in _p_reduced_sphere(3, v, q):
                 assert monomial_membership_oracle(d, k, q, "projective") == (d in P), (q, k, d)
                 checked += 1
+    # whole codes against the line-check matrix: G H^T = 0 and n - rank H =
+    # dim.  Distinct reduced monomials evaluate to independent words, so
+    # this also settles each exponent's verdict.
+    codes_checked = 0
+    for m, qs in ((2, PRIME_POWERS_LE_16), (3, (2, 3, 4, 5))):
+        for q in qs:
+            F = GF(q)
+            for kind, space, ks in (("PLift", "projective", range(1, q)),
+                                    ("Lift", "affine", range(q - 1))):
+                for k in ks:
+                    C = make_code(kind, q, m, k)
+                    H = line_check_matrix(F, m, k, space)
+                    assert not linalg.gf_matmul(F, C.G, H.T).any(), (kind, q, m, k)
+                    assert C.length - linalg.rank(F, H) == C.dim, (kind, q, m, k)
+                    codes_checked += 1
     elapsed = time.time() - start
     assert elapsed < 600, f"oracle equivalence took {elapsed:.1f}s"
     _report(5, f"degree-set membership agrees with the line-restriction oracle on "
-               f"{checked} exponents for q in {{4,8,9}} ({elapsed:.1f}s)")
+               f"{checked} exponents for q in {{4,8,9}}, and {codes_checked} whole "
+               f"codes equal their line-check matrices' kernels ({elapsed:.1f}s)")
 
 
 def test_criterion_06_local_correction_bound():

@@ -22,7 +22,7 @@ from liftedcodes.analysis import (
     rate_table,
     rate_table_csv,
 )
-from liftedcodes.codes import MonomialCode, evaluate_monomials, make_code
+from liftedcodes.codes import LinearCode, MonomialCode, evaluate_monomials, make_code
 from liftedcodes.degrees import adeg
 from liftedcodes.geometry import standardize, theta
 from liftedcodes.gf import GF, ExtensionIso, poly_mulmod, poly_powmod
@@ -261,6 +261,46 @@ def test_design_duality():
         rep = design_dual_report(q, 2)
         assert rep["passed"], rep
     assert design_dual_report(2, 3)["passed"]
+
+
+def _duality_cases(q, m):
+    """(name, code) pairs to stand in for PLift_q(m, q-1) in
+    design_dual_report: the code itself; PLift_q(m, q-2), whose dual is
+    larger than the incidence code; the code with one seeded word added,
+    whose dual lies in the incidence code but is smaller; and the code with
+    its columns permuted by a seeded permutation, whose dual has the right
+    dimension but lies elsewhere."""
+    F = GF(q)
+    C = make_code("PLift", q, m, q - 1)
+    rng = np.random.default_rng(q * 10 + m)
+    word = rng.integers(q, size=(1, C.length)).astype(F.dtype)
+    perm = rng.permutation(C.length)
+    return [("maximal", C), ("lower degree", make_code("PLift", q, m, q - 2)),
+            ("one word added", LinearCode(F, C.support, np.vstack([C.G, word]))),
+            ("columns permuted", LinearCode(F, C.support, C.G[:, perm]))]
+
+
+@pytest.mark.parametrize("q, m", [(3, 2), (4, 2), (5, 2), (8, 2), (4, 3)])
+def test_design_duality_verdict_matches_elimination(q, m, monkeypatch):
+    """spans_dual against the two containments of the [A; B] elimination
+    oracle, on codes that fail on dimension alone and on containment
+    alone, so neither of the report's two conditions can be dropped."""
+    F = GF(q)
+    H = incidence_matrix(F, m)
+    rank_h = linalg.rank(F, H)
+    outcomes = {}
+    for name, C in _duality_cases(q, m):
+        monkeypatch.setattr("liftedcodes.analysis.make_code", lambda *args, C=C: C)
+        rep = design_dual_report(q, m)
+        dual = linalg.nullspace(F, C.G)
+        assert rep["spans_dual"] == reference.rowspace_equal(F, H, dual), name
+        assert rep["incidence_rank"] == rank_h
+        outcomes[name] = (rep["spans_dual"], len(dual) == rank_h,
+                          reference.rowspace_contains(F, H, dual))
+    assert outcomes == {"maximal": (True, True, True),
+                        "lower degree": (False, False, False),
+                        "one word added": (False, False, True),
+                        "columns permuted": (False, True, False)}
 
 
 def test_design_duality_arithmetic():

@@ -154,12 +154,11 @@ def test_analyze_subset_of_checks(capsys):
     assert set(rep) == {"q", "m", "k", "infoset", "shorten_puncture", "passed"}
 
 
-def test_analyze_eliminates_the_generator_once(capsys, monkeypatch):
-    """qc and shorten-puncture share one reduced form of the PLift_8(3,7)
-    generator, 184 x 585: one rref of that width, no [A; B] elimination
-    and no rank.  The other rref is ExtensionIso's small inverse."""
+def _analyze_eliminations(capsys, monkeypatch, *argv):
+    """The report of `analyze` run with no code cached, and the shapes of
+    the matrices it handed to linalg.rref and linalg.rank."""
     from liftedcodes import linalg
-    calls = {"rref": [], "_rank_if_contains": [], "rank": []}
+    calls = {"rref": [], "rank": []}
 
     def counting(name):
         fn = getattr(linalg, name)
@@ -171,13 +170,34 @@ def test_analyze_eliminates_the_generator_once(capsys, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(linalg, name, counting(name))
-    codes._make_code_cached.cache_clear()  # no code keeps a reduced form
-    code, out, _ = run_cli(capsys, "analyze", "--q", "8", "--m", "3", "--k", "7",
-                           "--checks", "qc,shorten-puncture")
-    assert code == 0 and json.loads(out)["passed"]
+    codes._make_code_cached.cache_clear()  # no code keeps a reduced form or parity check
+    code, out, _ = run_cli(capsys, "analyze", *argv)
+    assert code == 0
+    return json.loads(out), calls
+
+
+def test_analyze_eliminates_the_generator_once(capsys, monkeypatch):
+    """qc and shorten-puncture share one reduced form of the PLift_8(3,7)
+    generator, 184 x 585: one rref of that width, no [A; B] elimination
+    and no rank.  The other rref is ExtensionIso's small inverse."""
+    from liftedcodes import linalg
+    rep, calls = _analyze_eliminations(capsys, monkeypatch, "--q", "8", "--m", "3", "--k", "7",
+                                       "--checks", "qc,shorten-puncture")
+    assert rep["passed"]
     assert [shape for shape in calls["rref"] if shape[1] == 585] == [(184, 585)]
     assert len(calls["rref"]) == 2
-    assert calls["_rank_if_contains"] == [] and calls["rank"] == []
+    assert calls["rank"] == []
+    assert not hasattr(linalg, "rowspace_equal") and not hasattr(linalg, "_rank_if_contains")
+
+
+def test_analyze_dual_eliminates_twice(capsys, monkeypatch):
+    """The dual check of PLift_8(2,7) reduces the 73 x 73 incidence matrix
+    once and reads C^perp off nullspace's rref of the 45 x 73 generator:
+    two eliminations and no rank."""
+    rep, calls = _analyze_eliminations(capsys, monkeypatch, "--q", "8", "--m", "2", "--k", "7",
+                                       "--checks", "dual")
+    assert rep["dual"]["spans_dual"]
+    assert calls == {"rref": [(73, 73), (45, 73)], "rank": []}
 
 
 def test_usage_errors_exit_2(capsys):
@@ -272,6 +292,10 @@ def _past_generator_limit(dim, n):
      _past_generator_limit(2097150, 2097151)),
     ("encode --kind RM --q 2 --m 2000 --k 0 --msg-file nope.txt",
      "q^m = 2^2000, past the limit 2^63 of exact int64 counts"),
+    ("analyze --q 16 --m 3 --k 3 --checks dual", "the P^3 incidence matrix at q=16 has "
+     "70161 x 4369 = 306533409 cells, past the limit 2^25 = 33554432"),
+    ("analyze --q 13 --m 3 --k 3", "the P^3 incidence matrix at q=13 has "
+     "31110 x 2380 = 74041800 cells, past the limit 2^25 = 33554432"),
 ])
 def test_code_too_large_exits_2_before_allocating(argv, says):
     def cap_address_space():

@@ -341,9 +341,9 @@ def test_rank_and_rref_against_the_enumerated_span(q):
 
 def test_empty_row_list_is_the_zero_space():
     F = GF(4)
-    assert linalg.rowspace_equal(F, [], [[0, 0, 0]])
-    assert linalg.rowspace_equal(F, [[0, 0, 0]], [])
-    assert not linalg.rowspace_equal(F, [], [[1, 2, 3]])
+    assert reference.rowspace_equal(F, [], [[0, 0, 0]])
+    assert reference.rowspace_equal(F, [[0, 0, 0]], [])
+    assert not reference.rowspace_equal(F, [], [[1, 2, 3]])
     assert reference.rowspace_contains(F, [], [[0, 0, 0]])
     assert not reference.rowspace_contains(F, [], [[1, 2, 3]])
     assert reference.rowspace_contains(F, [[1, 2, 3]], [])
@@ -357,7 +357,7 @@ def test_rowspace_of_another_width_contains_nothing():
     F = GF(4)
     for A, B in [([[1, 0]], [[1, 0, 0]]), ([[1, 0, 0]], [[1, 0]]), ([[1, 2]], [[0, 0, 0]])]:
         assert not reference.rowspace_contains(F, A, B)
-        assert not linalg.rowspace_equal(F, A, B)
+        assert not reference.rowspace_equal(F, A, B)
         assert not linalg.reduced_span_contains(F, A, [0], B)
 
 
@@ -367,13 +367,13 @@ def test_empty_matrix_keeps_its_width():
     F = GF(4)
     for A, B in [(np.zeros((0, 3)), [[0, 0]]), ([[0, 0]], np.zeros((0, 3)))]:
         assert not reference.rowspace_contains(F, A, B)
-        assert not linalg.rowspace_equal(F, A, B)
+        assert not reference.rowspace_equal(F, A, B)
     assert not linalg.reduced_span_contains(F, np.zeros((0, 3)), [], [[0, 0]])
     assert not linalg.reduced_span_contains(F, [[1, 0]], [0], np.zeros((0, 3)))
     assert reference.rowspace_contains(F, np.zeros((0, 3)), [[0, 0, 0]])
     assert linalg.reduced_span_contains(F, np.zeros((0, 3)), [], [[0, 0, 0]])
-    assert linalg.rowspace_equal(F, np.zeros((0, 3)), [])
-    assert linalg.rowspace_equal(F, [], [])
+    assert reference.rowspace_equal(F, np.zeros((0, 3)), [])
+    assert reference.rowspace_equal(F, [], [])
 
 
 def test_matmul_rejects_differing_inner_dimensions():
@@ -457,15 +457,15 @@ def test_rowspace_tests_match_their_rank_definitions(q):
         rab = linalg.rank(F, np.vstack([A, B]))
         contains = reference.rowspace_contains(F, A, B)
         assert contains == (rab == ra), (A, B)
-        assert linalg.rowspace_equal(F, A, B) == (ra == rb == rab), (A, B)
+        assert reference.rowspace_equal(F, A, B) == (ra == rb == rab), (A, B)
         verdicts.add(contains)
     assert verdicts == {True, False}
     for rows in [np.zeros((2, 5), dtype=F.dtype), rng.integers(1, q, size=(2, 5)).astype(F.dtype)]:
         nonzero = bool(rows.any())
         assert reference.rowspace_contains(F, [], rows) == (not nonzero)
         assert reference.rowspace_contains(F, rows, [])
-        assert linalg.rowspace_equal(F, [], rows) == (not nonzero)
-        assert linalg.rowspace_equal(F, rows, []) == (not nonzero)
+        assert reference.rowspace_equal(F, [], rows) == (not nonzero)
+        assert reference.rowspace_equal(F, rows, []) == (not nonzero)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
