@@ -10,7 +10,6 @@ dimension/rate tables.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -60,10 +59,10 @@ def _draw_iso(F, m, rng):
     return ExtensionIso.random(F, m, rng) if rng is not None else ExtensionIso(F, m)
 
 
-def information_set_check(C, points=None, rng=None):
+def information_set_check(C, points=None):
     """Rank check: the generator columns at the set have rank dim C."""
     if points is None:
-        points = information_set(C, rng)
+        points = information_set(C)
     if len(set(points)) != len(points) or len(points) != C.dim:
         return False
     sub = C.G[:, C.support.positions(points)]
@@ -105,9 +104,9 @@ def qc_certificate(F, m, C):
     is checked against exactly that.  Its block shift lies in its row
     space iff C M lies in C, where the monomial map M sends column
     positions[j] of C to column positions[perm[j]], times D_j / D_perm[j].
-    So the check is one column gather and scaling of C's reduced form R
-    and one `linalg.reduced_span_contains` against R itself: no second
-    basis of the twisted code is built.
+    So the check is one column gather of C's reduced form R, scaled by
+    `strip_weights`, and one `linalg.reduced_span_contains` against R
+    itself: no second basis of the twisted code is built.
     """
     q = F.order
     n = theta(m, q)
@@ -138,14 +137,9 @@ def qc_certificate(F, m, C):
 
     perm = [i * nd + ((j + 1) % nd) for i in range(d) for j in range(nd)]
     # R M: column positions[perm[j]] takes column positions[j] of R, times
-    # D_j / D_perm[j] = lams_j^-v / lams_perm[j]^-v, read off one log difference
-    dst = positions[perm]
-    src = np.empty_like(positions)
-    src[dst] = positions
-    log_d = -C.v * F.np_log[lams].astype(np.int64)
-    ratio_log = np.empty_like(log_d)
-    ratio_log[dst] = log_d - log_d[perm]
-    moved = F.np_mul[R[:, src], F.np_exp[ratio_log % (q - 1)]]
+    # D_j / D_perm[j] = 1 / (lams_j * twist_perm[j])^v
+    moved = np.empty_like(R)
+    moved[:, positions[perm]] = strip_weights(F, C.v, R[:, positions], F.np_mul[lams, twist[perm]])
     ok = linalg.reduced_span_contains(F, R, pivots, moved)
     cycles = [[i * nd + j for j in range(nd)] for i in range(d)]
     return QcCertificate(n=n, d=d, u_vectors=list(map(tuple, U.tolist())),
@@ -185,10 +179,10 @@ SWEEP_LIMIT = 2 * 10 ** 7  # largest codebook q^dim that exact_distance sweeps
 def exact_distance(C):
     """Minimum nonzero weight over the whole codebook.
 
-    The message space is swept exhaustively in two halves: all words of the
-    first half are tabulated, the remaining messages stream against the
-    table with vectorized row additions (same arithmetic as a stepwise
-    sweep, in table-lookup batches).
+    The message space is swept exhaustively in two halves, each tabulated
+    by `linalg.span_all`: every word of the second half is added to the
+    whole table of the first in one vectorized pass.  Row 0 of both tables
+    is the zero word, so the first pass leaves out the table's row 0.
     """
     F = C.field
     G = C.G
@@ -200,22 +194,10 @@ def exact_distance(C):
     while a < dim and q ** (a + 1) <= 2 ** 20:
         a += 1
     A = linalg.span_all(F, G[:a])
-    rest = G[a:]
     best = n + 1
-    for msg in itertools.product(range(q), repeat=dim - a):
-        if any(msg):
-            b = np.zeros(n, dtype=F.dtype)
-            for c, row in zip(msg, rest):
-                if c:
-                    b = linalg.gf_add(F, b, linalg.gf_scale(F, c, row))
-            W = linalg.gf_add(F, A, b[None, :])
-            w = np.count_nonzero(W, axis=1)
-            best = min(best, int(w.min()))
-        else:
-            w = np.count_nonzero(A, axis=1)
-            nz = w[w > 0]
-            if nz.size:
-                best = min(best, int(nz.min()))
+    for i, b in enumerate(linalg.span_all(F, G[a:])):
+        W = linalg.gf_add(F, A[1:] if i == 0 else A, b)
+        best = int(np.count_nonzero(W, axis=1).min(initial=best))
     return best
 
 

@@ -402,7 +402,7 @@ def _trial_bytes(F, dim, s, k):
     return cells * (20 if F.p == 2 else 20 + 10 * F.t)
 
 
-def mc_experiment(C, cfg, trials, seed=None):
+def mc_experiment(C, cfg, trials):
     """Per trial: uniform codeword, exact floor(delta*n) corruption, uniform
     target point, one corrector call.  Fully reproducible from the seed;
     trials use the streams of SeedSequence(seed).spawn(trials), spawned one
@@ -449,7 +449,7 @@ def mc_experiment(C, cfg, trials, seed=None):
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    seed = cfg.seed if seed is None else seed
+    seed = cfg.seed
     if seed is None:
         raise ValueError("a seed is required for reproducibility")
     F = C.field

@@ -12,24 +12,25 @@ Multiplication is reduced modulo a fixed irreducible polynomial.  Default
 moduli come from a published table of primitive polynomials, so that field
 construction is reproducible across builds; a custom modulus may be passed
 and is verified by trial factorization.  Polynomial arithmetic is used only
-to find omega and to multiply it into the d base-p unit digit vectors:
-multiplication by omega is GF(p)-linear on an index's base-p digits, so
-the exp table is the orbit of 1 under that d x d matrix, filled by
-doubling (powers L..2L-1 are powers 0..L-1 times the matrix's L-th power).
-Scalar products and inverses then read the exp/log lists, scalar sums and
-differences read the numpy sum and difference tables (index XOR in
-characteristic 2), and the numpy product, sum and difference tables are
-read off the powers of omega and the base-p digits.  The tables never leak
-into the observable representation.  The field order is limited to
-q <= MAX_ORDER = 2048, as the tables grow as q^2.
+to test a modulus and in `_primitive_powers`, the one builder of GF(p^t)
+over GF(p) and of every extension GF(q^m): it finds omega and multiplies it
+into the d base-p unit digit vectors.  Multiplication by omega is
+GF(p)-linear on an index's base-p digits, so the exp table is the orbit of
+1 under that d x d matrix, filled by doubling (powers L..2L-1 are powers
+0..L-1 times the matrix's L-th power).  Scalar products and inverses then
+read the exp/log lists, scalar sums and differences read the numpy sum and
+difference tables (index XOR in characteristic 2), and the numpy product,
+sum and difference tables are read off the powers of omega and the base-p
+digits.  The tables never leak into the observable representation.  The
+field order is limited to q <= MAX_ORDER = 2048, as the tables grow as q^2.
 
 The extension GF(q^m) over an already-built GF(q) is not a second field
 class but a table: :class:`ExtensionIso`, the coordinate isomorphism
 GF(q^m) -> GF(q)^m, holds the extension's modulus and the read-only
 exp/log arrays of its primitive element.  An extension index is its
 base-q digits, each the base-p digits of a base-field index, so the same
-doubling (`_power_tables`) fills those arrays.  Extension orders are
-limited to MAX_EXTENSION_ORDER = 2^20, as the arrays grow as q^m.
+builder fills those arrays.  Extension orders are limited to
+MAX_EXTENSION_ORDER = 2^20, as the arrays grow as q^m.
 """
 
 from __future__ import annotations
@@ -73,19 +74,9 @@ IRREDUCIBLE_POLYS = {
 }
 
 
-def is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def prime_factors(n):
-    """Distinct prime factors of n, by trial division (desk scale)."""
+    """Distinct prime factors of n, by trial division (desk scale); none
+    below 2.  `is_prime` and `prime_power` read this one factorization."""
     out = []
     d = 2
     while d * d <= n:
@@ -97,6 +88,21 @@ def prime_factors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+def is_prime(n):
+    return prime_factors(n) == [n]
+
+
+def prime_power(q):
+    """(p, t) with q = p^t, p prime; ValueError if q is not a prime power."""
+    factors = prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p, t = factors[0], 1
+    while p ** t < q:
+        t += 1
+    return p, t
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +219,26 @@ def _power_tables(p, times_omega):
     return exp, log
 
 
+def _primitive_powers(base, modulus, candidates):
+    """(w, exp, log) for the first candidate w of order n = q^m - 1 modulo
+    the monic `modulus` of degree m over `base` (q = base.order; an index
+    is its m base-q digits), exp and log by `_power_tables`; None if no
+    candidate passes w^n = 1 and w^(n/ell) != 1 for each prime ell | n,
+    as none does when the modulus is reducible."""
+    q, m = base.order, len(modulus) - 1
+    n, one = q ** m - 1, [1] + [0] * (m - 1)
+    for w in candidates:
+        a = [w // q ** j % q for j in range(m)]
+        if poly_powmod(base, a, n, modulus) == one and all(
+                poly_powmod(base, a, n // ell, modulus) != one for ell in prime_factors(n)):
+            # w times each base-p unit digit vector p^i, read back as an index
+            times_w = (poly_mulmod(base, [base.p ** i // q ** j % q for j in range(m)], a, modulus)
+                       for i in range(base.t * m))
+            return w, *_power_tables(base.p, [sum(c * q ** j for j, c in enumerate(v))
+                                              for v in times_w])
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Fields
 # ---------------------------------------------------------------------------
@@ -222,10 +248,10 @@ class FiniteField:
 
     An index is its t little-endian base-p digits.  omega is the first
     element in the canonical enumeration whose multiplicative order is
-    q - 1, found by the polynomial arithmetic of the definition; every
-    table is read off its powers (`_power_tables`).  Scalar mul, inv and
-    pow read the exp/log lists; scalar add and sub read the numpy sum and
-    difference tables (index XOR in characteristic 2).
+    q - 1, found by the polynomial arithmetic of the definition
+    (`_primitive_powers`); every table is read off its powers.  Scalar
+    mul, inv and pow read the exp/log lists; scalar add and sub read the
+    numpy sum and difference tables (index XOR in characteristic 2).
     """
 
     def __init__(self, p, t, modulus=None):
@@ -250,8 +276,13 @@ class FiniteField:
         self.modulus = modulus
         if t > 1 and not is_irreducible(GF(p), modulus):
             raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
-        self.omega_index = w = next(a for a in range(1, q) if self._is_primitive(a))
-        exp, log = _power_tables(p, [self._poly_mul(w, p ** i) for i in range(t)])
+        if t > 1:
+            w, exp, log = _primitive_powers(GF(p), modulus, range(1, q))
+        else:  # integers mod p: no base field to build GF(p) over
+            w = next(a for a in range(1, q)
+                     if all(pow(a, n // ell, p) != 1 for ell in prime_factors(n)))
+            exp, log = _power_tables(p, [w])
+        self.omega_index = w
         self._exp = exp.tolist()
         self._log = log.tolist()
         # scalar mul: the logs of two nonzero elements sum below 2(q-1),
@@ -295,28 +326,6 @@ class FiniteField:
             return (0, 1)
         prime = GF(p)
         return tuple(next(c for c in monic_polys(prime, t) if is_irreducible(prime, c)))
-
-    # -- construction: the only arithmetic that does not read the tables --
-
-    def _poly_mul(self, a, b):
-        """a*b from the definition: polynomials over GF(p) modulo the
-        modulus, or integers mod p in a prime field."""
-        if self.t == 1:
-            return a * b % self.p
-        return self.coeffs_to_index(poly_mulmod(
-            GF(self.p), self.index_to_coeffs(a), self.index_to_coeffs(b), self.modulus))
-
-    def _poly_pow(self, a, e):
-        """a^e from the definition, as _poly_mul."""
-        if self.t == 1:
-            return pow(a, e, self.p)
-        return self.coeffs_to_index(poly_powmod(
-            GF(self.p), self.index_to_coeffs(a), e, self.modulus))
-
-    def _is_primitive(self, a):
-        """a has order q-1: a^((q-1)/ell) != 1 for each prime ell | q-1."""
-        n = self.order - 1
-        return all(self._poly_pow(a, n // ell) != 1 for ell in prime_factors(n))
 
     # -- index-level arithmetic ------------------------------------------
 
@@ -398,19 +407,6 @@ def _check_order(q):
         raise ValueError(f"field order {q} exceeds the supported limit {MAX_ORDER}")
 
 
-def prime_power(q):
-    """(p, t) with q = p^t, p prime; ValueError if q is not a prime power."""
-    if q >= 2:
-        p = next(d for d in range(2, q + 1) if q % d == 0)  # least factor: prime
-        t, v = 0, q
-        while v % p == 0:
-            v //= p
-            t += 1
-        if v == 1:
-            return p, t
-    raise ValueError(f"{q} is not a prime power")
-
-
 @lru_cache(maxsize=None)
 def GF(q):
     """Cached field of order q <= MAX_ORDER with the default (published)
@@ -434,9 +430,10 @@ def _extension_tables(base, m):
     the base (in canonical index order) whose root z has order q^m - 1.
     A reducible modulus leaves fewer than q^m - 1 units, so this makes it
     irreducible and z both the polynomial-basis generator and the
-    primitive element whose powers exp lists; z = x sits at index q.  For
-    m = 1 the modulus is x and the tables are the base field's.  exp and
-    log are read-only arrays, log -1 at zero, shared by every caller.
+    primitive element whose powers exp lists (`_primitive_powers`, with z
+    its one candidate).  For m = 1 the modulus is x and the tables are the
+    base field's.  exp and log are read-only arrays, log -1 at zero, shared
+    by every caller.
     """
     q = base.order
     order = q ** m
@@ -446,18 +443,11 @@ def _extension_tables(base, m):
     if m == 1:
         modulus, exp, log = (0, 1), base.np_exp.view(), base.np_log.view()
     else:
-        n = order - 1
-        one, z = [1] + [0] * (m - 1), [0, 1] + [0] * (m - 2)
         for modulus in monic_polys(base, m):
-            if poly_powmod(base, z, n, modulus) == one and all(
-                    poly_powmod(base, z, n // ell, modulus) != one for ell in prime_factors(n)):
+            found = _primitive_powers(base, modulus, [q])  # z = x sits at index q
+            if found:
                 break
-        modulus = tuple(modulus)
-        # z times each base-p unit digit vector p^i, as m base-q digits
-        times_z = [poly_mulmod(base, [u // q ** j % q for j in range(m)], z, modulus)
-                   for u in (base.p ** i for i in range(base.t * m))]
-        exp, log = _power_tables(base.p, [sum(c * q ** j for j, c in enumerate(v))
-                                          for v in times_z])
+        modulus, (_, exp, log) = tuple(modulus), found
     exp.flags.writeable = log.flags.writeable = False
     return modulus, exp, log
 

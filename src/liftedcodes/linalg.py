@@ -62,10 +62,6 @@ def gf_isub(F, A, B):
         A[...] = _lookup(F, F.np_sub, A, B)
 
 
-def gf_scale(F, c, A):
-    return F.np_mul[c][A]
-
-
 def gf_sum(F, A, axis):
     """Field sum along an axis."""
     if F.p == 2:
@@ -303,12 +299,13 @@ def reduced_span_contains(F, R, pivots, B):
 
 
 def span_all(F, G):
-    """Every word in the row space, one per message, message digits varying
-    fastest in the last row.  Size grows as q^rows: small inputs only."""
+    """Every word in the row space, one per message: row c_0 + c_1 q + ...
+    is sum c_i G[i], so row 0 is the zero word.  Each row of G adds c * row
+    for every c at once, one `F.np_mul[:, row]` gather.  Size grows as
+    q^rows: small inputs only."""
     G = as_matrix(G, F.dtype)
-    q = F.order
-    out = np.zeros((1, G.shape[1]), dtype=F.dtype)
+    q, n = F.order, G.shape[1]
+    out = np.zeros((1, n), dtype=F.dtype)
     for row in G:
-        blocks = [gf_add(F, out, gf_scale(F, c, row)[None, :]) for c in range(q)]
-        out = np.concatenate(blocks, axis=0)
+        out = gf_add(F, out[None, :, :], F.np_mul[:, row][:, None, :]).reshape(q * len(out), n)
     return out

@@ -67,7 +67,7 @@ def test_information_set_random_draws():
             kk = min(k, q - 2) if kind == "Lift" else k
             C = make_code(kind, q, m, kk)
             for _ in range(3):
-                assert information_set_check(C, rng=rng), (kind, q, m, kk)
+                assert information_set_check(C, information_set(C, rng)), (kind, q, m, kk)
 
 
 def _digits(iso, a):

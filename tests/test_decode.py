@@ -1,5 +1,6 @@
 """Error-and-erasure decoding, query generation, and the local corrector."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -718,7 +719,7 @@ def test_mc_experiment_chunk_memory_at_many_errors():
     # chunk's lookup; a 256-trial call stays within a stated 3.3 MB
     C = make_code("PLift", 256, 2, 2)
     cfg = CorrectionConfig(s=3, delta=1 / 16, seed=7)
-    mc_experiment(C, cfg, trials=2, seed=8)  # fills the caches the call reads
+    mc_experiment(C, dataclasses.replace(cfg, seed=8), trials=2)  # fills the caches the call reads
     tracemalloc.start()
     try:
         rep = mc_experiment(C, cfg, trials=256)
@@ -736,7 +737,7 @@ def test_mc_experiment_chunk_memory_at_large_s():
     # call within _CHUNK_BYTES
     C = make_code("PLift", 512, 1, 256)
     cfg = CorrectionConfig(s=512, delta=0.05, seed=1)
-    mc_experiment(C, cfg, trials=1, seed=2)  # fills the caches the call reads
+    mc_experiment(C, dataclasses.replace(cfg, seed=2), trials=1)  # fills the caches the call reads
     tracemalloc.start()
     try:
         rep = mc_experiment(C, cfg, trials=64)
@@ -756,7 +757,7 @@ def test_mc_experiment_chunk_memory_in_odd_characteristic():
     C = make_code("PLift", 243, 1, 242)
     cfg = CorrectionConfig(s=243, delta=0.05, seed=1)
     assert decode._CHUNK_BYTES // decode._trial_bytes(C.field, C.dim, 243, 242) == 16
-    mc_experiment(C, cfg, trials=1, seed=2)  # fills the caches the call reads
+    mc_experiment(C, dataclasses.replace(cfg, seed=2), trials=1)  # fills the caches the call reads
     tracemalloc.start()
     try:
         rep = mc_experiment(C, cfg, trials=32)
@@ -873,7 +874,7 @@ def test_mc_experiment_reproducible():
     r1 = mc_experiment(C, cfg, trials=50)
     r2 = mc_experiment(C, cfg, trials=50)
     assert r1.to_dict() == r2.to_dict()
-    r3 = mc_experiment(C, cfg, trials=50, seed=8)
+    r3 = mc_experiment(C, dataclasses.replace(cfg, seed=8), trials=50)
     assert r3.to_dict() != r1.to_dict()
 
 

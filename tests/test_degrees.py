@@ -5,6 +5,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +214,17 @@ def test_count_limits():
             count(32, 1, 4)
     with pytest.raises(ValueError, match=r"5\^11 cells, past the limit 2\^22"):
         adim(4, 1, 2048)
+
+
+def test_grid_limit_at_a_large_prime_is_quick():
+    # q = 100000007 is prime: one trial division to its square root finds
+    # (p, t), not a scan of every candidate factor up to q
+    for count in (adim, pdim):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"q=100000007, m=\d has \d+\^1 cells, "
+                                             r"past the limit 2\^22"):
+            count(2, 5, 100000007)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_box_limit():

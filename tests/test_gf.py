@@ -1,12 +1,15 @@
 """Field arithmetic: axioms, defining relations, and the summation identities
 that drive monomial extraction."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import liftedcodes
 from liftedcodes import linalg
 from liftedcodes.gf import (
     GF,
@@ -19,6 +22,7 @@ from liftedcodes.gf import (
     poly_mulmod,
     poly_powmod,
     prime_factors,
+    prime_power,
     IRREDUCIBLE_POLYS,
 )
 
@@ -63,6 +67,31 @@ def test_reducible_modulus_rejected():
         FiniteField(2, 2, (1, 0, 1))  # x^2 + 1 = (x+1)^2 over GF(2)
     with pytest.raises(ValueError):
         FiniteField(4, 1)  # composite characteristic
+
+
+def test_prime_power_and_is_prime_read_one_factorization():
+    assert prime_power(2 ** 40) == (2, 40)
+    assert prime_power(3 ** 13) == (3, 13)
+    assert prime_power(2039) == (2039, 1)
+    for q in (0, 1, 6, 12, -4):
+        with pytest.raises(ValueError, match=rf"^{q} is not a prime power$"):
+            prime_power(q)
+    assert [n for n in range(-4, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_one_library_def_tests_primitivity():
+    # poly_powmod is the primitive-element test's kernel: only the one
+    # builder of fields and extensions may call it
+    package = Path(liftedcodes.__file__).parent
+    callers = []
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call) and "poly_powmod" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                    for node in ast.walk(fn)):
+                callers.append(f"{path.stem}.{fn.name}")
+    assert callers == ["gf._primitive_powers"]
 
 
 def test_modulus_coefficient_outside_prime_field_rejected():
@@ -343,13 +372,22 @@ def test_extension_tables_match_definition(q, m):
 # ---------------------------------------------------------------------------
 
 def _sequential_logs(F):
-    """The tables as built one power of omega at a time: omega is the first
-    primitive index, and each power is the last one times omega."""
-    q = F.order
-    omega = next(a for a in range(1, q) if F._is_primitive(a))
-    exp = [1] * (q - 1)
-    for i in range(1, q - 1):
-        exp[i] = F._poly_mul(exp[i - 1], omega)
+    """The tables as built one power of omega at a time from the
+    definition, products by poly_mulmod over the integers mod p modulo
+    F.modulus (integers mod p alone when t = 1): omega is the first index
+    whose powers number q - 1, and each power is the last one times omega."""
+    p, t, q = F.p, F.t, F.order
+
+    def times(a, w):
+        return _ext_index(p, poly_mulmod(_ModP(p), _ext_digits(p, t, a), _ext_digits(p, t, w),
+                                         F.modulus))
+
+    for omega in range(1, q):
+        exp = [1]
+        while (v := times(exp[-1], omega)) != 1:
+            exp.append(v)
+        if len(exp) == q - 1:
+            break
     log = [-1] * q
     for i, v in enumerate(exp):
         log[v] = i
